@@ -116,6 +116,7 @@ class LinkSession:
     link: Optional[OverlayLink] = None
     initiator: bool = False
     handshake: object = None
+    handshake_m1: Optional[bytes] = None       # responder: the M1 answered
     handshake_reply: Optional[bytes] = None    # responder M2 cache
     handshake_tries: int = 0
     relay_ready: bool = False
@@ -214,6 +215,7 @@ class NodeAgent:
         self.on_event = on_event
 
         self.primary = None
+        self._keepalive_timer = None
         self._classifier = None
         self.nat_class = "unknown"
         self.observed: Optional[Endpoint] = None
@@ -250,7 +252,15 @@ class NodeAgent:
             self.transport, self.primary, (self.local_ip, self.primary.local_port),
             self.observers, self._on_classified, rng=self.rng)
         self._classifier.start()
-        self.transport.call_later(int(KEEPALIVE_S * 1_000_000), self._keepalive)
+        self._keepalive_timer = self.transport.call_later(
+            int(KEEPALIVE_S * 1_000_000), self._keepalive)
+
+    def close(self) -> None:
+        """Stop the keepalive and close the primary socket."""
+        if self._keepalive_timer is not None:
+            self._keepalive_timer.cancel()
+        if self.primary is not None:
+            self.primary.close()
 
     def _register(self) -> None:
         msg = {"type": "register", "node": self.node_id,
@@ -263,7 +273,8 @@ class NodeAgent:
 
     def _keepalive(self) -> None:
         self.channel.send({"type": "ping", "nonce": self.rng.getrandbits(32)})
-        self.transport.call_later(int(KEEPALIVE_S * 1_000_000), self._keepalive)
+        self._keepalive_timer = self.transport.call_later(
+            int(KEEPALIVE_S * 1_000_000), self._keepalive)
 
     def _on_classified(self, verdict: str, observed: Optional[Endpoint]) -> None:
         self.nat_class = verdict
@@ -343,10 +354,7 @@ class NodeAgent:
         ls.initiator = self.node_id < peer_id
         self.sessions[session_id] = ls
         self._session_by_peer[peer_id] = ls
-        now = self.transport.now_us()
-        ts.to(SessionState.OBSERVING, now)   # our class is already known
-        ts.to(SessionState.EXCHANGING, now)  # the introduce is the exchange
-        ts.to(SessionState.PUNCHING, now)
+        ts.to(SessionState.PUNCHING, self.transport.now_us())
         deadline_us = int((cfg.max_duration_s + SESSION_GRACE_S) * 1_000_000)
         ls.deadline = self.transport.call_later(deadline_us, lambda: self._session_deadline(ls))
         if role == "direct":
@@ -465,7 +473,7 @@ class NodeAgent:
             self._channels[keys.channel_id] = ls
             self._link_up(ls)
         else:
-            if ls.handshake_reply is not None and body == getattr(ls, "_last_m1", None):
+            if ls.handshake_reply is not None and body == ls.handshake_m1:
                 ls.send_handshake(ls.handshake_reply)  # duplicate M1, same M2
                 return
             responder = HandshakeResponder(self.identity, ls.peer_pubkey, rng=self.rng)
@@ -473,7 +481,7 @@ class NodeAgent:
                 reply = responder.consume_message1(body)
             except HandshakeError:
                 return
-            ls._last_m1 = body
+            ls.handshake_m1 = body
             ls.handshake_reply = reply
             ls.cipher = FrameCipher(responder.keys)
             self._channels[responder.keys.channel_id] = ls

@@ -1,9 +1,8 @@
 """Command line surface: analysis tables, punch simulations, scenarios, services.
 
 Data goes to stdout (CSV for analysis commands, JSON for scenario
-reports); everything diagnostic goes to stderr.  Exit codes: 0 ok,
-2 invalid input, 3 simulation failure, 4 unsupported scheme, 5 bind
-failure, 6 coordinator unreachable, 7 identity conflict.
+reports); everything diagnostic goes to stderr.  Exit codes are the
+EXIT_* constants of bdmesh.errors.
 """
 
 from __future__ import annotations
@@ -17,6 +16,10 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import (
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_SIM_FAILURE,
+    EXIT_UNSUPPORTED_SCHEME,
     InvalidParametersError,
     ScenarioError,
     SimulationError,
@@ -24,14 +27,6 @@ from .errors import (
 )
 from .montecarlo import SIGMA_CHECK_MIN_TRIALS, run_monte_carlo
 from .probability import PortSpace, min_probes, probability_curve, success_probability
-
-EXIT_OK = 0
-EXIT_INVALID = 2
-EXIT_SIM_FAILURE = 3
-EXIT_UNSUPPORTED_SCHEME = 4
-EXIT_BIND_FAILURE = 5
-EXIT_COORD_UNREACHABLE = 6
-EXIT_IDENTITY_CONFLICT = 7
 
 TRACE_LEVEL = 5
 _LOG_LEVELS = {

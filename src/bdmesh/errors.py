@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy and process exit codes shared across the toolkit."""
+
+# Exit codes of the `bdmesh` command and its coord/node services.
+EXIT_OK = 0
+EXIT_INVALID = 2
+EXIT_SIM_FAILURE = 3
+EXIT_UNSUPPORTED_SCHEME = 4
+EXIT_BIND_FAILURE = 5
+EXIT_COORD_UNREACHABLE = 6
+EXIT_IDENTITY_CONFLICT = 7
 
 
 class BdmeshError(Exception):

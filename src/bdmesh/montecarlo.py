@@ -40,9 +40,10 @@ __all__ = [
 ]
 
 
-def trial_seed(master: int, index: int) -> int:
-    """Stable per-trial seed, independent of worker count and order."""
-    h = hashlib.blake2b(f"bdmesh-trial:{master}:{index}".encode(), digest_size=8)
+def trial_seed(master: int, index: int, domain: str = "bdmesh-trial") -> int:
+    """Stable per-trial seed, independent of worker count and order; each
+    `domain` (punch trials, scenario trials) is its own seed stream."""
+    h = hashlib.blake2b(f"{domain}:{master}:{index}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
 
 

@@ -139,6 +139,9 @@ class Nat:
         # rather than per packet.
         self._per_destination = profile.mapping is MappingMode.ENDPOINT_DEPENDENT
         self._filtering = profile.filtering
+        # Endpoint-independent filtering never reads a mapping's remotes,
+        # so they are kept only for the other two modes.
+        self._track_remotes = profile.filtering is not FilteringMode.ENDPOINT_INDEPENDENT
         self._random_alloc = profile.port_alloc is PortAlloc.UNIFORM_RANDOM
         space = profile.alloc_space
         self._alloc_lo = space.lo
@@ -198,7 +201,8 @@ class Nat:
             self._by_ext[port] = m
             self._by_internal.setdefault(internal, set()).add(m)
         m.expires_us = now_us + self._ttl_us
-        m.remotes.add(dst)
+        if self._track_remotes:
+            m.remotes.add(dst)
         return m.ext_port
 
     def inbound(self, src: Endpoint, ext_port: int, now_us: int) -> tuple[Optional[Endpoint], str]:

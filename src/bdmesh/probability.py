@@ -107,6 +107,22 @@ def success_probability(k: int, b: int, a: int, delivery_rate: float = 1.0) -> f
     return -math.expm1(log_miss)
 
 
+def _advance_log_miss(k: int, b: int, a: int, a_end: int, log_miss: float,
+                      comp: float, floor: float = -math.inf) -> tuple[int, float, float]:
+    """Add log1p(-b/(k-i)) for i = a .. a_end-1 to log_miss, stopping after
+    the term that takes it to `floor` or below; returns (a, log_miss, comp).
+    Kahan-compensated (comp), since the sum runs long for small b."""
+    while a < a_end:
+        y = math.log1p(-b / (k - a)) - comp
+        t = log_miss + y
+        comp = (t - log_miss) - y
+        log_miss = t
+        a += 1
+        if log_miss <= floor:
+            break
+    return a, log_miss, comp
+
+
 def min_probes(k: int, b: int, target: float) -> int:
     """Smallest probe count whose success probability reaches `target`."""
     _check_kba(k, b, 0)
@@ -115,18 +131,9 @@ def min_probes(k: int, b: int, target: float) -> int:
     if b == 0:
         raise InvalidParametersError("no probe count can hit zero open ports")
     log_target_miss = math.log1p(-target)
-    log_miss = 0.0
-    comp = 0.0  # Kahan compensation; the sum runs long for small b.
-    a = 0
-    while a < k - b:
-        term = math.log1p(-b / (k - a))
-        y = term - comp
-        t = log_miss + y
-        comp = (t - log_miss) - y
-        log_miss = t
-        a += 1
-        if log_miss <= log_target_miss:
-            return a
+    a, log_miss, _ = _advance_log_miss(k, b, 0, k - b, 0.0, 0.0, log_target_miss)
+    if log_miss <= log_target_miss:
+        return a
     # Probing every closed port plus one more guarantees a hit.
     return k - b + 1
 
@@ -144,32 +151,16 @@ def probability_curve(k: int, b: int, a_max: int, step: int = 1) -> list[tuple[i
     if step <= 0:
         raise InvalidParametersError(f"step must be positive, got {step}")
     out: list[tuple[int, float]] = []
-    log_miss = 0.0
-    comp = 0.0
-    saturated = False  # set once a > k - b, where the probability pins at 1
-    next_a = 0
-    for a in range(a_max + 1):
-        if a > 0:
-            if b == 0:
-                pass
-            elif a > k - b:
-                saturated = True
-            else:
-                term = math.log1p(-b / (k - (a - 1)))
-                y = term - comp
-                t = log_miss + y
-                comp = (t - log_miss) - y
-                log_miss = t
-        if a == next_a or a == a_max:
-            if b == 0:
-                p = 0.0
-            elif saturated:
-                p = 1.0
-            else:
-                p = -math.expm1(log_miss) + 0.0  # +0.0 folds -0.0 at a=0
-            out.append((a, p))
-            while next_a <= a:
-                next_a += step
+    done, log_miss, comp = 0, 0.0, 0.0
+    for a in [*range(0, a_max, step), a_max]:
+        if b == 0:
+            p = 0.0
+        elif a > k - b:
+            p = 1.0  # pigeonhole: more probes than closed ports
+        else:
+            done, log_miss, comp = _advance_log_miss(k, b, done, a, log_miss, comp)
+            p = -math.expm1(log_miss) + 0.0  # +0.0 folds -0.0 at a=0
+        out.append((a, p))
     return out
 
 

@@ -22,6 +22,8 @@ import time
 from typing import Callable, Iterable, Optional
 
 from .agent import NodeAgent
+from .errors import (EXIT_BIND_FAILURE, EXIT_COORD_UNREACHABLE, EXIT_IDENTITY_CONFLICT,
+                     EXIT_INVALID, EXIT_OK, EXIT_SIM_FAILURE)
 from .netsim import MAX_CONTROL_LINE
 from .rendezvous import Coordinator, DEFAULT_OBSERVER_PORTS
 from .securelink import Identity
@@ -32,12 +34,6 @@ CONNECT_ATTEMPTS = 3
 CONNECT_RETRY_S = 1.0
 INTRODUCE_RETRY_S = 0.5
 INTRODUCE_ATTEMPTS = 20
-
-EXIT_OK = 0
-EXIT_SIM_FAILURE = 3
-EXIT_BIND_FAILURE = 5
-EXIT_COORD_UNREACHABLE = 6
-EXIT_IDENTITY_CONFLICT = 7
 
 __all__ = [
     "AsyncioTransport", "AsyncioUdpSocket", "TcpLineChannel",
@@ -92,16 +88,6 @@ class AsyncioUdpSocket:
         self._sock.close()
 
 
-class _TimerHandleAdapter:
-    __slots__ = ("_handle",)
-
-    def __init__(self, handle: asyncio.TimerHandle):
-        self._handle = handle
-
-    def cancel(self) -> None:
-        self._handle.cancel()
-
-
 class AsyncioTransport:
     """Wall-clock twin of the simulator's host transport."""
 
@@ -113,8 +99,8 @@ class AsyncioTransport:
     def now_us(self) -> int:
         return time.monotonic_ns() // 1000
 
-    def call_later(self, delay_us: int, fn: Callable[[], None]) -> _TimerHandleAdapter:
-        return _TimerHandleAdapter(self._loop.call_later(delay_us / 1e6, fn))
+    def call_later(self, delay_us: int, fn: Callable[[], None]) -> asyncio.TimerHandle:
+        return self._loop.call_later(delay_us / 1e6, fn)
 
     def open_socket(self, handler, port: int = 0) -> AsyncioUdpSocket:
         return AsyncioUdpSocket(self._loop, handler, port)
@@ -210,7 +196,7 @@ class CoordinatorServer:
         self.core = Coordinator(punch=punch)
         self._server: Optional[asyncio.AbstractServer] = None
         self._observers: list = []
-        self._tasks: set = set()
+        self._connections: dict[asyncio.Task, TcpLineChannel] = {}
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
@@ -229,19 +215,25 @@ class CoordinatorServer:
         channel = TcpLineChannel(reader, writer)
         self.core.attach(channel)
         task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+        self._connections[task] = channel
+        task.add_done_callback(self._connections.pop)
         await channel.drain_lines()
 
     async def close(self) -> None:
+        """Stop listening, then close every open connection and wait for
+        its reader to see EOF (cancelling them instead makes asyncio log
+        an error per connection)."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for transport in self._observers:
             transport.close()
-        for task in list(self._tasks):
-            task.cancel()
+        connections = list(self._connections.items())
+        for _, channel in connections:
+            channel.close()
+        await asyncio.gather(*(task for task, _ in connections),
+                             return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     async def serve_forever(self) -> None:
         assert self._server is not None
@@ -413,6 +405,8 @@ class NodeClient:
             self._reader_task.cancel()
         if self.channel is not None:
             self.channel.close()
+        if self.agent is not None:
+            self.agent.close()
 
 
 async def _coordinator_main(host: str, port: int,
@@ -448,7 +442,7 @@ async def _node_main(coord: str, node_id: str, key_path: Optional[str],
         identity = _load_identity(key_path)
     except (OSError, ValueError) as e:
         print(f"cannot load key: {e}", file=sys.stderr)
-        return 2
+        return EXIT_INVALID
     client = NodeClient(coord, node_id, identity=identity, connect=connect,
                         encrypted=not plain)
     code = await client.start()

@@ -174,11 +174,11 @@ class Coordinator:
         if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
             self._error(channel, "bad-message", "every message is an object with a type")
             return
-        handler = getattr(self, f"_on_{msg['type']}", None)
+        handler = self._HANDLERS.get(msg["type"])
         if handler is None:
             self._error(channel, "unknown-type", f"unknown message type {msg['type']!r}")
             return
-        handler(channel, msg)
+        handler(self, channel, msg)
 
     def _error(self, channel, code: str, detail: str) -> None:
         channel.send({"type": "error", "error": code, "detail": detail})
@@ -285,7 +285,11 @@ class Coordinator:
         if record is None:
             self._error(channel, "not-registered", "relay messages require registration")
             return None, None
-        session = self.sessions.get(msg.get("session_id"))
+        session_id = msg.get("session_id")
+        if not isinstance(session_id, str):
+            self._error(channel, "bad-message", "session_id must be a string")
+            return None, None
+        session = self.sessions.get(session_id)
         if session is None or record.node_id not in session.nodes:
             self._error(channel, "no-such-session", "unknown relay session")
             return None, None
@@ -326,3 +330,13 @@ class Coordinator:
         session.relayed_bytes += len(payload)
         other.channel.send({"type": "relay_data", "session_id": session.session_id,
                             "payload_b64": msg["payload_b64"]})
+
+    # Client message type -> handler; any other type draws unknown-type.
+    _HANDLERS = {
+        "register": _on_register,
+        "observe": _on_observe,
+        "ping": _on_ping,
+        "introduce_request": _on_introduce_request,
+        "relay_open": _on_relay_open,
+        "relay_data": _on_relay_data,
+    }

@@ -22,6 +22,7 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass
+from importlib.resources import files
 from typing import Optional
 
 from jsonschema import Draft202012Validator
@@ -36,6 +37,7 @@ from .meshplan import (
     plan_links,
     route_lookup,
 )
+from .montecarlo import trial_seed
 from .netsim import (
     DEFAULT_MAPPING_TTL_S,
     FilteringMode,
@@ -60,110 +62,16 @@ __all__ = [
     "bundled_scenario_path",
 ]
 
-SCENARIO_SCHEMA: dict = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "bdmesh scenario",
-    "type": "object",
-    "required": ["hosts", "scheme"],
-    "additionalProperties": False,
-    "properties": {
-        "hosts": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["id"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string", "minLength": 1, "maxLength": 64},
-                    "nat": {"type": ["string", "null"]},
-                    "kind": {"enum": ["point", "gateway"]},
-                },
-            },
-        },
-        "nats": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "mapping": {
-                        "enum": ["endpoint_independent", "endpoint_dependent"],
-                    },
-                    "filtering": {
-                        "enum": ["endpoint_independent", "address_dependent",
-                                 "address_and_port_dependent"],
-                    },
-                    "port_alloc": {"enum": ["uniform_random", "sequential"]},
-                    "mapping_ttl_s": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-        "links": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["host"],
-                "additionalProperties": False,
-                "properties": {
-                    "host": {"type": "string"},
-                    "loss": {"type": "number", "minimum": 0, "maximum": 1},
-                    "latency_us": {"type": "integer", "minimum": 0},
-                    "jitter_us": {"type": "integer", "minimum": 0},
-                    "udp_blocked": {"type": "boolean"},
-                },
-            },
-        },
-        "scheme": {
-            "type": "object",
-            "required": ["G", "P", "theta"],
-            "additionalProperties": False,
-            "properties": {
-                "G": {"type": "integer", "enum": [0, 1]},
-                "P": {"type": "integer", "enum": [0, 1]},
-                "theta": {"type": "integer", "enum": [0, 1]},
-            },
-        },
-        "subnets": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["gateway", "cidr"],
-                "additionalProperties": False,
-                "properties": {
-                    "gateway": {"type": "string"},
-                    "cidr": {"type": "string"},
-                },
-            },
-        },
-        "experiment": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "trials": {"type": "integer", "minimum": 1, "maximum": 100000},
-                "seed": {"type": "integer", "minimum": 0},
-                "punch": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "open_ports": {"type": "integer", "minimum": 1},
-                        "rate": {"type": "number", "exclusiveMinimum": 0},
-                        "max_seconds": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-            },
-        },
-    },
-}
+# Shipped as package data.  Keep the file's key order: errors are found in
+# schema order, which picks the message reported when several share a path.
+SCENARIO_SCHEMA: dict = json.loads(
+    files("bdmesh").joinpath("scenario.schema.json").read_text(encoding="utf-8"))
 
 _VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
 
 
 def bundled_scenario_path(name: str):
     """Filesystem path of a scenario shipped with the package."""
-    from importlib.resources import files
     return files("bdmesh") / "scenarios" / name
 
 
@@ -262,19 +170,7 @@ def build_world(doc: dict, seed: Optional[int] = None, trace: bool = True) -> Sc
     exp = doc.get("experiment") or {}
     if seed is None:
         seed = exp.get("seed", 0)
-    scheme_doc = doc["scheme"]
-    scheme = classify_scheme(int(scheme_doc["G"]), int(scheme_doc["P"]),
-                             int(scheme_doc["theta"]))
-
-    subnets_by_gw: dict[str, list[str]] = {}
-    for sd in doc.get("subnets", []):
-        subnets_by_gw.setdefault(sd["gateway"], []).append(sd["cidr"])
-    node_specs = [
-        NodeSpec(hd["id"], hd.get("kind", "point"),
-                 tuple(subnets_by_gw.get(hd["id"], ())))
-        for hd in doc["hosts"]
-    ]
-    plan = plan_links(scheme, node_specs)
+    plan = build_plan_only(doc)
 
     net = Network(seed=seed, trace=trace)
     coord_host = net.add_host(COORD_HOST_ID)
@@ -429,12 +325,6 @@ def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport,
     }
 
 
-def _trial_seed(master: int, index: int) -> int:
-    h = hashlib.blake2b(f"bdmesh-scenario-trial:{master}:{index}".encode(),
-                        digest_size=8)
-    return int.from_bytes(h.digest(), "big")
-
-
 def _run_single(doc: dict, seed: int) -> dict:
     from .meshplan import realize_plan
 
@@ -476,7 +366,7 @@ def run_scenario(doc_or_path, seed: Optional[int] = None) -> dict:
     planned = len(plan.links)
     rows = []
     for i in range(trials):
-        rep = _run_single(doc, _trial_seed(master, i))
+        rep = _run_single(doc, trial_seed(master, i, "bdmesh-scenario-trial"))
         direct = sum(1 for l in rep["links"] if l["path"] == "direct")
         relayed = sum(1 for l in rep["links"] if l["path"] == "relayed")
         rows.append({

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import InvalidParametersError, ProtocolError
+from .netsim import Endpoint
 from .probability import PortSpace, iter_ports
 
 PROBE_MAGIC = b"BDHP"
@@ -55,8 +56,6 @@ PROBE_LEN = _PROBE_STRUCT.size  # 22
 
 MAX_OPEN_PORTS = 4096
 MAX_PROBE_RATE = 1000.0
-
-Endpoint = tuple[str, int]
 
 __all__ = [
     "PROBE_MAGIC",
@@ -136,8 +135,6 @@ class PunchConfig:
 
 class SessionState(enum.Enum):
     IDLE = "idle"
-    OBSERVING = "observing"
-    EXCHANGING = "exchanging"
     PUNCHING = "punching"
     ESTABLISHED_DIRECT = "established_direct"
     ESTABLISHED_RELAYED = "established_relayed"
@@ -145,9 +142,7 @@ class SessionState(enum.Enum):
 
 
 _LEGAL_TRANSITIONS: dict[SessionState, frozenset[SessionState]] = {
-    SessionState.IDLE: frozenset({SessionState.OBSERVING, SessionState.FAILED}),
-    SessionState.OBSERVING: frozenset({SessionState.EXCHANGING, SessionState.FAILED}),
-    SessionState.EXCHANGING: frozenset({SessionState.PUNCHING, SessionState.FAILED}),
+    SessionState.IDLE: frozenset({SessionState.PUNCHING, SessionState.FAILED}),
     SessionState.PUNCHING: frozenset({
         SessionState.ESTABLISHED_DIRECT,
         SessionState.ESTABLISHED_RELAYED,

@@ -207,6 +207,22 @@ class TestNatFiltering:
         net.run_for(5_000)
         assert [p for _, p, _ in got] == [b"yes"]
 
+    @pytest.mark.parametrize("filtering,kept", [
+        (FilteringMode.ENDPOINT_INDEPENDENT, 0),
+        (FilteringMode.ADDRESS_DEPENDENT, 1000),
+        (FilteringMode.ADDRESS_AND_PORT_DEPENDENT, 1000),
+    ])
+    def test_remotes_kept_only_where_filtering_reads_them(self, filtering, kept):
+        net = Network(seed=5)
+        nat = net.add_nat(NatProfile("n1", filtering=filtering))
+        sock = net.add_host("inside", nat=nat).bind(lambda *a: None, 7000)
+        peer = net.add_host("peer")
+        for port in range(1000):
+            sock.send((peer.ip, 5000 + port), b"x")
+        net.run_for(5_000)
+        (mapping,) = nat._by_ext.values()
+        assert len(mapping.remotes) == kept
+
 
 class TestDatagramPath:
     def test_delivery_time_is_sender_latency(self):

@@ -1,6 +1,7 @@
 """Real-socket backend: loopback rendezvous, links, and failure exits."""
 
 import asyncio
+import logging
 import os
 import signal
 import socket
@@ -105,6 +106,45 @@ class TestLoopbackMesh:
                 await server.close()
 
         run(scenario())
+
+
+class TestShutdown:
+    def test_node_close_releases_agent(self):
+        async def scenario():
+            port, o1, o2 = free_ports(3)
+            server = CoordinatorServer("127.0.0.1", port, (o1, o2))
+            await server.start()
+            node = NodeClient(f"127.0.0.1:{port}", "solo", observer_ports=(o1, o2))
+            try:
+                assert await node.start() == 0
+                assert await node.wait_ready(10.0)
+                agent = node.agent
+                await node.close()
+                assert agent.primary._closed
+                assert agent._keepalive_timer.cancelled()
+            finally:
+                await server.close()
+
+        run(scenario())
+
+    def test_server_close_with_client_connected_logs_no_error(self, caplog):
+        async def scenario():
+            port, o1, o2 = free_ports(3)
+            server = CoordinatorServer("127.0.0.1", port, (o1, o2))
+            await server.start()
+            node = NodeClient(f"127.0.0.1:{port}", "solo", observer_ports=(o1, o2))
+            try:
+                assert await node.start() == 0
+                assert await node.wait_ready(10.0)
+                await server.close()
+                await asyncio.sleep(0.1)
+            finally:
+                await node.close()
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            run(scenario())
+        assert not [r for r in caplog.records
+                    if r.name == "asyncio" and r.levelno >= logging.ERROR]
 
 
 class TestFailureExits:

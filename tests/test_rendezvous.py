@@ -302,6 +302,18 @@ class TestRelay:
         net.run_for(20_000)
         assert a.last_error() == "no-such-session"
 
+    @pytest.mark.parametrize("type_", ["relay_open", "relay_data"])
+    @pytest.mark.parametrize("session_id", [["x"], {"x": 1}, 7, None])
+    def test_non_string_session_id_is_bad_message(self, type_, session_id):
+        net, coord, a, b, sid = relay_world()
+        a.send(type=type_, session_id=session_id, payload_b64=b64(b"x"))
+        net.run_for(20_000)
+        assert a.last_error() == "bad-message"
+        a.send(type="relay_open", session_id=sid)  # the channel still works
+        b.send(type="relay_open", session_id=sid)
+        net.run_for(20_000)
+        assert a.of_type("relay_opened")
+
     def test_oversize_and_bad_base64(self):
         net, coord, a, b, sid = relay_world()
         a.send(type="relay_open", session_id=sid)

@@ -2,8 +2,11 @@
 
 import copy
 import json
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from bdmesh.errors import ScenarioError, UnsupportedSchemeError
 from bdmesh.probability import success_probability
@@ -104,10 +107,28 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(tmp_path / "absent.json")
 
-    def test_schema_document_in_docs_matches(self):
-        with open("docs/scenario.schema.json", "r", encoding="utf-8") as fh:
-            on_disk = json.load(fh)
-        assert on_disk == SCENARIO_SCHEMA
+    def test_schema_is_valid_and_loaded_from_the_package_file(self):
+        Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+        text = (files("bdmesh") / "scenario.schema.json").read_text(encoding="utf-8")
+        # Key order decides which error is reported first, so compare it too.
+        assert json.dumps(json.loads(text)) == json.dumps(SCENARIO_SCHEMA)
+
+
+def test_package_data_globs_cover_every_data_file():
+    """A wheel built from pyproject.toml ships every non-Python file the
+    package opens (the schema and the bundled scenarios)."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["bdmesh"]
+    pkg = root / "src" / "bdmesh"
+    data = {p for p in pkg.rglob("*")
+            if p.is_file() and p.suffix not in (".py", ".pyc")
+            and "__pycache__" not in p.parts}
+    shipped = {p for pattern in globs for p in pkg.glob(pattern)}
+    assert pkg / "scenario.schema.json" in data
+    assert pkg / "scenarios" / "fullmesh5.json" in data
+    assert data <= shipped, sorted(str(p.relative_to(pkg)) for p in data - shipped)
 
 
 class TestBuild:

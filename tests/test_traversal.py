@@ -78,32 +78,28 @@ class TestPunchConfig:
 class TestTraversalSession:
     def test_happy_path_direct(self):
         s = TraversalSession(b"x" * 8, "peer", "direct")
-        for state in (SessionState.OBSERVING, SessionState.EXCHANGING,
-                      SessionState.PUNCHING, SessionState.ESTABLISHED_DIRECT):
+        for state in (SessionState.PUNCHING, SessionState.ESTABLISHED_DIRECT):
             s.to(state)
         assert s.established and s.terminal
 
     def test_relay_fallback_path(self):
         s = TraversalSession(b"x" * 8, "peer", "prober")
-        s.to(SessionState.OBSERVING)
-        s.to(SessionState.EXCHANGING)
         s.to(SessionState.PUNCHING)
         s.to(SessionState.ESTABLISHED_RELAYED)
         assert s.established
 
     def test_illegal_transitions_rejected(self):
         s = TraversalSession(b"x" * 8, "peer", "direct")
-        with pytest.raises(ProtocolError, match="illegal"):
-            s.to(SessionState.PUNCHING)
-        s.to(SessionState.OBSERVING)
-        with pytest.raises(ProtocolError, match="illegal"):
-            s.to(SessionState.ESTABLISHED_DIRECT)
+        for state in (SessionState.ESTABLISHED_DIRECT, SessionState.ESTABLISHED_RELAYED):
+            with pytest.raises(ProtocolError, match="illegal"):
+                s.to(state)
+        assert s.state is SessionState.IDLE
 
     def test_terminal_states_are_final(self):
         s = TraversalSession(b"x" * 8, "peer", "direct")
         s.to(SessionState.FAILED)
         with pytest.raises(ProtocolError):
-            s.to(SessionState.OBSERVING)
+            s.to(SessionState.PUNCHING)
 
 
 def add_observer(net, host, port):
