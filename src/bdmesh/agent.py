@@ -46,6 +46,7 @@ from .securelink import (
     split_plain,
 )
 from .traversal import (
+    DEFAULT_PUNCH,
     KIND_PROBE,
     PROBE_LEN,
     PROBE_MAGIC,
@@ -79,10 +80,6 @@ class OverlayLink:
         self.on_payload: Optional[Callable[[bytes], None]] = None
         self.bytes_sent = 0
         self.bytes_received = 0
-
-    @property
-    def remote_endpoint(self) -> Optional[Endpoint]:
-        return self._session.peer_ep
 
     def send(self, payload: bytes) -> None:
         for i in range(0, len(payload), LINK_CHUNK) or (0,):
@@ -337,11 +334,11 @@ class NodeAgent:
         if old is not None and not old.ts.terminal:
             return  # one live session per peer
         try:
-            cfg = PunchConfig(
-                open_ports=int(punch.get("open_ports", 256)),
-                probe_rate=float(punch.get("rate", 100.0)),
-                max_duration_s=float(punch.get("max_seconds", 20.0)),
-            )
+            # Parsed JSON may hold 100 for 100.0: each parameter is cast
+            # to its default's type.
+            cfg = PunchConfig.from_params({name: type(default)(punch[name])
+                                           for name, default in DEFAULT_PUNCH.items()
+                                           if name in punch})
         except (InvalidParametersError, ValueError, TypeError) as exc:
             self._emit("session_failed", peer=peer_id, reason=f"bad punch params: {exc}")
             return

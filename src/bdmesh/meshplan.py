@@ -64,17 +64,12 @@ SCHEME_PARAMS: dict[SchemeKind, tuple[int, int, int]] = {
     kind: triple for triple, kind in SCHEME_TABLE.items()
 }
 
-# Tie-break order for nearest_scheme.
-_DECLARED = [SchemeKind.POINT_TO_SITE, SchemeKind.SITE_TO_SITE,
-             SchemeKind.SITE_MESH, SchemeKind.FULL_MESH]
-
-
 def nearest_scheme(triple: tuple[int, int, int]) -> SchemeKind:
     """Supported scheme with the fewest differing knobs; ties go to the
     earliest declared scheme."""
     def distance(kind: SchemeKind) -> int:
         return sum(a != b for a, b in zip(triple, SCHEME_PARAMS[kind]))
-    return min(_DECLARED, key=distance)  # min() is stable
+    return min(SchemeKind, key=distance)  # min() is stable
 
 
 def classify_scheme(g: int, p_flag: int, theta: int) -> SchemeKind:

@@ -36,6 +36,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
 from .errors import InvalidParametersError, PortsExhaustedError, SimulationError
@@ -127,13 +128,22 @@ class _Mapping:
     remotes: set[Endpoint]
 
 
+def _below(getrandbits, n: int) -> int:
+    """random.Random.randrange(n), by the same getrandbits draws but cheaper."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 class Nat:
     """One NAT box: a public IP plus a live mapping table."""
 
     def __init__(self, profile: NatProfile, public_ip: str, rng: random.Random):
         self.profile = profile
         self.public_ip = public_ip
-        self._rng = rng
+        self._getrandbits = rng.getrandbits
         self._ttl_us = int(profile.mapping_ttl_s * 1_000_000)
         # The profile is frozen, so its mode checks are made once here
         # rather than per packet.
@@ -145,7 +155,6 @@ class Nat:
         self._random_alloc = profile.port_alloc is PortAlloc.UNIFORM_RANDOM
         space = profile.alloc_space
         self._alloc_lo = space.lo
-        self._alloc_stop = space.hi + 1
         self._alloc_size = space.size
         self._by_key: dict[tuple, _Mapping] = {}
         self._by_ext: dict[int, _Mapping] = {}
@@ -170,7 +179,7 @@ class Nat:
                 raise PortsExhaustedError(f"nat {self.profile.nat_id} has no free ports")
         if self._random_alloc:
             while True:
-                cand = self._rng.randrange(lo, self._alloc_stop)
+                cand = lo + _below(self._getrandbits, k)
                 m = self._by_ext.get(cand)
                 if m is not None and m.expires_us <= now_us:
                     self._purge(m)
@@ -313,33 +322,25 @@ class VirtualClock:
             self.now_us = t_us
         return fired
 
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
-
 
 class TraceLog:
-    """Append-only event trace with a stable content hash."""
+    """Append-only event trace with a stable content hash: SHA-256 over one
+    line per entry, json.dumps of {t_us, kind, src, dst, info} with sorted
+    keys and no spaces, fed as each entry is added."""
 
     def __init__(self) -> None:
-        self.entries: list[dict] = []
+        self.lines: list[bytes] = []
+        self._sha = hashlib.sha256()
 
-    def add(self, t_us: int, kind: str, src: str, dst: str, info: str) -> None:
-        self.entries.append({"t_us": t_us, "kind": kind, "src": src, "dst": dst, "info": info})
+    def add(self, t_us: int, kind: str, src: Endpoint, dst: Endpoint, info: str) -> None:
+        line = (f'{{"dst":{_quote(f"{dst[0]}:{dst[1]}")},"info":{_quote(info)},'
+                f'"kind":{_quote(kind)},"src":{_quote(f"{src[0]}:{src[1]}")},"t_us":{t_us}}}\n')
+        line = line.encode()
+        self.lines.append(line)
+        self._sha.update(line)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for e in self.entries:
-            h.update(json.dumps(e, sort_keys=True, separators=(",", ":")).encode())
-            h.update(b"\n")
-        return h.hexdigest()
-
-    def dump_lines(self) -> list[str]:
-        return [json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.entries]
-
-
-def _fmt(ep: Endpoint) -> str:
-    return f"{ep[0]}:{ep[1]}"
+        return self._sha.hexdigest()
 
 
 class SimSocket:
@@ -480,6 +481,7 @@ class Network:
     def __init__(self, seed: int = 0, trace: bool = False):
         self.clock = VirtualClock()
         self.rng = random.Random(seed)
+        self._getrandbits = self.rng.getrandbits
         self.hosts: dict[str, Host] = {}
         self.nats: dict[str, Nat] = {}
         self._by_ip: dict[str, object] = {}
@@ -517,7 +519,7 @@ class Network:
     def _drop(self, src: Endpoint, dst: Endpoint, reason: str) -> None:
         self.stats["dropped"] += 1
         if self.trace is not None:
-            self.trace.add(self.clock.now_us, "drop", _fmt(src), _fmt(dst), reason)
+            self.trace.add(self.clock.now_us, "drop", src, dst, reason)
 
     def _send_from(self, host: Host, src_port: int, dst: Endpoint, payload: bytes) -> None:
         if len(payload) > MAX_DATAGRAM:
@@ -539,7 +541,7 @@ class Network:
                 return
             wire_src = (nat.public_ip, ext_port)
         if self.trace is not None:
-            self.trace.add(clock.now_us, "send", _fmt(wire_src), _fmt(dst), f"len={len(payload)}")
+            self.trace.add(clock.now_us, "send", wire_src, dst, f"len={len(payload)}")
         if self.on_wire is not None:
             self.on_wire("udp", wire_src, dst, payload)
         if link.loss > 0.0 and self.rng.random() < link.loss:
@@ -547,7 +549,8 @@ class Network:
             return
         delay = link.latency_us
         if link.jitter_us:
-            delay += self.rng.randrange(link.jitter_us + 1)
+            # int(): randrange also took a schema-valid 300.0 as 300.
+            delay += _below(self._getrandbits, int(link.jitter_us) + 1)
         clock.schedule(delay, self._deliver, wire_src, dst, payload)
 
     def _deliver(self, src: Endpoint, dst: Endpoint, payload: bytes) -> None:
@@ -578,8 +581,7 @@ class Network:
             return
         self.stats["delivered"] += 1
         if self.trace is not None:
-            self.trace.add(self.clock.now_us, "deliver", _fmt(src), _fmt((host.ip, port)),
-                           f"len={len(payload)}")
+            self.trace.add(self.clock.now_us, "deliver", src, (host.ip, port), f"len={len(payload)}")
         sock.handler(payload, src, sock)
 
     # -- control channels ----------------------------------------------
@@ -605,7 +607,7 @@ class Network:
     def _channel_send(self, end: ChannelEnd, line: bytes) -> None:
         peer = end.peer
         if self.trace is not None:
-            self.trace.add(self.clock.now_us, "ctrl", _fmt(end.local), _fmt(peer.local), f"len={len(line)}")
+            self.trace.add(self.clock.now_us, "ctrl", end.local, peer.local, f"len={len(line)}")
         if self.on_wire is not None:
             self.on_wire("ctrl", end.local, peer.local, line)
         t = self.clock.now_us + end.host.link.latency_us

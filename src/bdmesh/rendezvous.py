@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .netsim import Endpoint, Host, Network
+from .traversal import DEFAULT_PUNCH
 
 NAT_CLASSES = ("public", "easy", "hard", "udp_blocked", "unknown")
 ROLES = ("direct", "opener", "prober", "relay")
@@ -53,7 +54,6 @@ MAX_NODE_ID = 64
 MAX_RELAY_CHUNK = 1024
 DEFAULT_CONTROL_PORT = 4500
 DEFAULT_OBSERVER_PORTS = (3478, 3479)
-DEFAULT_PUNCH = {"open_ports": 256, "rate": 100.0, "max_seconds": 20.0}
 
 __all__ = [
     "NAT_CLASSES",

@@ -141,9 +141,7 @@ def validate_scenario(doc) -> None:
     punch = (doc.get("experiment") or {}).get("punch")
     if punch:
         try:
-            PunchConfig(open_ports=punch.get("open_ports", 256),
-                        probe_rate=punch.get("rate", 100.0),
-                        max_duration_s=punch.get("max_seconds", 20.0))
+            PunchConfig.from_params(punch)
         except Exception as exc:
             raise ScenarioError(f"$.experiment.punch: {exc}") from exc
 
@@ -157,7 +155,6 @@ class ScenarioWorld:
     plan: MeshPlan
     doc: dict
     seed: int
-    punch: dict
 
 
 def build_world(doc: dict, seed: Optional[int] = None, trace: bool = True) -> ScenarioWorld:
@@ -174,9 +171,7 @@ def build_world(doc: dict, seed: Optional[int] = None, trace: bool = True) -> Sc
 
     net = Network(seed=seed, trace=trace)
     coord_host = net.add_host(COORD_HOST_ID)
-    punch = dict(exp.get("punch") or {})
-    coord = Coordinator(rng=net.rng, punch=punch or None,
-                        now_fn=lambda: net.now_us / 1e6)
+    coord = Coordinator(rng=net.rng, punch=exp.get("punch"), now_fn=lambda: net.now_us / 1e6)
     coord.bind_sim(net, coord_host)
 
     nats = {}
@@ -207,8 +202,7 @@ def build_world(doc: dict, seed: Optional[int] = None, trace: bool = True) -> Sc
         agents[hd["id"]] = agent
 
     return ScenarioWorld(net=net, coord=coord, coord_host=coord_host,
-                         agents=agents, plan=plan, doc=doc, seed=seed,
-                         punch=dict(coord.punch))
+                         agents=agents, plan=plan, doc=doc, seed=seed)
 
 
 def _verification_payload(seed: int, a: str, b: str) -> bytes:
@@ -329,9 +323,8 @@ def _run_single(doc: dict, seed: int) -> dict:
     from .meshplan import realize_plan
 
     world = build_world(doc, seed=seed, trace=True)
-    max_seconds = float(world.punch.get("max_seconds", 20.0))
     outcome = realize_plan(world.net, world.agents, world.plan,
-                           deadline_s=max_seconds + 20.0)
+                           deadline_s=world.coord.punch["max_seconds"] + 20.0)
     checks = _verify_overlay(world, outcome)
     report = outcome.to_dict()
     report["mode"] = "single"

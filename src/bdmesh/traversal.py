@@ -66,6 +66,7 @@ __all__ = [
     "pack_probe",
     "parse_probe",
     "PunchConfig",
+    "DEFAULT_PUNCH",
     "SessionState",
     "TraversalSession",
     "NatClassifier",
@@ -87,6 +88,10 @@ def parse_probe(data: bytes) -> Optional[tuple[int, bytes, bytes]]:
     if version != PROBE_VERSION or kind not in (KIND_PROBE, KIND_PROBE_ACK, KIND_CONFIRM):
         return None
     return kind, session_id, nonce
+
+
+# Wire name of each punch parameter a coordinator sends -> its PunchConfig field.
+_PARAM_FIELDS = {"open_ports": "open_ports", "rate": "probe_rate", "max_seconds": "max_duration_s"}
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,14 @@ class PunchConfig:
     @property
     def probe_budget(self) -> int:
         return math.floor(self.probe_rate * self.max_duration_s + 1e-9)
+
+    @classmethod
+    def from_params(cls, params: dict) -> "PunchConfig":
+        """Config from wire-named punch parameters; one left out keeps its default."""
+        return cls(**{_PARAM_FIELDS[name]: value for name, value in params.items()})
+
+
+DEFAULT_PUNCH = {name: getattr(PunchConfig, f) for name, f in _PARAM_FIELDS.items()}
 
 
 class SessionState(enum.Enum):

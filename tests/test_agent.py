@@ -247,3 +247,30 @@ class TestAgentEdges:
         a.links["beta"].send(b"")
         net.run_for(1_000_000)
         assert got == [b""]
+
+
+class TestIntroduceParameters:
+    INTRO = {"type": "introduce", "session_id": "00" * 8, "peer": "beta",
+             "peer_endpoint": {"ip": "10.9.9.9", "port": 9}, "peer_pubkey_b64": "",
+             "role": "relay"}
+
+    def test_malformed_punch_fails_the_session_without_raising(self):
+        net, coord_host, _ = make_world(seed=114)
+        events = []
+        a, _ = spawn(net, coord_host, "alpha", on_event=events.append)
+        assert wait(net, lambda: a.ready, 5.0)
+        bad = (None, 7, {"rate": "fast"}, {"open_ports": None}, {"open_ports": 0})
+        for punch in bad:
+            a._on_control(dict(self.INTRO, punch=punch))
+        failed = [e for e in events if e["event"] == "session_failed"]
+        assert len(failed) == len(bad) and not a.sessions
+        assert all(e["reason"].startswith("bad punch params") for e in failed)
+
+    def test_json_numbers_take_the_default_types(self):
+        net, coord_host, _ = make_world(seed=115)
+        a, _ = spawn(net, coord_host, "alpha")
+        assert wait(net, lambda: a.ready, 5.0)
+        a._on_control(dict(self.INTRO, punch={"rate": 50, "max_seconds": 4}))
+        cfg = a.sessions[bytes(8)].cfg
+        assert (cfg.open_ports, cfg.probe_rate, cfg.max_duration_s) == (256, 50.0, 4.0)
+        assert type(cfg.probe_rate) is float and type(cfg.max_duration_s) is float

@@ -1,6 +1,9 @@
 """Simulator semantics: clock ordering, NAT behavior, impairments,
 control channels, and run-to-run determinism."""
 
+import hashlib
+import json
+
 import pytest
 
 from bdmesh.errors import InvalidParametersError, PortsExhaustedError, SimulationError
@@ -11,6 +14,7 @@ from bdmesh.netsim import (
     NatProfile,
     Network,
     PortAlloc,
+    TraceLog,
     VirtualClock,
 )
 from bdmesh.probability import PortSpace
@@ -236,18 +240,23 @@ class TestDatagramPath:
         assert got[0][0] == 7_500
 
     def test_jitter_stays_within_bound(self):
-        net = Network(seed=7)
-        a = net.add_host("a", link=LinkPolicy(latency_us=1000, jitter_us=500))
-        b = net.add_host("b")
-        got, handler = collector()
-        b.bind(handler, 5000)
-        sock = a.bind(lambda *a_: None)
-        for _ in range(200):
-            sock.send((b.ip, 5000), b"x")
-        net.run_for(100_000)
-        times = [t for t, _, _ in got]
+        def arrivals(jitter_us):
+            net = Network(seed=7)
+            a = net.add_host("a", link=LinkPolicy(latency_us=1000, jitter_us=jitter_us))
+            b = net.add_host("b")
+            got, handler = collector()
+            b.bind(handler, 5000)
+            sock = a.bind(lambda *a_: None)
+            for _ in range(200):
+                sock.send((b.ip, 5000), b"x")
+            net.run_for(100_000)
+            return [t for t, _, _ in got]
+
+        times = arrivals(500)
         assert all(1000 <= t <= 1500 for t in times)
         assert len(set(times)) > 1
+        # The scenario schema's integer type admits 500.0; it draws as 500.
+        assert arrivals(500.0) == times
 
     def test_loss_drops_roughly_half_at_fifty_percent(self):
         net = Network(seed=8)
@@ -404,6 +413,12 @@ class TestDeterminism:
         net.run_for(1_000_000)
         return net.trace.digest(), len(got)
 
+    def test_trace_hash_is_pinned(self):
+        # Pinned so that a change to the trace format or to any event of
+        # this run (RNG draws included) cannot pass unnoticed.
+        assert self.run_world(42) == (
+            "a883200e28dded1b4c84451a906028c4abfcca246c57cd677a5ad21b5cade5b8", 275)
+
     def test_same_seed_same_trace(self):
         d1, n1 = self.run_world(42)
         d2, n2 = self.run_world(42)
@@ -419,5 +434,50 @@ class TestDeterminism:
         a = net.add_host("a", link=LinkPolicy(udp_blocked=True))
         a.bind(lambda *a_: None, 5000).send(("10.2.3.4", 1), b"x")
         net.run_for(10_000)
-        kinds = [(e["kind"], e["info"]) for e in net.trace.entries]
+        kinds = [(e["kind"], e["info"]) for e in map(json.loads, net.trace.lines)]
         assert ("drop", "udp-blocked") in kinds
+
+
+def reference_line(entry):
+    """A trace line as first defined: json.dumps with sorted keys and
+    no spaces, endpoints written ip:port, plus a newline."""
+    t_us, kind, (src_ip, src_port), (dst_ip, dst_port), info = entry
+    e = {"t_us": t_us, "kind": kind, "src": f"{src_ip}:{src_port}",
+         "dst": f"{dst_ip}:{dst_port}", "info": info}
+    return json.dumps(e, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def reference_digest(entries):
+    return hashlib.sha256(b"".join(map(reference_line, entries))).hexdigest()
+
+
+class TestTraceDigest:
+    AWKWARD = [
+        (0, "send", ("10.0.0.1", 30000), ("198.18.0.1", 40000), "len=0"),
+        (2**70, 'say "hi"', ("back\\slash\\", 1), ("nul\x00 bel\x07 esc\x1b del\x7f", 0),
+         "\n\r\t\b\f"),
+        (-1, "drop", ("caf\u00e9 \u65e5\u672c", 65535), ("emoji \U0001f600", -7),
+         "nbsp\u00a0 ls\u2028"),
+        (-(2**63), "ctrl", ("lone \ud800", 2), ("\udfff lone", 3), "pair \ud83d\ude00 then \ud800x"),
+        (123456789, "", ("", 0), ("", 0), "/ slashes / stay"),
+    ]
+
+    def test_empty_log_is_hash_of_nothing(self):
+        assert TraceLog().digest() == hashlib.sha256(b"").hexdigest()
+
+    def test_awkward_fields_hash_as_json_dumps_did(self):
+        log = TraceLog()
+        for entry in self.AWKWARD:
+            log.add(*entry)
+        assert log.lines == [reference_line(e) for e in self.AWKWARD]
+        assert log.digest() == reference_digest(self.AWKWARD)
+
+    def test_digest_mid_run_leaves_the_stream_intact(self):
+        log = TraceLog()
+        for entry in self.AWKWARD[:2]:
+            log.add(*entry)
+        assert log.digest() == reference_digest(self.AWKWARD[:2])
+        assert log.digest() == reference_digest(self.AWKWARD[:2])
+        for entry in self.AWKWARD[2:]:
+            log.add(*entry)
+        assert log.digest() == reference_digest(self.AWKWARD)

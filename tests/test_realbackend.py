@@ -204,7 +204,7 @@ class TestCliProcesses:
             [sys.executable, "-m", "bdmesh.cli", "coord", "--host", "127.0.0.1",
              "--port", str(port), "--observer-port", str(o1),
              "--observer-port2", str(o2)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
@@ -215,7 +215,7 @@ class TestCliProcesses:
             listener = subprocess.Popen(
                 [sys.executable, "-m", "bdmesh.cli", "node",
                  "--coord", f"127.0.0.1:{port}", "--id", "svc"],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             try:
                 caller = subprocess.run(
                     [sys.executable, "-m", "bdmesh.cli", "node",

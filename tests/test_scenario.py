@@ -195,6 +195,19 @@ class TestBundledScenarios:
 
 
 class TestDeterminism:
+    # Pinned so that a change to the trace format or to any simulated
+    # event (RNG draws included) cannot pass unnoticed.
+    GOLDEN_TRACE_HASHES = {
+        "fullmesh5.json": "c55b301b32f66284c6d34dd8958a68fd2112c71cdccbd6b7c40df02b20aafa79",
+        "site2site.json": "1c424add5b32f934e3350bc1697786181628a8b318e5cdbc809d75674a0885c0",
+        "blocked.json": "444d7b27ee21d5f8b3f61ae0bed4c14469c7c9c8f6b49bf1a67367da38fbb881",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_HASHES))
+    def test_bundled_trace_hash_is_pinned(self, name):
+        report = run_scenario(bundled_scenario_path(name))
+        assert report["trace_hash"] == self.GOLDEN_TRACE_HASHES[name]
+
     def test_same_seed_identical_report_and_trace(self):
         r1 = run_scenario(bundled_scenario_path("blocked.json"))
         r2 = run_scenario(bundled_scenario_path("blocked.json"))

@@ -9,6 +9,7 @@ from bdmesh.errors import InvalidParametersError, ProtocolError
 from bdmesh.netsim import HostTransport, LinkPolicy, NatProfile, Network
 from bdmesh.probability import PortSpace, schedule_ports
 from bdmesh.traversal import (
+    DEFAULT_PUNCH,
     KIND_CONFIRM,
     KIND_PROBE,
     KIND_PROBE_ACK,
@@ -54,6 +55,13 @@ class TestPunchConfig:
         assert cfg.refresh_interval_s == 15.0
         assert cfg.probe_budget == 2000
         assert cfg.space.size == 64511
+
+    def test_wire_parameters_share_the_field_defaults(self):
+        assert DEFAULT_PUNCH == {"open_ports": 256, "rate": 100.0, "max_seconds": 20.0}
+        assert [type(v) for v in DEFAULT_PUNCH.values()] == [int, float, float]
+        assert PunchConfig.from_params({}) == PunchConfig.from_params(DEFAULT_PUNCH) == PunchConfig()
+        cfg = PunchConfig.from_params({"rate": 50.0, "max_seconds": 4.0})
+        assert (cfg.open_ports, cfg.probe_rate, cfg.max_duration_s) == (256, 50.0, 4.0)
 
     def test_budget_must_fit_space(self):
         PunchConfig(space=PortSpace(1, 2000), probe_rate=1000, max_duration_s=2.0)
