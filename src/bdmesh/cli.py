@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -26,7 +25,8 @@ from .errors import (
     UnsupportedSchemeError,
 )
 from .montecarlo import SIGMA_CHECK_MIN_TRIALS, run_monte_carlo
-from .probability import PortSpace, min_probes, probability_curve, success_probability
+from .probability import (PortSpace, min_probes, probability_curve, probe_count,
+                          success_probability)
 
 TRACE_LEVEL = 5
 _LOG_LEVELS = {
@@ -71,12 +71,6 @@ def _parse_number_list(text: str, kind: str, integer: bool) -> list:
     return out
 
 
-def _probe_count(rate: float, seconds: float) -> int:
-    # Same floor the punch budget uses; the epsilon absorbs float dust
-    # in products like 100 * 19.999999999999996.
-    return int(math.floor(rate * seconds + 1e-9))
-
-
 def cmd_analyze_table(args: argparse.Namespace) -> int:
     space = PortSpace()
     durations = _parse_number_list(args.durations, "durations", integer=False)
@@ -86,7 +80,7 @@ def cmd_analyze_table(args: argparse.Namespace) -> int:
         raise InvalidParametersError(f"rate must be positive, got {args.rate}")
     lines = ["seconds,probes,probability,failure"]
     for seconds in durations:
-        probes = _probe_count(args.rate, seconds)
+        probes = probe_count(args.rate, seconds)
         p = success_probability(space.size, args.open_ports, probes)
         lines.append(f"{seconds:g},{probes},{p:.7f},{1.0 - p:.7f}")
     print("\n".join(lines))

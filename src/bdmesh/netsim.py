@@ -40,7 +40,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
 from .errors import InvalidParametersError, PortsExhaustedError, SimulationError
-from .probability import PortSpace
+from .probability import PortSpace, _below
 
 Endpoint = tuple[str, int]
 
@@ -125,16 +125,12 @@ class _Mapping:
     internal: Endpoint
     ext_port: int
     expires_us: int
-    remotes: set[Endpoint]
+    remotes: set[Endpoint] | frozenset
 
 
-def _below(getrandbits, n: int) -> int:
-    """random.Random.randrange(n), by the same getrandbits draws but cheaper."""
-    bits = n.bit_length()
-    r = getrandbits(bits)
-    while r >= n:
-        r = getrandbits(bits)
-    return r
+# The remotes of every mapping on a NAT whose filtering never reads them:
+# one shared empty set rather than one allocation per mapping.
+_UNTRACKED: frozenset = frozenset()
 
 
 class Nat:
@@ -158,17 +154,21 @@ class Nat:
         self._alloc_size = space.size
         self._by_key: dict[tuple, _Mapping] = {}
         self._by_ext: dict[int, _Mapping] = {}
-        self._by_internal: dict[Endpoint, set[_Mapping]] = {}
+        # Only address-dependent filtering looks across the mappings of one
+        # internal endpoint, so only it indexes them by internal endpoint.
+        self._by_internal: Optional[dict[Endpoint, set[_Mapping]]] = (
+            {} if profile.filtering is FilteringMode.ADDRESS_DEPENDENT else None)
         self._seq_cursor = profile.alloc_space.lo
         self._stream_cursor = itertools.count(50000)
 
     def _purge(self, m: _Mapping) -> None:
         del self._by_key[m.key]
         del self._by_ext[m.ext_port]
-        peers = self._by_internal[m.internal]
-        peers.discard(m)
-        if not peers:
-            del self._by_internal[m.internal]
+        if self._by_internal is not None:
+            peers = self._by_internal[m.internal]
+            peers.discard(m)
+            if not peers:
+                del self._by_internal[m.internal]
 
     def _alloc_port(self, now_us: int) -> int:
         lo, k = self._alloc_lo, self._alloc_size
@@ -205,10 +205,12 @@ class Nat:
             if m is not None:
                 self._purge(m)
             port = self._alloc_port(now_us)
-            m = _Mapping(key, internal, port, 0, set())
+            m = _Mapping(key, internal, port, 0,
+                         set() if self._track_remotes else _UNTRACKED)
             self._by_key[key] = m
             self._by_ext[port] = m
-            self._by_internal.setdefault(internal, set()).add(m)
+            if self._by_internal is not None:
+                self._by_internal.setdefault(internal, set()).add(m)
         m.expires_us = now_us + self._ttl_us
         if self._track_remotes:
             m.remotes.add(dst)

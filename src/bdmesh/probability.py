@@ -10,6 +10,13 @@ on an open port is
 which is the birthday-style complement of drawing A misses in a row
 from a shrinking pool.  All evaluation happens in log space so the
 result stays accurate out to P very close to 0 or 1.
+
+Costs: success_probability is one C-level pass over its A terms
+(map and math.fsum, no Python-level loop); probability_curve is one
+compensated running sum over the curve; min_probes is O(log K), a
+bisection on the log-gamma form of the miss product, which falls back
+to the running sum only when the bisection's answer sits too close to
+the target to be trusted (see min_probes).
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import mul, truediv
 from typing import Iterator
 
 from .errors import InvalidParametersError
@@ -29,7 +38,16 @@ __all__ = [
     "probability_curve",
     "schedule_ports",
     "iter_ports",
+    "probe_count",
 ]
+
+# min_probes trusts the log-gamma form of log(miss) only where it clears
+# the target by this much.  Its rounding error grows with K (its terms
+# are ~K log K); along whole curves at K <= 65536 it sat at most 3.7e-10
+# from the compensated running sum, a ~270x margin, while at K = 2^24 it
+# reached 1.4e-7.  So the bisection runs only up to _LGAMMA_K_MAX.
+_LGAMMA_SLACK = 1e-7
+_LGAMMA_K_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,11 @@ def success_probability(k: int, b: int, a: int, delivery_rate: float = 1.0) -> f
     (1 - loss)^2 for symmetric independent loss.  At 1.0 the product is
     exact; below 1.0 it treats per-probe survival as independent, which
     holds when losses are drawn per datagram.
+
+    The log of the miss product is one C-level pass: the a terms
+    log1p(-b/(k-i)) are built with map and summed by math.fsum, which
+    rounds the exact sum once, so the result does not depend on how the
+    terms are produced.
     """
     _check_kba(k, b, a)
     if a > k:
@@ -99,11 +122,15 @@ def success_probability(k: int, b: int, a: int, delivery_rate: float = 1.0) -> f
         if a > k - b:
             # Pigeonhole: more probes than closed ports, a hit is certain.
             return 1.0
-        # log of the miss product, summed with fsum to keep rounding flat.
-        log_miss = math.fsum(math.log1p(-b / (k - i)) for i in range(a))
+        # log1p(-b / (k - i)) for i = 0 .. a-1
+        log_miss = math.fsum(map(math.log1p, map(truediv, repeat(-b, a), range(k, k - a, -1))))
         return -math.expm1(log_miss)
-    log_miss = math.fsum(
-        math.log1p(-delivery_rate * min(1.0, b / (k - i))) for i in range(a))
+    # The hit chance of probe i is delivery_rate * min(1, b / (k - i)); the
+    # min is 1 from i = k - b on, where fewer ports remain than are open.
+    n = min(a, k - b)
+    hit = map(truediv, repeat(b, n), range(k, k - n, -1))
+    log_miss = math.fsum(chain(map(math.log1p, map(mul, repeat(-delivery_rate, n), hit)),
+                               repeat(math.log1p(-delivery_rate), a - n)))
     return -math.expm1(log_miss)
 
 
@@ -124,13 +151,41 @@ def _advance_log_miss(k: int, b: int, a: int, a_end: int, log_miss: float,
 
 
 def min_probes(k: int, b: int, target: float) -> int:
-    """Smallest probe count whose success probability reaches `target`."""
+    """Smallest probe count whose success probability reaches `target`.
+
+    The answer is the first a at which the running sum of log1p(-b/(k-i))
+    (as in probability_curve) reaches log1p(-target).  For k <= 65536
+    it is found in O(log K): a bisection on the log-gamma form
+    lgamma(k-b+1) - lgamma(k+1) - lgamma(k-b-a+1) + lgamma(k-a+1) of the
+    same sum.  The bisection's answer a is returned only when the form
+    clears the target by _LGAMMA_SLACK on both sides, at a and at a-1;
+    the two sums differ by far less than that, so the running sum would
+    stop at the same a.  Otherwise (a target within the slack of P(a),
+    or k above 65536) the running sum is walked from 0, O(answer).
+    """
     _check_kba(k, b, 0)
     if not (0.0 < target < 1.0):
         raise InvalidParametersError(f"target must lie in (0, 1), got {target}")
     if b == 0:
         raise InvalidParametersError("no probe count can hit zero open ports")
     log_target_miss = math.log1p(-target)
+    if k <= _LGAMMA_K_MAX:
+        lgamma = math.lgamma
+        base = lgamma(k - b + 1) - lgamma(k + 1)
+        # Invariant: log_miss(lo) > log_target_miss >= log_miss(hi).  Both
+        # ends start exact, so their slack checks pass: log_miss(0) = 0 is
+        # above any target, and k - b + 1 probes cannot all miss.
+        lo, hi, miss_lo, miss_hi = 0, k - b + 1, math.inf, -math.inf
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            miss = base - lgamma(k - b - mid + 1) + lgamma(k - mid + 1)
+            if miss <= log_target_miss:
+                hi, miss_hi = mid, miss
+            else:
+                lo, miss_lo = mid, miss
+        if (miss_hi <= log_target_miss - _LGAMMA_SLACK
+                and miss_lo > log_target_miss + _LGAMMA_SLACK):
+            return hi
     a, log_miss, _ = _advance_log_miss(k, b, 0, k - b, 0.0, 0.0, log_target_miss)
     if log_miss <= log_target_miss:
         return a
@@ -180,11 +235,22 @@ def iter_ports(space: PortSpace, count: int, seed: int) -> Iterator[int]:
     return _partial_fisher_yates(space.lo, k, count, random.Random(seed))
 
 
+def _below(getrandbits, n: int) -> int:
+    """random.Random.randrange(n), by the same getrandbits draws but cheaper."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 def _partial_fisher_yates(lo: int, k: int, count: int,
                           rng: random.Random) -> Iterator[int]:
+    getrandbits = rng.getrandbits
     swapped: dict[int, int] = {}
     for i in range(count):
-        j = rng.randrange(i, k)
+        # The draws of rng.randrange(i, k), without its argument checks.
+        j = i + _below(getrandbits, k - i)
         vi = swapped.get(i, i)
         vj = swapped.get(j, j)
         swapped[j] = vi
@@ -194,3 +260,11 @@ def _partial_fisher_yates(lo: int, k: int, count: int,
 def schedule_ports(space: PortSpace, count: int, seed: int) -> list[int]:
     """The whole of iter_ports(space, count, seed) as a list."""
     return list(iter_ports(space, count, seed))
+
+
+def probe_count(rate: float, seconds: float) -> int:
+    """Probes sent at `rate` per second for `seconds`: floor(rate * seconds).
+
+    The epsilon absorbs float dust in products like 100 * 19.999999999999996.
+    """
+    return math.floor(rate * seconds + 1e-9)

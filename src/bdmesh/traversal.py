@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import random
 import struct
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from typing import Callable, Optional
 
 from .errors import InvalidParametersError, ProtocolError
 from .netsim import Endpoint
-from .probability import PortSpace, iter_ports
+from .probability import PortSpace, iter_ports, probe_count
 
 PROBE_MAGIC = b"BDHP"
 PROBE_VERSION = 1
@@ -135,7 +134,7 @@ class PunchConfig:
 
     @property
     def probe_budget(self) -> int:
-        return math.floor(self.probe_rate * self.max_duration_s + 1e-9)
+        return probe_count(self.probe_rate, self.max_duration_s)
 
     @classmethod
     def from_params(cls, params: dict) -> "PunchConfig":

@@ -211,6 +211,26 @@ class TestNatFiltering:
         net.run_for(5_000)
         assert [p for _, p, _ in got] == [b"yes"]
 
+    def test_address_dependent_survives_purge_of_a_sibling_mapping(self):
+        # Two mappings of one internal endpoint (endpoint-dependent
+        # mapping); the older expires and is purged.  The younger still
+        # proves contact with the peer's IP, so a reply from a new port
+        # of that IP passes, and a stranger's does not.
+        net = Network(seed=5)
+        nat = net.add_nat(NatProfile("n1", mapping=MappingMode.ENDPOINT_DEPENDENT,
+                                     filtering=FilteringMode.ADDRESS_DEPENDENT))
+        inside = net.add_host("inside", nat=nat)
+        peer = net.add_host("peer")
+        stranger = net.add_host("stranger")
+        internal = (inside.ip, 7000)
+        old_port = nat.outbound(internal, (peer.ip, 5000), 0)
+        new_port = nat.outbound(internal, (peer.ip, 5001), 20_000_000)
+        now = 35_000_000
+        assert nat.inbound((peer.ip, 5000), old_port, now) == (None, "expired")
+        assert nat.live_mappings(now) == 1
+        assert nat.inbound((peer.ip, 5002), new_port, now) == (internal, "ok")
+        assert nat.inbound((stranger.ip, 5001), new_port, now) == (None, "filtered")
+
     @pytest.mark.parametrize("filtering,kept", [
         (FilteringMode.ENDPOINT_INDEPENDENT, 0),
         (FilteringMode.ADDRESS_DEPENDENT, 1000),

@@ -4,25 +4,30 @@ Oracles used here:
 - exact rational product via fractions.Fraction
 - closed form C(K-B, A) / C(K, A) via math.comb
 - exhaustive enumeration of all C(K, A) probe sets for tiny K
+- for min_probes, the O(A) compensated running sum that defines it
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdmesh import probability
 from bdmesh.errors import InvalidParametersError
 from bdmesh.probability import (
     PortSpace,
     iter_ports,
     min_probes,
     probability_curve,
+    probe_count,
     schedule_ports,
     success_probability,
 )
+from bdmesh.traversal import PunchConfig
 
 K_FULL = 64511  # ports 1025..65535
 
@@ -32,6 +37,21 @@ def exact_probability(k: int, b: int, a: int) -> Fraction:
     for i in range(a):
         miss *= Fraction(k - b - i, k - i)
     return 1 - miss
+
+
+def running_sum_min_probes(k: int, b: int, target: float) -> int:
+    """min_probes by its definition: the first a at which the compensated
+    running sum of log1p(-b/(k-i)) reaches log1p(-target), O(a)."""
+    log_target_miss = math.log1p(-target)
+    log_miss = comp = 0.0
+    for a in range(1, k - b + 1):
+        y = math.log1p(-b / (k - a + 1)) - comp
+        t = log_miss + y
+        comp = (t - log_miss) - y
+        log_miss = t
+        if log_miss <= log_target_miss:
+            return a
+    return k - b + 1
 
 
 class TestSuccessProbability:
@@ -159,6 +179,22 @@ class TestDeliveryRate:
         p_full = success_probability(64511, 256, 1000, delivery_rate=1.0)
         assert 0.0 <= p <= p_full
 
+    def test_equals_the_per_term_fsum(self):
+        # The defining sum, one Python term at a time; fsum rounds the
+        # exact sum once, so the program's result must be the same float.
+        rng = random.Random(11)
+        cases = [(10, 4, 7, 0.99), (10, 10, 10, 0.5), (64511, 256, 1000, 0.9025),
+                 (64511, 256, 1000, 1.0), (3000, 2999, 3000, 0.3)]
+        for _ in range(300):
+            k = rng.randrange(1, 5000)
+            b = rng.randrange(0, k + 1)
+            cases.append((k, b, rng.randrange(0, k + 1), rng.choice([1.0, 0.9025, rng.random()])))
+        for k, b, a, d in cases:
+            if b == 0 or d == 0.0 or (d == 1.0 and a > k - b):
+                continue
+            want = -math.expm1(math.fsum(math.log1p(-d * min(1.0, b / (k - i))) for i in range(a)))
+            assert success_probability(k, b, a, delivery_rate=d) == want, (k, b, a, d)
+
     def test_pigeonhole_needs_full_delivery(self):
         # With any loss, even sweeping every closed-or-open port cannot
         # guarantee a hit, so the certain-success shortcut must not fire.
@@ -209,6 +245,59 @@ class TestMinProbes:
             min_probes(K_FULL, 256, 1.0)
         with pytest.raises(InvalidParametersError):
             min_probes(K_FULL, 0, 0.5)
+
+    def test_boundary_band_matches_running_sum(self, monkeypatch):
+        # A target equal to P(a), or one float step either side of it,
+        # lies within the bisection's slack, so these take the fallback;
+        # the answer must still be the running sum's.
+        walks = []
+        advance = probability._advance_log_miss
+        monkeypatch.setattr(probability, "_advance_log_miss",
+                            lambda *args: walks.append(args) or advance(*args))
+        rng = random.Random(6)
+        cases = [(K_FULL, 256, 175), (K_FULL, 128, 2278), (4096, 1, 4000), (100, 7, 30)]
+        for _ in range(150):
+            k = rng.choice([K_FULL, 65535, rng.randrange(2, 5000)])
+            b = rng.randrange(1, min(k, 4096) + 1)
+            cases.append((k, b, rng.randrange(1, min(k - b, 3000) + 1) if b < k else 1))
+        for k, b, a in cases:
+            p = success_probability(k, b, a)
+            for target in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)):
+                if 0.0 < target < 1.0:
+                    assert min_probes(k, b, target) == running_sum_min_probes(k, b, target), \
+                        (k, b, a, target)
+        assert len(walks) > 50
+
+    @pytest.mark.parametrize("k", [2, 10, 100, 4096, K_FULL, 65535])
+    def test_edges_match_running_sum(self, k):
+        for b in sorted({1, 2, k // 2, k - 1, k}):
+            for target in (1e-12, 0.5, 0.99, 1 - 1e-12):
+                assert min_probes(k, b, target) == running_sum_min_probes(k, b, target), \
+                    (k, b, target)
+
+    def test_port_spaces_above_the_bisection_limit(self):
+        # Above 65536 ports the log-gamma form is not trusted (at 10^9
+        # ports it sits ~1e-5 from the running sum, and a bisection on it
+        # would answer 103 for the P(100) target below); the running sum
+        # gives the answer.
+        targets = [(1 << 20, 1000, 0.9), (70000, 3, 0.01), (10 ** 7, 50000, 0.5)]
+        for b, a in [(1000, 100), (100000, 1000), (1000000, 10)]:
+            targets.append((10 ** 9, b, success_probability(10 ** 9, b, a)))
+        for k, b, target in targets:
+            assert min_probes(k, b, target) == running_sum_min_probes(k, b, target), (k, b, target)
+
+    @pytest.mark.parametrize("k", [2, 10, 100, 4096])
+    def test_every_open_port_count_is_the_exact_threshold(self, k):
+        # Against the exact law 1 - C(k-b, a) / C(k, a), to within float
+        # rounding of the target.
+        def exact(b, a):
+            return 1 - Fraction(math.comb(k - b, a), math.comb(k, a))
+
+        for b in range(1, k + 1):
+            for target in (0.37, 0.9, 0.999):
+                a = min_probes(k, b, target)
+                assert exact(b, a) >= Fraction(target) - Fraction(1, 10 ** 12), (k, b, target)
+                assert exact(b, a - 1) < Fraction(target) + Fraction(1, 10 ** 12), (k, b, target)
 
     @given(b=st.integers(1, 600), target=st.floats(0.01, 0.999))
     @settings(max_examples=60, deadline=None)
@@ -280,6 +369,20 @@ class TestSchedulePorts:
         assert [next(lazy) for _ in range(10)] == schedule_ports(space, 10, 5)
         assert list(iter_ports(space, 300, 5)) == schedule_ports(space, 300, 5)
 
+    def test_draws_the_ports_of_a_randrange_shuffle(self):
+        # The Fisher-Yates as written with random.Random.randrange: the
+        # program must draw the same ports from the same seed.
+        def reference(space, count, seed):
+            rng, pool = random.Random(seed), list(range(space.lo, space.hi + 1))
+            for i in range(count):
+                j = rng.randrange(i, space.size)
+                pool[i], pool[j] = pool[j], pool[i]
+            return pool[:count]
+
+        for space, count, seed in [(PortSpace(), 1000, 7), (PortSpace(1, 40), 40, 99),
+                                   (PortSpace(100, 100), 1, 3), (PortSpace(1, 2), 2, 5)]:
+            assert schedule_ports(space, count, seed) == reference(space, count, seed)
+
     def test_lazy_form_checks_count_before_first_draw(self):
         with pytest.raises(InvalidParametersError):
             iter_ports(PortSpace(1, 10), 11, 1)
@@ -296,6 +399,17 @@ class TestSchedulePorts:
         expected = n / 16
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 37.7, chi2
+
+
+class TestProbeCount:
+    def test_floor_absorbs_float_dust(self):
+        assert probe_count(100.0, 19.999999999999996) == 2000
+        assert probe_count(100.0, 0.0) == 0
+        assert probe_count(33.3, 2.7) == 89
+
+    def test_punch_budget_is_the_same_floor(self):
+        cfg = PunchConfig(probe_rate=100.0, max_duration_s=19.999999999999996)
+        assert cfg.probe_budget == probe_count(100.0, 19.999999999999996) == 2000
 
 
 class TestPortSpace:
