@@ -29,7 +29,6 @@ from .errors import (
 )
 from .probability import (
     PortSpace,
-    ProbePlan,
     min_probes,
     probability_curve,
     schedule_ports,
@@ -51,7 +50,6 @@ __all__ = [
     "SimulationError",
     "UnsupportedSchemeError",
     "PortSpace",
-    "ProbePlan",
     "min_probes",
     "probability_curve",
     "schedule_ports",

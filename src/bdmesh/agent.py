@@ -18,11 +18,18 @@ sealed frames; unencrypted links use plain length-prefixed frames.
 Either way the result is an OverlayLink that sends and receives
 payload chunks of at most 1024 bytes end to end.
 
+A session's state is its LinkSession's own fields.  path is None
+until a punch or the relay finds one, then "direct" or "relayed";
+failure is set when the session deadline passes with no path; link is
+set once the link is up.  A session with a path or a failure is
+terminal, and a punch result that arrives after that is ignored.
+
 All datagrams of one agent share its primary socket except opener
-pinholes, which get sockets of their own.  Demux order on arrival:
-probe packets (22-byte "BDHP"), handshake messages ("BDHS"), sealed
-frames (by channel id), plain frames (by source route), observer
-replies (JSON).  Anything else is dropped silently.
+pinholes, which get sockets of their own; the agent takes over the one
+pinhole a birthday punch keeps, inside the punch's callback.  Demux
+order on arrival: probe packets (22-byte "BDHP"), handshake messages
+("BDHS"), sealed frames (by channel id), plain frames (by source
+route), observer replies (JSON).  Anything else is dropped silently.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import HandshakeError, InvalidParametersError, ProtocolError, ReplayError
-from .netsim import Endpoint, HostTransport, Network
+from .netsim import Endpoint, HostTransport, Network, parse_endpoint
 from .rendezvous import DEFAULT_CONTROL_PORT, DEFAULT_OBSERVER_PORTS, MAX_RELAY_CHUNK
 from .securelink import (
     FrameCipher,
@@ -55,8 +62,6 @@ from .traversal import (
     DirectPunch,
     NatClassifier,
     PunchConfig,
-    SessionState,
-    TraversalSession,
     parse_probe,
 )
 
@@ -105,9 +110,9 @@ class LinkSession:
     peer_pubkey: bytes
     encrypted: bool
     cfg: PunchConfig
-    ts: TraversalSession
     machine: object = None
-    path: Optional[str] = None          # "direct" | "relayed"
+    path: Optional[str] = None          # "direct" | "relayed", once found
+    failure: Optional[str] = None       # why no path was found in time
     sock: object = None                 # direct path socket
     cipher: Optional[FrameCipher] = None
     link: Optional[OverlayLink] = None
@@ -116,10 +121,14 @@ class LinkSession:
     handshake_m1: Optional[bytes] = None       # responder: the M1 answered
     handshake_reply: Optional[bytes] = None    # responder M2 cache
     handshake_tries: int = 0
-    relay_ready: bool = False
     relay_requested: bool = False
     _rx_buf: bytes = b""
     deadline: object = None
+
+    @property
+    def terminal(self) -> bool:
+        """A path was found or the session gave up; either is final."""
+        return self.path is not None or self.failure is not None
 
     # -- sending ------------------------------------------------------
 
@@ -319,19 +328,19 @@ class NodeAgent:
         try:
             session_id = bytes.fromhex(msg["session_id"])
             peer_id = msg["peer"]
-            ep = msg["peer_endpoint"]
-            peer_ep = (ep["ip"], ep["port"])
+            peer_ep = parse_endpoint(msg["peer_endpoint"])
             peer_pubkey = base64.b64decode(msg["peer_pubkey_b64"])
             role = msg["role"]
             punch = msg.get("punch", {})
         except (KeyError, TypeError, ValueError):
             return
-        if len(session_id) != 8 or role not in ("direct", "opener", "prober", "relay"):
+        if (len(session_id) != 8 or not isinstance(peer_id, str) or peer_ep is None
+                or role not in ("direct", "opener", "prober", "relay")):
             return
         if peer_id in self.relay_only_peers:
             role = "relay"  # plan said this link never punches
         old = self._session_by_peer.get(peer_id)
-        if old is not None and not old.ts.terminal:
+        if old is not None and not old.terminal:
             return  # one live session per peer
         try:
             # Parsed JSON may hold 100 for 100.0: each parameter is cast
@@ -339,19 +348,17 @@ class NodeAgent:
             cfg = PunchConfig.from_params({name: type(default)(punch[name])
                                            for name, default in DEFAULT_PUNCH.items()
                                            if name in punch})
-        except (InvalidParametersError, ValueError, TypeError) as exc:
+        except (InvalidParametersError, ValueError, TypeError, OverflowError) as exc:
             self._emit("session_failed", peer=peer_id, reason=f"bad punch params: {exc}")
             return
-        ts = TraversalSession(session_id, peer_id, role)
         ls = LinkSession(
             agent=self, session_id=session_id, session_hex=msg["session_id"],
             peer_id=peer_id, role=role, peer_ep=peer_ep, peer_pubkey=peer_pubkey,
-            encrypted=self.encrypted_for(peer_id), cfg=cfg, ts=ts,
+            encrypted=self.encrypted_for(peer_id), cfg=cfg,
         )
         ls.initiator = self.node_id < peer_id
         self.sessions[session_id] = ls
         self._session_by_peer[peer_id] = ls
-        ts.to(SessionState.PUNCHING, self.transport.now_us())
         deadline_us = int((cfg.max_duration_s + SESSION_GRACE_S) * 1_000_000)
         ls.deadline = self.transport.call_later(deadline_us, lambda: self._session_deadline(ls))
         if role == "direct":
@@ -371,6 +378,8 @@ class NodeAgent:
 
     def _punch_done(self, ls: LinkSession):
         def done(ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
+            if ls.terminal:
+                return  # the relay or the session deadline came first
             if ok:
                 self._direct_path_up(ls, sock, peer)
             else:
@@ -381,32 +390,22 @@ class NodeAgent:
         ls.path = "direct"
         ls.sock = sock
         ls.peer_ep = peer
-        ls.ts.to(SessionState.ESTABLISHED_DIRECT, self.transport.now_us())
-        ls.ts.probes_sent = ls.machine.probes_sent
         if sock is not self.primary:
             sock.handler = self._on_datagram  # take over an opener pinhole
         self._routes[(id(sock), peer)] = ls
         self._transport_ready(ls)
-        if isinstance(ls.machine, BirthdayOpener):
-            for data, src in ls.machine.pending_data:
-                self._on_datagram(data, src, sock)
-            ls.machine.pending_data.clear()
 
     def _request_relay(self, ls: LinkSession) -> None:
-        if ls.relay_requested or ls.ts.terminal:
+        if ls.relay_requested or ls.terminal:
             return
         ls.relay_requested = True
         self.channel.send({"type": "relay_open", "session_id": ls.session_hex})
 
     def _on_relay_opened(self, msg: dict) -> None:
         ls = self._session_by_sid_hex(msg.get("session_id"))
-        if ls is None or ls.ts.terminal:
+        if ls is None or ls.terminal:
             return
         ls.path = "relayed"
-        ls.relay_ready = True
-        ls.ts.to(SessionState.ESTABLISHED_RELAYED, self.transport.now_us())
-        if ls.machine is not None:
-            ls.ts.probes_sent = ls.machine.probes_sent
         self._transport_ready(ls)
 
     def _on_relay_data(self, msg: dict) -> None:
@@ -428,18 +427,16 @@ class NodeAgent:
             return None
 
     def _session_deadline(self, ls: LinkSession) -> None:
-        if ls.ts.terminal and ls.link is not None:
+        if ls.link is not None:
             return
-        if not ls.ts.terminal:
-            ls.ts.failure = "deadline"
-            ls.ts.to(SessionState.FAILED, self.transport.now_us())
+        if not ls.terminal:
+            ls.failure = "deadline"
         self._emit("session_failed", peer=ls.peer_id,
-                   reason=ls.ts.failure or "handshake-timeout")
+                   reason=ls.failure or "handshake-timeout")
 
     # -- link bring-up -----------------------------------------------------
 
     def _transport_ready(self, ls: LinkSession) -> None:
-        ls.ts.finished_us = self.transport.now_us()
         if not ls.encrypted:
             self._link_up(ls)
             return
@@ -449,7 +446,7 @@ class NodeAgent:
         # The responder waits for M1.
 
     def _send_m1(self, ls: LinkSession) -> None:
-        if ls.link is not None or ls.ts.state is SessionState.FAILED:
+        if ls.link is not None:
             return
         if ls.handshake_tries >= HANDSHAKE_TRIES:
             return  # the session deadline will report the failure
@@ -492,7 +489,8 @@ class NodeAgent:
         if ls.deadline is not None:
             ls.deadline.cancel()
         self._emit("link_up", peer=ls.peer_id, path=ls.path,
-                   encrypted=ls.encrypted, probes=ls.ts.probes_sent)
+                   encrypted=ls.encrypted,
+                   probes=ls.machine.probes_sent if ls.machine is not None else 0)
 
     # -- datagram demux ---------------------------------------------------
 
@@ -502,7 +500,7 @@ class NodeAgent:
             if parsed is None:
                 return
             ls = self.sessions.get(parsed[1])
-            if ls is not None and ls.machine is not None and hasattr(ls.machine, "on_datagram"):
+            if ls is not None and ls.machine is not None:
                 ls.machine.on_datagram(data, src)
             return
         if is_handshake(data):

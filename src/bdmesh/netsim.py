@@ -44,12 +44,25 @@ from .probability import PortSpace, _below
 
 Endpoint = tuple[str, int]
 
+
+def parse_endpoint(value) -> Optional[Endpoint]:
+    """The endpoint in a wire {"ip": str, "port": 0..65535}, or None."""
+    if not isinstance(value, dict):
+        return None
+    ip, port = value.get("ip"), value.get("port")
+    if (not isinstance(ip, str) or not isinstance(port, int) or isinstance(port, bool)
+            or not 0 <= port <= 65535):
+        return None
+    return ip, port
+
+
 MAX_DATAGRAM = 1200
 MAX_CONTROL_LINE = 8192
 DEFAULT_MAPPING_TTL_S = 30.0
 
 __all__ = [
     "Endpoint",
+    "parse_endpoint",
     "MAX_DATAGRAM",
     "MAX_CONTROL_LINE",
     "MappingMode",
@@ -271,10 +284,6 @@ class Timer:
 
     def cancel(self) -> None:
         self.fn = None
-
-    @property
-    def active(self) -> bool:
-        return self.fn is not None
 
 
 class VirtualClock:

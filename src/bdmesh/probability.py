@@ -32,7 +32,6 @@ from .errors import InvalidParametersError
 
 __all__ = [
     "PortSpace",
-    "ProbePlan",
     "success_probability",
     "min_probes",
     "probability_curve",
@@ -72,16 +71,6 @@ class PortSpace:
 
     def contains(self, port: int) -> bool:
         return self.lo <= port <= self.hi
-
-
-@dataclass(frozen=True)
-class ProbePlan:
-    """Result of sizing a probe run against a target success probability."""
-
-    probes: int
-    probability: float
-    open_ports: int
-    space: PortSpace
 
 
 def _check_kba(k: int, b: int, a: int) -> None:
@@ -266,5 +255,11 @@ def probe_count(rate: float, seconds: float) -> int:
     """Probes sent at `rate` per second for `seconds`: floor(rate * seconds).
 
     The epsilon absorbs float dust in products like 100 * 19.999999999999996.
+    A budget that is not finite (an infinite duration, an overflowing
+    product, a NaN) is refused.
     """
-    return math.floor(rate * seconds + 1e-9)
+    budget = rate * seconds
+    if not math.isfinite(budget):
+        raise InvalidParametersError(
+            f"probe budget {rate} probes/s * {seconds} s is not finite")
+    return math.floor(budget + 1e-9)

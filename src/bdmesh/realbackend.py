@@ -47,7 +47,7 @@ class AsyncioUdpSocket:
 
     def __init__(self, loop: asyncio.AbstractEventLoop, handler, port: int = 0):
         self._loop = loop
-        self._handler = handler
+        self.handler = handler
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.setblocking(False)
         try:
@@ -70,7 +70,7 @@ class AsyncioUdpSocket:
                 return
             except OSError:
                 return
-            self._handler(data, (src[0], src[1]), self)
+            self.handler(data, (src[0], src[1]), self)
 
     def send(self, dst, payload: bytes) -> None:
         if self._closed:

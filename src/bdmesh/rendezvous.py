@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .netsim import Endpoint, Host, Network
+from .netsim import Endpoint, Host, Network, parse_endpoint
 from .traversal import DEFAULT_PUNCH
 
 NAT_CLASSES = ("public", "easy", "hard", "udp_blocked", "unknown")
@@ -193,13 +193,6 @@ class Coordinator:
         return (record is not None and record.channel is not None
                 and record.expires_s > self.now_fn())
 
-    @staticmethod
-    def _endpoint_field(value) -> Optional[Endpoint]:
-        if (isinstance(value, dict) and isinstance(value.get("ip"), str)
-                and isinstance(value.get("port"), int)):
-            return value["ip"], value["port"]
-        return None
-
     def _on_register(self, channel, msg) -> None:
         node_id = msg.get("node")
         if not isinstance(node_id, str) or not (0 < len(node_id) <= MAX_NODE_ID):
@@ -227,7 +220,7 @@ class Coordinator:
         nat_class = msg.get("nat_class")
         if nat_class in NAT_CLASSES:
             record.nat_class = nat_class
-        record.udp_endpoint = self._endpoint_field(msg.get("udp_endpoint"))
+        record.udp_endpoint = parse_endpoint(msg.get("udp_endpoint"))
         self.nodes[node_id] = record
         self._node_by_channel[id(channel)] = node_id
         channel.send({"type": "registered", "node": node_id,

@@ -27,21 +27,22 @@ with kinds PROBE(1), PROBE_ACK(2, echoing the probe's nonce) and
 CONFIRM(3, echoing the ack's nonce).  Anything that does not parse is
 ignored.  The prober ignores PROBE and the opener ignores PROBE_ACK,
 so establishment is driven purely by prober probes finding pinholes;
-the opener also treats any non-probe datagram on a punched socket as
-an implicit confirm, which covers a lost CONFIRM followed by data.
+the opener also treats a non-probe datagram on a punched socket as an
+implicit confirm, which covers a lost CONFIRM followed by data, but
+only from an endpoint whose PROBE it acked on that socket, so a stray
+datagram cannot take over a punch.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import random
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import InvalidParametersError, ProtocolError
-from .netsim import Endpoint
+from .errors import InvalidParametersError
+from .netsim import Endpoint, parse_endpoint
 from .probability import PortSpace, iter_ports, probe_count
 
 PROBE_MAGIC = b"BDHP"
@@ -66,8 +67,6 @@ __all__ = [
     "parse_probe",
     "PunchConfig",
     "DEFAULT_PUNCH",
-    "SessionState",
-    "TraversalSession",
     "NatClassifier",
     "DirectPunch",
     "BirthdayOpener",
@@ -145,56 +144,6 @@ class PunchConfig:
 DEFAULT_PUNCH = {name: getattr(PunchConfig, f) for name, f in _PARAM_FIELDS.items()}
 
 
-class SessionState(enum.Enum):
-    IDLE = "idle"
-    PUNCHING = "punching"
-    ESTABLISHED_DIRECT = "established_direct"
-    ESTABLISHED_RELAYED = "established_relayed"
-    FAILED = "failed"
-
-
-_LEGAL_TRANSITIONS: dict[SessionState, frozenset[SessionState]] = {
-    SessionState.IDLE: frozenset({SessionState.PUNCHING, SessionState.FAILED}),
-    SessionState.PUNCHING: frozenset({
-        SessionState.ESTABLISHED_DIRECT,
-        SessionState.ESTABLISHED_RELAYED,
-        SessionState.FAILED,
-    }),
-    SessionState.ESTABLISHED_DIRECT: frozenset(),
-    SessionState.ESTABLISHED_RELAYED: frozenset(),
-    SessionState.FAILED: frozenset(),
-}
-
-
-class TraversalSession:
-    """State and bookkeeping for one attempt to reach one peer."""
-
-    def __init__(self, session_id: bytes, peer_id: str, role: str):
-        self.session_id = session_id
-        self.peer_id = peer_id
-        self.role = role
-        self.state = SessionState.IDLE
-        self.history: list[tuple[int, SessionState]] = []
-        self.probes_sent = 0
-        self.started_us: Optional[int] = None
-        self.finished_us: Optional[int] = None
-        self.failure: Optional[str] = None
-
-    def to(self, state: SessionState, now_us: int = 0) -> None:
-        if state not in _LEGAL_TRANSITIONS[self.state]:
-            raise ProtocolError(f"illegal transition {self.state.value} -> {state.value}")
-        self.state = state
-        self.history.append((now_us, state))
-
-    @property
-    def terminal(self) -> bool:
-        return not _LEGAL_TRANSITIONS[self.state]
-
-    @property
-    def established(self) -> bool:
-        return self.state in (SessionState.ESTABLISHED_DIRECT, SessionState.ESTABLISHED_RELAYED)
-
-
 class NatClassifier:
     """Learns the local NAT class by asking two observers what they see.
 
@@ -243,12 +192,12 @@ class NatClassifier:
         if self._done:
             return
         token = obj.get("token")
-        ep = obj.get("endpoint")
-        if not isinstance(ep, dict):
+        ep = parse_endpoint(obj.get("endpoint"))
+        if ep is None:
             return
         for i, want in enumerate(self._tokens):
             if token == want and self._answers[i] is None:
-                self._answers[i] = (ep["ip"], ep["port"])
+                self._answers[i] = ep
         if all(a is not None for a in self._answers):
             self._finish()
 
@@ -272,28 +221,59 @@ class NatClassifier:
         self._on_done(verdict, observed)
 
 
-class DirectPunch:
-    """Symmetric probe exchange toward a known peer endpoint."""
+class _Punch:
+    """Lifecycle shared by the punch machines.
 
-    def __init__(self, transport, sock, session_id: bytes, peer: Endpoint,
-                 cfg: PunchConfig, on_done, rng: random.Random):
+    A machine reports once, through on_done(ok, sock, peer, why):
+    _finish marks it done, cancels its repeating timer and its
+    deadline, then calls on_done.  Datagrams for the session on the
+    agent's shared socket reach on_datagram; the opener's pinholes have
+    a handler of their own.
+    """
+
+    def __init__(self, transport, sock, session_id: bytes, cfg: PunchConfig, on_done):
         self._transport = transport
         self._sock = sock
         self._session_id = session_id
-        self._peer = peer
         self._cfg = cfg
         self._on_done = on_done
-        self._rng = rng
-        self._sent_nonces: set[bytes] = set()
         self._timer = None
         self._deadline = None
         self.probes_sent = 0
         self.done = False
         self.established_peer: Optional[Endpoint] = None
 
+    def _start_deadline(self, seconds: float) -> None:
+        self._deadline = self._transport.call_later(int(seconds * 1_000_000), self._timeout)
+
+    def on_datagram(self, data: bytes, src: Endpoint) -> None:
+        """A datagram for this session on the agent's shared socket."""
+
+    def _timeout(self) -> None:
+        if not self.done:
+            self._finish(False, self._sock, None, "timeout")
+
+    def _finish(self, ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
+        self.done = True
+        self.established_peer = peer
+        for t in (self._timer, self._deadline):
+            if t is not None:
+                t.cancel()
+        self._on_done(ok, sock, peer, why)
+
+
+class DirectPunch(_Punch):
+    """Symmetric probe exchange toward a known peer endpoint."""
+
+    def __init__(self, transport, sock, session_id: bytes, peer: Endpoint,
+                 cfg: PunchConfig, on_done, rng: random.Random):
+        super().__init__(transport, sock, session_id, cfg, on_done)
+        self._peer = peer
+        self._rng = rng
+        self._sent_nonces: set[bytes] = set()
+
     def start(self) -> None:
-        self._deadline = self._transport.call_later(
-            int(self._cfg.direct_timeout_s * 1_000_000), self._timeout)
+        self._start_deadline(self._cfg.direct_timeout_s)
         self._tick()
 
     def _tick(self) -> None:
@@ -319,30 +299,12 @@ class DirectPunch:
         if kind == KIND_PROBE_ACK and nonce in self._sent_nonces:
             for _ in range(self._cfg.confirm_repeat):
                 self._sock.send(src, pack_probe(KIND_CONFIRM, self._session_id, nonce))
-            self._establish(src)
+            self._finish(True, self._sock, src, "direct")
         elif kind == KIND_CONFIRM:
-            self._establish(src)
-
-    def _establish(self, peer: Endpoint) -> None:
-        self.done = True
-        self.established_peer = peer
-        self._cancel()
-        self._on_done(True, self._sock, peer, "direct")
-
-    def _timeout(self) -> None:
-        if self.done:
-            return
-        self.done = True
-        self._cancel()
-        self._on_done(False, self._sock, None, "timeout")
-
-    def _cancel(self) -> None:
-        for t in (self._timer, self._deadline):
-            if t is not None:
-                t.cancel()
+            self._finish(True, self._sock, src, "direct")
 
 
-class BirthdayOpener:
+class BirthdayOpener(_Punch):
     """Hard-NAT side: tears many pinholes and waits for a probe to land.
 
     Each of open_ports sockets sends one probe at the prober's fixed
@@ -350,32 +312,30 @@ class BirthdayOpener:
     endpoint-dependent NAT.  Those probes are fire-and-forget (the
     prober ignores them); their sole purpose is the mapping.  Re-sent
     every refresh interval so mappings outlive their idle TTL.
+
+    Only a (socket, endpoint) pair whose PROBE the opener acked can
+    establish the link, by CONFIRM or by implicit data; anything else
+    arriving on a pinhole is dropped.  On success every other pinhole
+    is closed and the kept socket passes to the owner of on_done, which
+    may install its own handler there; a datagram that confirmed
+    implicitly is then handed to that handler.
     """
 
     def __init__(self, transport, session_id: bytes, prober_endpoint: Endpoint,
                  cfg: PunchConfig, on_done, rng: random.Random):
-        self._transport = transport
-        self._session_id = session_id
+        super().__init__(transport, None, session_id, cfg, on_done)
         self._prober = prober_endpoint
-        self._cfg = cfg
-        self._on_done = on_done
         self._rng = rng
         self._sockets: list = []
         self._nonces: list[bytes] = []
-        self._refresh_timer = None
-        self._deadline = None
-        self.probes_sent = 0
-        self.done = False
-        self.established_peer: Optional[Endpoint] = None
-        self.pending_data: list[tuple[bytes, Endpoint]] = []
+        self._acked: set[tuple[object, Endpoint]] = set()
 
     def start(self) -> None:
         for _ in range(self._cfg.open_ports):
             sock = self._transport.open_socket(self._on_datagram)
             self._sockets.append(sock)
             self._nonces.append(self._rng.randbytes(8))
-        self._deadline = self._transport.call_later(
-            int(self._cfg.max_duration_s * 1_000_000), self._timeout)
+        self._start_deadline(self._cfg.max_duration_s)
         self._send_all()
 
     def _send_all(self) -> None:
@@ -384,58 +344,35 @@ class BirthdayOpener:
         for sock, nonce in zip(self._sockets, self._nonces):
             sock.send(self._prober, pack_probe(KIND_PROBE, self._session_id, nonce))
             self.probes_sent += 1
-        self._refresh_timer = self._transport.call_later(
+        self._timer = self._transport.call_later(
             int(self._cfg.refresh_interval_s * 1_000_000), self._send_all)
 
     def _on_datagram(self, data: bytes, src: Endpoint, sock) -> None:
         parsed = parse_probe(data)
         if parsed is None:
-            # Data already riding the punched path doubles as a confirm.
-            if not self.done:
-                self.pending_data.append((data, src))
-                self._establish(sock, src)
-            elif sock is self.link_socket:
-                self.pending_data.append((data, src))
+            # Data from an acked prober means its CONFIRMs were lost.
+            if not self.done and (sock, src) in self._acked:
+                self._finish(True, sock, src, "birthday")
+                sock.handler(data, src, sock)
             return
         kind, session_id, nonce = parsed
         if session_id != self._session_id:
             return
         if kind == KIND_PROBE:
             sock.send(src, pack_probe(KIND_PROBE_ACK, self._session_id, nonce))
-        elif kind == KIND_CONFIRM and not self.done:
-            self._establish(sock, src)
+            self._acked.add((sock, src))
+        elif kind == KIND_CONFIRM and not self.done and (sock, src) in self._acked:
+            self._finish(True, sock, src, "birthday")
 
-    @property
-    def link_socket(self):
-        return self._sockets[0] if self.done and self._sockets else None
-
-    def _establish(self, keep, peer: Endpoint) -> None:
-        self.done = True
-        self.established_peer = peer
-        self._cancel()
-        for sock in self._sockets:
-            if sock is not keep:
-                sock.close()
-        self._sockets = [keep]
-        self._on_done(True, keep, peer, "birthday")
-
-    def _timeout(self) -> None:
-        if self.done:
-            return
-        self.done = True
-        self._cancel()
-        for sock in self._sockets:
-            sock.close()
+    def _finish(self, ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
+        for pinhole in self._sockets:
+            if pinhole is not sock:
+                pinhole.close()
         self._sockets = []
-        self._on_done(False, None, None, "timeout")
-
-    def _cancel(self) -> None:
-        for t in (self._refresh_timer, self._deadline):
-            if t is not None:
-                t.cancel()
+        super()._finish(ok, sock, peer, why)
 
 
-class BirthdayProber:
+class BirthdayProber(_Punch):
     """Easy side: sweeps random distinct ports of the opener's address.
 
     Probe nonces are the probe index, so an ack is validated by simple
@@ -450,27 +387,17 @@ class BirthdayProber:
     def __init__(self, transport, sock, session_id: bytes, opener_ip: str,
                  cfg: PunchConfig, on_done, rng: random.Random,
                  schedule_seed: Optional[int] = None):
-        self._transport = transport
-        self._sock = sock
-        self._session_id = session_id
+        super().__init__(transport, sock, session_id, cfg, on_done)
         self._opener_ip = opener_ip
-        self._cfg = cfg
-        self._on_done = on_done
         if schedule_seed is None:
             schedule_seed = rng.getrandbits(63)
         self._budget = cfg.probe_budget
         self._ports = iter_ports(cfg.space, self._budget, schedule_seed)
         self._interval_us = max(1, round(1_000_000 / cfg.probe_rate))
         self._next = 0
-        self._timer = None
-        self._deadline = None
-        self.probes_sent = 0
-        self.done = False
-        self.established_peer: Optional[Endpoint] = None
 
     def start(self) -> None:
-        self._deadline = self._transport.call_later(
-            int(self._cfg.max_duration_s * 1_000_000), self._timeout)
+        self._start_deadline(self._cfg.max_duration_s)
         self._tick()
 
     def _tick(self) -> None:
@@ -493,11 +420,8 @@ class BirthdayProber:
             return
         if int.from_bytes(nonce, "big") >= self._next:
             return
-        self.done = True
-        self.established_peer = src
-        self._cancel()
         self._send_confirm(src, nonce, self._cfg.confirm_repeat)
-        self._on_done(True, self._sock, src, "birthday")
+        self._finish(True, self._sock, src, "birthday")
 
     def _send_confirm(self, peer: Endpoint, nonce: bytes, remaining: int) -> None:
         self._sock.send(peer, pack_probe(KIND_CONFIRM, self._session_id, nonce))
@@ -505,15 +429,3 @@ class BirthdayProber:
             self._transport.call_later(
                 int(self._cfg.confirm_spacing_s * 1_000_000),
                 lambda: self._send_confirm(peer, nonce, remaining - 1))
-
-    def _timeout(self) -> None:
-        if self.done:
-            return
-        self.done = True
-        self._cancel()
-        self._on_done(False, self._sock, None, "timeout")
-
-    def _cancel(self) -> None:
-        for t in (self._timer, self._deadline):
-            if t is not None:
-                t.cancel()

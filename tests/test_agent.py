@@ -259,7 +259,9 @@ class TestIntroduceParameters:
         events = []
         a, _ = spawn(net, coord_host, "alpha", on_event=events.append)
         assert wait(net, lambda: a.ready, 5.0)
-        bad = (None, 7, {"rate": "fast"}, {"open_ports": None}, {"open_ports": 0})
+        bad = (None, 7, {"rate": "fast"}, {"open_ports": None}, {"open_ports": 0},
+               json.loads('{"max_seconds": 1e999}'), {"max_seconds": float("nan")},
+               json.loads('{"open_ports": 1e999}'))
         for punch in bad:
             a._on_control(dict(self.INTRO, punch=punch))
         failed = [e for e in events if e["event"] == "session_failed"]
@@ -274,3 +276,75 @@ class TestIntroduceParameters:
         cfg = a.sessions[bytes(8)].cfg
         assert (cfg.open_ports, cfg.probe_rate, cfg.max_duration_s) == (256, 50.0, 4.0)
         assert type(cfg.probe_rate) is float and type(cfg.max_duration_s) is float
+
+    def test_non_string_peer_or_bad_endpoint_is_dropped(self):
+        net, coord_host, _ = make_world(seed=116)
+        a, _ = spawn(net, coord_host, "alpha")
+        assert wait(net, lambda: a.ready, 5.0)
+        for bad in ({"peer": 5}, {"peer": [1]}, {"peer": None},
+                    {"peer_endpoint": {"ip": "10.9.9.9"}},
+                    {"peer_endpoint": {"ip": "10.9.9.9", "port": 70000}},
+                    {"peer_endpoint": {"ip": "10.9.9.9", "port": True}},
+                    {"peer_endpoint": ["10.9.9.9", 9]}):
+            a._on_control(dict(self.INTRO, **bad))
+        assert not a.sessions
+
+
+class TestSessionState:
+    """A session's state is its LinkSession's path, failure and link."""
+
+    def test_happy_path_direct(self):
+        net, coord_host, _ = make_world(seed=117)
+        a, _ = spawn(net, coord_host, "alpha")
+        b, _ = spawn(net, coord_host, "beta")
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        for agent in (a, b):
+            (ls,) = agent.sessions.values()
+            assert (ls.path, ls.failure, ls.terminal) == ("direct", None, True)
+            assert ls.link is agent.links[ls.peer_id]
+
+    def test_relay_fallback_path(self):
+        net, coord_host, _ = make_world(seed=118)
+        events = []
+        a, host_a = spawn(net, coord_host, "alpha", on_event=events.append)
+        b, host_b = spawn(net, coord_host, "beta")
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        host_a.link = host_b.link = LinkPolicy(udp_blocked=True)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 30.0)
+        (ls,) = a.sessions.values()
+        assert (ls.role, ls.path, ls.failure, ls.terminal) == ("direct", "relayed", None, True)
+        assert ls.machine.done and not ls.machine.established_peer
+        up = [e for e in events if e["event"] == "link_up"]
+        assert [e["probes"] for e in up] == [ls.machine.probes_sent]
+
+    def test_late_punch_result_is_ignored(self):
+        net, coord_host, _ = make_world(seed=119)
+        a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        b, _ = spawn(net, coord_host, "beta", NatProfile.hard("nb"))
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        (ls,) = a.sessions.values()
+        before = (ls.path, ls.link, ls.peer_ep, ls.relay_requested)
+        a._punch_done(ls)(True, a.primary, ("10.9.9.9", 9), "direct")
+        a._punch_done(ls)(False, None, None, "timeout")
+        assert (ls.path, ls.link, ls.peer_ep, ls.relay_requested) == before
+        assert before[0] == "relayed" and not a._routes
+
+    def test_deadline_failure_is_final(self):
+        net, coord_host, _ = make_world(seed=120)
+        events = []
+        a, _ = spawn(net, coord_host, "alpha", on_event=events.append)
+        assert wait(net, lambda: a.ready, 5.0)
+        intro = dict(TestIntroduceParameters.INTRO, punch={"max_seconds": 1.0})
+        a._on_control(intro)  # the coordinator knows no such relay session
+        net.run_for(7_000_000)
+        (ls,) = a.sessions.values()
+        assert (ls.path, ls.failure, ls.terminal) == (None, "deadline", True)
+        assert [e["reason"] for e in events if e["event"] == "session_failed"] == ["deadline"]
+        a._on_control({"type": "relay_opened", "session_id": intro["session_id"]})
+        a._punch_done(ls)(True, a.primary, ("10.9.9.9", 9), "direct")
+        assert (ls.path, ls.link) == (None, None) and not a.links

@@ -45,6 +45,13 @@ class TestAnalyzeTable:
         assert code == 2
         assert "durations" in err
 
+    @pytest.mark.parametrize("argv", [("--durations", "inf"), ("--durations", "5,nan"),
+                                      ("--rate", "1e308", "--durations", "10")])
+    def test_non_finite_budget_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "analyze", "table", *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "not finite" in err
+
     def test_bad_rate_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "table", "--rate", "0")
         assert code == 2

@@ -60,7 +60,6 @@ class TestVirtualClock:
         timer = clock.call_later(10, lambda: fired.append("x"))
         clock.call_later(20, lambda: fired.append("y"))
         timer.cancel()
-        assert not timer.active
         assert clock.run_until(100) == 1
         assert fired == ["y"]
 

@@ -407,6 +407,14 @@ class TestProbeCount:
         assert probe_count(100.0, 0.0) == 0
         assert probe_count(33.3, 2.7) == 89
 
+    @pytest.mark.parametrize("rate,seconds", [(100.0, math.inf), (100.0, math.nan),
+                                              (1e308, 10.0), (math.inf, 1.0)])
+    def test_non_finite_budget_is_refused(self, rate, seconds):
+        with pytest.raises(InvalidParametersError, match="not finite"):
+            probe_count(rate, seconds)
+        with pytest.raises(InvalidParametersError, match="not finite"):
+            PunchConfig(max_duration_s=rate * seconds)
+
     def test_punch_budget_is_the_same_floor(self):
         cfg = PunchConfig(probe_rate=100.0, max_duration_s=19.999999999999996)
         assert cfg.probe_budget == probe_count(100.0, 19.999999999999996) == 2000

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from bdmesh.realbackend import (
+    AsyncioUdpSocket,
     CoordinatorServer,
     NodeClient,
     _coordinator_main,
@@ -34,6 +35,29 @@ def free_ports(n: int) -> list[int]:
 
 def run(coro, timeout_s: float = 30.0):
     return asyncio.run(asyncio.wait_for(coro, timeout_s))
+
+
+class TestUdpSocket:
+    def test_a_replaced_handler_takes_the_next_datagram(self):
+        # The agent takes over an opener pinhole by assigning .handler.
+        async def main():
+            loop = asyncio.get_running_loop()
+            first, got = [], []
+            a = AsyncioUdpSocket(loop, lambda data, src, sock: first.append(data))
+            b = AsyncioUdpSocket(loop, lambda *x: None)
+            try:
+                a.handler = lambda data, src, sock: got.append((data, sock is a))
+                b.send(("127.0.0.1", a.local_port), b"hello")
+                for _ in range(200):
+                    if first or got:
+                        break
+                    await asyncio.sleep(0.01)
+            finally:
+                a.close()
+                b.close()
+            return first, got
+
+        assert run(main()) == ([], [(b"hello", True)])
 
 
 class TestHelpers:

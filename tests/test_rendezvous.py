@@ -98,6 +98,17 @@ class TestRegistration:
         assert coord.nodes["a"].nat_class == "easy"
         assert coord.nodes["a"].udp_endpoint == ("198.18.0.1", 4242)
 
+    def test_malformed_udp_endpoint_is_not_kept(self):
+        net, coord_host, coord = world()
+        host = net.add_host("a")
+        client = Client(net, host, coord_host)
+        for ep in ({"ip": "198.18.0.1", "port": 70000}, {"ip": "198.18.0.1", "port": -1},
+                   {"ip": "198.18.0.1", "port": True}, {"ip": "198.18.0.1"},
+                   {"ip": 1, "port": 4242}, ["198.18.0.1", 4242]):
+            register(net, client, "a", KEY_A, nat_class="easy", udp_endpoint=ep)
+            assert coord.nodes["a"].udp_endpoint is None
+        assert len(client.of_type("registered")) == 6
+
     def test_bad_node_or_key_rejected(self):
         net, coord_host, _ = world()
         host = net.add_host("a")

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from bdmesh.errors import InvalidParametersError, ProtocolError
-from bdmesh.netsim import HostTransport, LinkPolicy, NatProfile, Network
+from bdmesh.errors import InvalidParametersError
+from bdmesh.netsim import (FilteringMode, HostTransport, LinkPolicy, MappingMode, NatProfile,
+                           Network)
 from bdmesh.probability import PortSpace, schedule_ports
 from bdmesh.traversal import (
     DEFAULT_PUNCH,
@@ -19,8 +20,6 @@ from bdmesh.traversal import (
     DirectPunch,
     NatClassifier,
     PunchConfig,
-    SessionState,
-    TraversalSession,
     pack_probe,
     parse_probe,
 )
@@ -81,33 +80,6 @@ class TestPunchConfig:
             PunchConfig(open_ports=5000)
         with pytest.raises(InvalidParametersError, match="open_ports"):
             PunchConfig(open_ports=200, space=PortSpace(1, 100))
-
-
-class TestTraversalSession:
-    def test_happy_path_direct(self):
-        s = TraversalSession(b"x" * 8, "peer", "direct")
-        for state in (SessionState.PUNCHING, SessionState.ESTABLISHED_DIRECT):
-            s.to(state)
-        assert s.established and s.terminal
-
-    def test_relay_fallback_path(self):
-        s = TraversalSession(b"x" * 8, "peer", "prober")
-        s.to(SessionState.PUNCHING)
-        s.to(SessionState.ESTABLISHED_RELAYED)
-        assert s.established
-
-    def test_illegal_transitions_rejected(self):
-        s = TraversalSession(b"x" * 8, "peer", "direct")
-        for state in (SessionState.ESTABLISHED_DIRECT, SessionState.ESTABLISHED_RELAYED):
-            with pytest.raises(ProtocolError, match="illegal"):
-                s.to(state)
-        assert s.state is SessionState.IDLE
-
-    def test_terminal_states_are_final(self):
-        s = TraversalSession(b"x" * 8, "peer", "direct")
-        s.to(SessionState.FAILED)
-        with pytest.raises(ProtocolError):
-            s.to(SessionState.PUNCHING)
 
 
 def add_observer(net, host, port):
@@ -187,6 +159,26 @@ class TestNatClassifier:
         host = net.add_host("h")
         verdict, _ = classify(net, host, [(obs_host.ip, 3478), (obs_host.ip, 3479)])
         assert verdict == "unknown"
+
+    def test_malformed_observed_replies_are_dropped(self):
+        net, observers = self.world()
+        host = net.add_host("h")
+        sock = host.bind(lambda *a: None)
+        result = []
+        cl = NatClassifier(HostTransport(host), sock, (host.ip, sock.port), observers,
+                           lambda verdict, observed: result.append((verdict, observed)),
+                           rng=net.rng)
+        bad = (None, [], {"port": 5}, {"ip": "198.18.0.1"}, {"ip": 7, "port": 5},
+               {"ip": "198.18.0.1", "port": "5"}, {"ip": "198.18.0.1", "port": True},
+               {"ip": "198.18.0.1", "port": 70000}, {"ip": "198.18.0.1", "port": -1})
+        for token in cl._tokens:
+            for ep in bad:
+                cl.on_observed({"type": "observed", "token": token, "endpoint": ep})
+        assert result == []
+        for token in cl._tokens:
+            cl.on_observed({"type": "observed", "token": token,
+                            "endpoint": {"ip": host.ip, "port": sock.port}})
+        assert result == [("public", (host.ip, sock.port))]
 
     def test_retries_survive_loss(self):
         net, observers = self.world()
@@ -313,7 +305,6 @@ class TestBirthdayPunch:
         assert results["opener"][1] == stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
         # One pinhole socket kept, the rest closed.
         assert len(opener_host.sockets) == 1
-        assert opener.link_socket is not None
 
     def test_typical_hit_is_fast(self):
         # 256 pinholes in a 2000-port space: even odds need ~5 probes.
@@ -377,20 +368,69 @@ class TestBirthdayPunch:
         assert opener_host.sockets == {}
 
     def test_implicit_confirm_by_data(self):
-        # A data frame arriving on a pinhole socket establishes the
-        # link even if every CONFIRM was lost.
+        # A data frame from the prober whose PROBE a pinhole acked
+        # establishes the link even if every CONFIRM was lost, and goes
+        # on to the handler that took the socket over.
         net, _, nat_easy, opener_host, prober_host = birthday_world(36, self.SPACE)
         prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
         cfg = PunchConfig(open_ports=5, probe_rate=100, max_duration_s=2.0, space=self.SPACE)
+        results, handed = {}, []
+
+        def on_done(ok, sock, peer, why):
+            results.setdefault("o", (ok, peer))
+            sock.handler = lambda data, src, s: handed.append((data, src))
+
+        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
+                                on_done, net.rng)
+        opener.start()
+        net.run_for(100_000)
+        pinhole = opener._sockets[2]
+        opener._on_datagram(pack_probe(KIND_PROBE, b"B" * 8, bytes(8)), prober_ep, pinhole)
+        assert not opener.done
+        opener._on_datagram(b"\x00\x0bhello there", prober_ep, pinhole)
+        assert results["o"] == (True, prober_ep)
+        assert handed == [(b"\x00\x0bhello there", prober_ep)]
+        assert list(opener_host.sockets.values()) == [pinhole]
+
+    def test_stray_datagrams_do_not_take_over_a_punch(self):
+        # An endpoint-dependent-mapping NAT that filters nothing lets
+        # any host reach a pinhole.  Junk and a CONFIRM from a host
+        # whose PROBE was never acked leave the opener waiting, and the
+        # real prober still completes.
+        net = Network(seed=41)
+        nat_hard = net.add_nat(NatProfile("nh", mapping=MappingMode.ENDPOINT_DEPENDENT,
+                                          filtering=FilteringMode.ENDPOINT_INDEPENDENT,
+                                          alloc_space=self.SPACE))
+        nat_easy = net.add_nat(NatProfile.easy("ne"))
+        opener_host = net.add_host("opener", nat=nat_hard, link=LinkPolicy(latency_us=500))
+        prober_host = net.add_host("prober", nat=nat_easy, link=LinkPolicy(latency_us=500))
+        stranger = net.add_host("stranger", link=LinkPolicy(latency_us=500))
+        pinholes = []
+        net.on_wire = lambda kind, src, dst, payload: (
+            pinholes.append(src) if src[0] == nat_hard.public_ip else None)
+        cfg = PunchConfig(open_ports=64, probe_rate=1000, max_duration_s=2.0, space=self.SPACE)
+        prober_sock = prober_host.bind(lambda *x: None, 7000)
+        prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
         results = {}
         opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
-                                lambda ok, sock, peer, why: results.setdefault("o", (ok, peer)),
+                                lambda ok, sock, peer, why: results.setdefault("o", (ok, peer, why)),
                                 net.rng)
         opener.start()
         net.run_for(100_000)
-        opener._on_datagram(b"\x00\x0bhello there", prober_ep, opener._sockets[2])
-        assert results["o"] == (True, prober_ep)
-        assert opener.pending_data == [(b"\x00\x0bhello there", prober_ep)]
+        assert len(pinholes) == 64
+        stray = stranger.bind(lambda *x: None, 9000)
+        for pinhole in pinholes:
+            stray.send(pinhole, b"junk")
+            stray.send(pinhole, pack_probe(KIND_CONFIRM, b"B" * 8, bytes(8)))
+        net.run_for(100_000)
+        assert not opener.done and results == {}
+        prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"B" * 8,
+                                nat_hard.public_ip, cfg,
+                                lambda ok, sock, peer, why: results.setdefault("p", ok), net.rng)
+        prober_sock.handler = wire(prober)
+        prober.start()
+        net.run_for(4_000_000)
+        assert results == {"o": (True, prober_ep, "birthday"), "p": True}
 
     def test_prober_ignores_probes_and_wrong_sessions(self):
         net, _, nat_easy, opener_host, prober_host = birthday_world(37, self.SPACE)
