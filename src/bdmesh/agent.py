@@ -198,7 +198,9 @@ class NodeAgent:
     """One overlay node: registration, traversal, links.
 
     transport must offer now_us(), call_later(delay_us, fn) -> timer,
-    open_socket(handler, port=0) -> socket, and .rng; channel must
+    open_socket(handler, port=0) -> socket, open_sockets(handler, n)
+    -> n sockets on ephemeral ports, send_burst(socks, dst, payloads)
+    (payloads[i] from socks[i] to dst, in order) and .rng; channel must
     offer send(dict) with writable on_line.  Both the simulator and the
     asyncio backend satisfy these.
     """

@@ -74,15 +74,9 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
     observed: list = []
     anchor.bind(lambda data, src, sock: observed.append(src), port=3478)
 
-    prober_machine: list = []
-
-    def prober_handler(data, src, sock) -> None:
-        if prober_machine:
-            prober_machine[0].on_datagram(data, src)
-
     transport_p = HostTransport(prober_host)
     transport_o = HostTransport(opener_host)
-    prober_sock = transport_p.open_socket(prober_handler)
+    prober_sock = transport_p.open_socket(lambda data, src, sock: None)
 
     # Reveal the prober's external mapping; retried because the anchor
     # ping rides the same lossy link as everything else.
@@ -107,7 +101,7 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
                             opener_done, rng=net.rng)
     prober = BirthdayProber(transport_p, prober_sock, session_id,
                             hard_nat.public_ip, cfg, prober_done, rng=net.rng)
-    prober_machine.append(prober)
+    prober_sock.handler = lambda data, src, sock: prober.on_datagram(data, src)
     t0 = net.now_us
     opener.start()
     prober.start()

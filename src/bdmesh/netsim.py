@@ -2,9 +2,11 @@
 
 Everything runs on one event heap keyed by (time_us, seq): equal-time
 events fire in schedule order, so a run is a pure function of the
-scenario and the seed.  Datagrams are UDP-like (unreliable, unordered
-under jitter, 1200-byte max payload); control channels are TCP-like
-(reliable, ordered, line-oriented).
+scenario and the seed.  Datagrams due at one tick whose entries would
+be adjacent share one entry, which delivers them in that same order.
+Datagrams are UDP-like (unreliable, unordered under jitter, 1200-byte
+max payload); control channels are TCP-like (reliable, ordered,
+line-oriented).
 
 NAT behavior is split along two axes:
 
@@ -290,8 +292,8 @@ class VirtualClock:
     """Event heap ordered by (time_us, schedule seq).
 
     An event is a callable plus its positional arguments, so hot paths
-    (one event per datagram) schedule a bound method without building
-    a closure.
+    (one event per delivery batch) schedule a bound method without
+    building a closure.
     """
 
     __slots__ = ("now_us", "_heap", "_seq")
@@ -401,20 +403,30 @@ class Host:
     def bind(self, handler, port: int = 0) -> SimSocket:
         """handler(payload: bytes, src: Endpoint, sock: SimSocket)."""
         if port == 0:
-            span = self.EPHEMERAL_HI - self.EPHEMERAL_LO + 1
-            for _ in range(span):
-                cand = self._eph_next
-                self._eph_next = self.EPHEMERAL_LO + (cand - self.EPHEMERAL_LO + 1) % span
-                if cand not in self.sockets:
-                    port = cand
-                    break
-            else:
-                raise PortsExhaustedError(f"host {self.id} has no free ephemeral ports")
-        elif port in self.sockets:
+            return self.bind_ephemeral(handler, 1)[0]
+        if port in self.sockets:
             raise InvalidParametersError(f"port {port} already bound on {self.id}")
-        sock = SimSocket(self, port, handler)
-        self.sockets[port] = sock
+        sock = self.sockets[port] = SimSocket(self, port, handler)
         return sock
+
+    def bind_ephemeral(self, handler, n: int) -> list[SimSocket]:
+        """n sockets on the ports n calls of bind(handler) would take."""
+        lo, span = self.EPHEMERAL_LO, self.EPHEMERAL_HI - self.EPHEMERAL_LO + 1
+        sockets, socks = self.sockets, []
+        cand, misses = self._eph_next, 0
+        while len(socks) < n:
+            if misses == span:
+                self._eph_next = cand
+                raise PortsExhaustedError(f"host {self.id} has no free ephemeral ports")
+            port, cand = cand, lo + (cand - lo + 1) % span
+            if port in sockets:
+                misses += 1
+            else:
+                misses = 0
+                sockets[port] = sock = SimSocket(self, port, handler)
+                socks.append(sock)
+        self._eph_next = cand
+        return socks
 
     def listen_channel(self, port: int, acceptor: Callable[["ChannelEnd"], None]) -> None:
         self.channel_listeners[port] = acceptor
@@ -441,6 +453,17 @@ class HostTransport:
 
     def open_socket(self, handler, port: int = 0) -> SimSocket:
         return self.host.bind(handler, port)
+
+    def open_sockets(self, handler, n: int) -> list[SimSocket]:
+        return self.host.bind_ephemeral(handler, n)
+
+    def send_burst(self, socks: list[SimSocket], dst: Endpoint, payloads) -> None:
+        """socks[i].send(dst, payloads[i]) for each i, in order, as one loop;
+        every socket is one of this host's."""
+        ports = [sock.port for sock in socks if not sock.closed]
+        if len(ports) != len(socks):
+            raise SimulationError("send on closed socket")
+        self.host.net._send_burst(self.host, ports, dst, payloads)
 
 
 class ChannelEnd:
@@ -499,6 +522,9 @@ class Network:
         self.trace: Optional[TraceLog] = TraceLog() if trace else None
         self.on_wire: Optional[Callable[[str, Endpoint, Endpoint, bytes], None]] = None
         self.stats = {"sent": 0, "delivered": 0, "dropped": 0, "dead_letters": 0}
+        # The delivery batch last scheduled, its time and the clock seq of its entry.
+        self._batch: list = []
+        self._batch_t = self._batch_seq = -1
         self._host_ip = itertools.count(1)
         self._nat_ip = itertools.count(1)
 
@@ -533,6 +559,9 @@ class Network:
             self.trace.add(self.clock.now_us, "drop", src, dst, reason)
 
     def _send_from(self, host: Host, src_port: int, dst: Endpoint, payload: bytes) -> None:
+        """The one send path.  A delivery due at the tick of the entry
+        scheduled just before it (same time, clock._seq unchanged since
+        that push) joins that entry's batch: it would fire right after it."""
         if len(payload) > MAX_DATAGRAM:
             raise InvalidParametersError(f"datagram of {len(payload)} bytes exceeds {MAX_DATAGRAM}")
         self.stats["sent"] += 1
@@ -558,42 +587,65 @@ class Network:
         if link.loss > 0.0 and self.rng.random() < link.loss:
             self._drop(wire_src, dst, "loss")
             return
-        delay = link.latency_us
+        t = clock.now_us + link.latency_us
         if link.jitter_us:
             # int(): randrange also took a schema-valid 300.0 as 300.
-            delay += _below(self._getrandbits, int(link.jitter_us) + 1)
-        clock.schedule(delay, self._deliver, wire_src, dst, payload)
-
-    def _deliver(self, src: Endpoint, dst: Endpoint, payload: bytes) -> None:
-        target = self._by_ip.get(dst[0])
-        if isinstance(target, Nat):
-            internal, reason = target.inbound(src, dst[1], self.clock.now_us)
-            if internal is None:
-                self._drop(src, dst, reason)
-                return
-            host = self._by_ip.get(internal[0])
-            port = internal[1]
-        elif target is None or target.nat is not None:
-            # Unknown addresses go nowhere, and private addresses are
-            # not routable from the outside.
-            self.stats["dead_letters"] += 1
-            self._drop(src, dst, "dead-letter")
-            return
+            t += _below(self._getrandbits, int(link.jitter_us) + 1)
+        if t == self._batch_t and clock._seq == self._batch_seq:
+            self._batch.append((wire_src, dst, payload))
         else:
-            host = target
-            port = dst[1]
-        if host.link.udp_blocked:
-            self._drop(src, dst, "udp-blocked")
-            return
-        sock = host.sockets.get(port)
-        if sock is None:
-            self.stats["dead_letters"] += 1
-            self._drop(src, dst, "no-socket")
-            return
-        self.stats["delivered"] += 1
-        if self.trace is not None:
-            self.trace.add(self.clock.now_us, "deliver", src, (host.ip, port), f"len={len(payload)}")
-        sock.handler(payload, src, sock)
+            self._batch = [(wire_src, dst, payload)]
+            clock.schedule_at(t, self._deliver, self._batch)
+            self._batch_t, self._batch_seq = t, clock._seq
+
+    def _send_burst(self, host: Host, ports, dst: Endpoint, payloads) -> None:
+        """_send_from(host, ports[i], dst, payloads[i]) for each i, in order."""
+        send = self._send_from
+        for src_port, payload in zip(ports, payloads):
+            send(host, src_port, dst, payload)
+
+    def _deliver(self, batch: list) -> None:
+        """Deliver one heap entry's batch of (src, dst, payload), in order."""
+        if batch is self._batch:
+            self._batch_seq = -1  # closed: what is sent from here on is a new entry
+        now = self.clock.now_us
+        stats = self.stats
+        items = iter(batch)
+        try:
+            for src, dst, payload in items:
+                target = self._by_ip.get(dst[0])
+                if isinstance(target, Nat):
+                    internal, reason = target.inbound(src, dst[1], now)
+                    if internal is None:
+                        self._drop(src, dst, reason)
+                        continue
+                    host = self._by_ip.get(internal[0])
+                    port = internal[1]
+                elif target is None or target.nat is not None:
+                    # Unknown addresses go nowhere, and private addresses are
+                    # not routable from the outside.
+                    stats["dead_letters"] += 1
+                    self._drop(src, dst, "dead-letter")
+                    continue
+                else:
+                    host = target
+                    port = dst[1]
+                if host.link.udp_blocked:
+                    self._drop(src, dst, "udp-blocked")
+                    continue
+                sock = host.sockets.get(port)
+                if sock is None:
+                    stats["dead_letters"] += 1
+                    self._drop(src, dst, "no-socket")
+                    continue
+                stats["delivered"] += 1
+                if self.trace is not None:
+                    self.trace.add(now, "deliver", src, (host.ip, port), f"len={len(payload)}")
+                sock.handler(payload, src, sock)
+        except BaseException:
+            # A handler raised: the rest of the batch still fires first at this tick.
+            heappush(self.clock._heap, (now, -1, self._deliver, (list(items),)))
+            raise
 
     # -- control channels ----------------------------------------------
 

@@ -105,6 +105,13 @@ class AsyncioTransport:
     def open_socket(self, handler, port: int = 0) -> AsyncioUdpSocket:
         return AsyncioUdpSocket(self._loop, handler, port)
 
+    def open_sockets(self, handler, n: int) -> list[AsyncioUdpSocket]:
+        return [self.open_socket(handler) for _ in range(n)]
+
+    def send_burst(self, socks: list[AsyncioUdpSocket], dst, payloads) -> None:
+        for sock, payload in zip(socks, payloads):
+            sock.send(dst, payload)
+
 
 class TcpLineChannel:
     """One JSON-lines control connection over a TCP stream.

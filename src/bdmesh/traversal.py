@@ -310,7 +310,8 @@ class BirthdayOpener(_Punch):
     Each of open_ports sockets sends one probe at the prober's fixed
     endpoint, allocating a uniformly random external port on the local
     endpoint-dependent NAT.  Those probes are fire-and-forget (the
-    prober ignores them); their sole purpose is the mapping.  Re-sent
+    prober ignores them); their sole purpose is the mapping.  Packed
+    once, they go out as one transport send_burst, in start and again
     every refresh interval so mappings outlive their idle TTL.
 
     Only a (socket, endpoint) pair whose PROBE the opener acked can
@@ -327,23 +328,24 @@ class BirthdayOpener(_Punch):
         self._prober = prober_endpoint
         self._rng = rng
         self._sockets: list = []
-        self._nonces: list[bytes] = []
+        self._probes: list[bytes] = []
         self._acked: set[tuple[object, Endpoint]] = set()
 
     def start(self) -> None:
-        for _ in range(self._cfg.open_ports):
-            sock = self._transport.open_socket(self._on_datagram)
-            self._sockets.append(sock)
-            self._nonces.append(self._rng.randbytes(8))
+        n = self._cfg.open_ports
+        self._sockets = self._transport.open_sockets(self._on_datagram, n)
+        # The same bytes, and the same rng state after, as n draws of 8.
+        nonces = self._rng.randbytes(8 * n)
+        head = pack_probe(KIND_PROBE, self._session_id, bytes(8))[:-8]
+        self._probes = [head + nonces[i:i + 8] for i in range(0, 8 * n, 8)]
         self._start_deadline(self._cfg.max_duration_s)
         self._send_all()
 
     def _send_all(self) -> None:
         if self.done:
             return
-        for sock, nonce in zip(self._sockets, self._nonces):
-            sock.send(self._prober, pack_probe(KIND_PROBE, self._session_id, nonce))
-            self.probes_sent += 1
+        self._transport.send_burst(self._sockets, self._prober, self._probes)
+        self.probes_sent += len(self._probes)
         self._timer = self._transport.call_later(
             int(self._cfg.refresh_interval_s * 1_000_000), self._send_all)
 
@@ -395,6 +397,7 @@ class BirthdayProber(_Punch):
         self._ports = iter_ports(cfg.space, self._budget, schedule_seed)
         self._interval_us = max(1, round(1_000_000 / cfg.probe_rate))
         self._next = 0
+        self._head = pack_probe(KIND_PROBE, session_id, bytes(8))[:-8]  # all but the nonce
 
     def start(self) -> None:
         self._start_deadline(self._cfg.max_duration_s)
@@ -407,17 +410,18 @@ class BirthdayProber(_Punch):
         self._next = index + 1
         self.probes_sent += 1
         self._sock.send((self._opener_ip, next(self._ports)),
-                        pack_probe(KIND_PROBE, self._session_id, index.to_bytes(8, "big")))
+                        self._head + index.to_bytes(8, "big"))
         if index + 1 < self._budget:
             self._timer = self._transport.call_later(self._interval_us, self._tick)
 
     def on_datagram(self, data: bytes, src: Endpoint) -> None:
+        # Mostly the opener's PROBEs: drop all but acks before the full parse.
+        if len(data) != PROBE_LEN or data[5] != KIND_PROBE_ACK:
+            return
         parsed = parse_probe(data)
-        if parsed is None or parsed[1] != self._session_id:
+        if parsed is None or parsed[1] != self._session_id or self.done:
             return
-        kind, _, nonce = parsed
-        if kind != KIND_PROBE_ACK or self.done:
-            return
+        nonce = parsed[2]
         if int.from_bytes(nonce, "big") >= self._next:
             return
         self._send_confirm(src, nonce, self._cfg.confirm_repeat)

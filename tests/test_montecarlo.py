@@ -58,6 +58,29 @@ class TestRunPunchTrial:
         assert out.success and out.probes_sent == 1
 
 
+    # (open ports, seconds, loss) of the four benchmark punch configurations,
+    # each with (success, probes_sent, elapsed_us) of trial_seed(10, i), i < 6.
+    PINNED = {
+        (256, 10.0, 0.0): [(True, 150, 1600000), (True, 294, 3000000), (True, 317, 3200000),
+                           (True, 122, 1400000), (True, 766, 7800000), (True, 239, 2400000)],
+        (128, 10.0, 0.0): [(True, 59, 600000), (False, 1000, 10000000), (True, 37, 400000),
+                           (True, 879, 8800000), (True, 421, 4400000), (True, 221, 2400000)],
+        (512, 5.0, 0.0): [(True, 47, 600000), (True, 242, 2600000), (True, 5, 200000),
+                          (False, 500, 5000000), (True, 18, 200000), (True, 78, 800000)],
+        (256, 10.0, 0.05): [(True, 287, 3000000), (True, 751, 7600000), (True, 323, 3400000),
+                            (True, 489, 5000000), (True, 428, 4400000), (True, 1000, 10000000)],
+    }
+
+    @pytest.mark.parametrize("config", list(PINNED))
+    def test_pinned_outcomes(self, config):
+        # A change to any draw of a trial (pinhole ports, nonces, the
+        # probe schedule, loss) moves at least one of these.
+        open_ports, max_seconds, loss = config
+        got = [run_punch_trial(trial_seed(10, i), open_ports=open_ports, rate=100.0,
+                               max_seconds=max_seconds, loss=loss) for i in range(6)]
+        assert [(o.success, o.probes_sent, o.elapsed_us) for o in got] == self.PINNED[config]
+
+
 class TestAnalyticRate:
     def test_matches_product_formula(self):
         assert analytic_success_rate(256, 100.0, 10.0) == \

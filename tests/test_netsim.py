@@ -9,6 +9,7 @@ import pytest
 from bdmesh.errors import InvalidParametersError, PortsExhaustedError, SimulationError
 from bdmesh.netsim import (
     FilteringMode,
+    HostTransport,
     LinkPolicy,
     MappingMode,
     NatProfile,
@@ -350,6 +351,132 @@ class TestDatagramPath:
         sock.close()
         with pytest.raises(SimulationError):
             sock.send(("10.1.2.3", 1), b"x")
+
+
+class TestBurstsAndBatches:
+    """send_burst and same-tick delivery batches against the one heap
+    entry per datagram they replace: every expected value below was
+    computed with a loop of single sends and one entry per datagram."""
+
+    def test_same_tick_order_is_one_entry_per_datagram(self):
+        # Two bursts due at one tick with a timer between them; the echo
+        # replies with no latency from inside the batch, and one reply
+        # schedules a zero-delay timer of its own.
+        net = Network(seed=3)
+        transport = HostTransport(net.add_host("sender", nat=net.add_nat(NatProfile.hard("hard"))))
+        echo = net.add_host("echo", link=LinkPolicy(latency_us=0))
+        order = []
+
+        def reply(payload, src, sock):
+            order.append((net.now_us, payload))
+            sock.send(src, payload.upper())
+            if payload == b"a1":
+                net.clock.call_later(0, lambda: order.append((net.now_us, b"x")))
+
+        echo.bind(reply, port=7000)
+        socks = transport.open_sockets(lambda p, s, k: order.append((net.now_us, p)), 6)
+        dst = (echo.ip, 7000)
+        transport.send_burst(socks[:3], dst, [b"a0", b"a1", b"a2"])
+        net.clock.call_later(1000, lambda: order.append((net.now_us, b"timer")))
+        transport.send_burst(socks[3:], dst, [b"b0", b"b1", b"b2"])
+        assert net.run_for(5000) == 5  # heap entries, not datagrams
+        assert order == [(1000, p) for p in (b"a0", b"a1", b"a2", b"timer", b"b0", b"b1",
+                                             b"b2", b"A0", b"A1", b"x", b"A2", b"B0", b"B1",
+                                             b"B2")]
+
+    @staticmethod
+    def echo_world(jitter_us, burst):
+        net = Network(seed=11, trace=True)
+        lossy = LinkPolicy(loss=0.3, latency_us=1000, jitter_us=jitter_us)
+        nat = net.add_nat(NatProfile.hard("hard"))
+        transport = HostTransport(net.add_host("sender", nat=nat, link=lossy))
+        echo = net.add_host("echo", link=lossy)
+        got = []
+        echo.bind(lambda payload, src, sock: sock.send(src, payload + b"!"), port=7000)
+        socks = transport.open_sockets(lambda p, s, sock: got.append((net.now_us, sock.port, p)), 24)
+        payloads = [b"p%02d" % i for i in range(24)]
+        for _ in range(3):
+            if burst:
+                transport.send_burst(socks, (echo.ip, 7000), payloads)
+            else:
+                for sock, payload in zip(socks, payloads):
+                    sock.send((echo.ip, 7000), payload)
+            net.run_for(5000)
+        return net.trace.digest(), net.stats, len(got)
+
+    @pytest.mark.parametrize("jitter_us,digest,stats,got", [
+        (0, "136b1248832b4842489cc74776cde167367309008603c21d89cf981d3aaac6e0",
+         {"sent": 116, "delivered": 73, "dropped": 43, "dead_letters": 0}, 29),
+        (300, "a7105d32d0490c9316ceafb21c883723be5395f255c24eb55a234c60c7a9c1ee",
+         {"sent": 118, "delivered": 80, "dropped": 38, "dead_letters": 0}, 34),
+    ])
+    @pytest.mark.parametrize("burst", [True, False])
+    def test_burst_traces_and_counts_as_single_sends(self, burst, jitter_us, digest, stats, got):
+        assert self.echo_world(jitter_us, burst) == (digest, stats, got)
+
+    def test_a_handler_that_raises_leaves_the_rest_of_its_batch_first(self):
+        net = Network(seed=5)
+        a, b = net.add_host("a"), net.add_host("b")
+        order = []
+
+        def handler(payload, src, sock):
+            order.append(payload)
+            if payload == b"d0":
+                net.clock.call_later(0, lambda: order.append(b"inner"))
+                raise RuntimeError("boom")
+
+        b.bind(handler, 5000)
+        transport = HostTransport(a)
+        transport.send_burst(transport.open_sockets(lambda *x: None, 3), (b.ip, 5000),
+                             [b"d0", b"d1", b"d2"])
+        net.clock.call_later(1000, lambda: order.append(b"timer"))
+        with pytest.raises(RuntimeError):
+            net.run_for(5000)
+        assert net.now_us == 1000
+        net.run_for(5000)
+        assert order == [b"d0", b"d1", b"d2", b"timer", b"inner"]
+        assert net.stats["delivered"] == 3
+
+    def test_a_send_at_the_tick_of_a_delivered_batch_still_arrives(self):
+        net = Network(seed=4)
+        a = net.add_host("a")
+        b = net.add_host("b", link=LinkPolicy(latency_us=0))
+        got, handler = collector()
+        sock_a = a.bind(handler, 5000)
+        sock_b = b.bind(lambda *x: None, 5000)
+        sock_a.send((b.ip, 5000), b"first")
+        net.run_until(1000)
+        sock_b.send((a.ip, 5000), b"later")
+        net.run_for(1000)
+        assert got == [(1000, b"later", (b.ip, 5000))]
+
+    def test_open_sockets_take_the_ports_successive_binds_take(self):
+        net = Network(seed=1)
+        host = net.add_host("h")
+        host.bind(lambda *x: None, 30001)
+        ports = [s.port for s in HostTransport(host).open_sockets(lambda *x: None, 3)]
+        assert ports == [30000, 30002, 30003]
+        assert host.bind(lambda *x: None).port == 30004
+
+    def test_open_sockets_stop_where_the_ephemeral_range_runs_out(self):
+        net = Network(seed=1)
+        host = net.add_host("h")
+        span = host.EPHEMERAL_HI - host.EPHEMERAL_LO + 1
+        HostTransport(host).open_sockets(lambda *x: None, span - 1)
+        with pytest.raises(PortsExhaustedError):
+            HostTransport(host).open_sockets(lambda *x: None, 2)
+        assert len(host.sockets) == span
+        host.sockets[30005].close()
+        assert host.bind(lambda *x: None).port == 30005
+
+    def test_burst_on_a_closed_socket_rejected(self):
+        net = Network(seed=14)
+        transport = HostTransport(net.add_host("a"))
+        socks = transport.open_sockets(lambda *x: None, 2)
+        socks[1].close()
+        with pytest.raises(SimulationError):
+            transport.send_burst(socks, ("10.1.2.3", 1), [b"x", b"y"])
+        assert net.stats["sent"] == 0
 
 
 class TestControlChannels:

@@ -3,6 +3,7 @@
 import asyncio
 import logging
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -12,6 +13,7 @@ import time
 import pytest
 
 from bdmesh.realbackend import (
+    AsyncioTransport,
     AsyncioUdpSocket,
     CoordinatorServer,
     NodeClient,
@@ -20,6 +22,8 @@ from bdmesh.realbackend import (
     _parse_hostport,
 )
 from bdmesh.securelink import Identity
+from bdmesh.traversal import (KIND_CONFIRM, KIND_PROBE, KIND_PROBE_ACK, BirthdayOpener,
+                              PunchConfig, pack_probe, parse_probe)
 
 
 def free_ports(n: int) -> list[int]:
@@ -35,6 +39,25 @@ def free_ports(n: int) -> list[int]:
 
 def run(coro, timeout_s: float = 30.0):
     return asyncio.run(asyncio.wait_for(coro, timeout_s))
+
+
+async def until(condition, timeout_s: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.01)
+
+
+def stop(proc: subprocess.Popen) -> int:
+    """SIGINT, then the exit code.  A process still running 10 s later
+    is killed and reaped, and TimeoutExpired fails the test."""
+    proc.send_signal(signal.SIGINT)
+    try:
+        return proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        raise
 
 
 class TestUdpSocket:
@@ -58,6 +81,46 @@ class TestUdpSocket:
             return first, got
 
         assert run(main()) == ([], [(b"hello", True)])
+
+
+class TestOpenerOnLoopback:
+    def test_burst_then_ack_and_confirm_keep_one_pinhole(self):
+        session = b"L" * 8
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            got, done = [], []
+            listener = AsyncioUdpSocket(loop, lambda data, src, sock: got.append((data, src)))
+            me = ("127.0.0.1", listener.local_port)
+            opener = BirthdayOpener(AsyncioTransport(loop), session, me,
+                                    PunchConfig(open_ports=8, max_duration_s=10.0),
+                                    lambda *result: done.append(result), random.Random(2))
+            opener.start()
+            pinholes = list(opener._sockets)
+            try:
+                await until(lambda: len(got) == 8)
+                probes = [parse_probe(data) for data, _ in got]
+                assert all(p[:2] == (KIND_PROBE, session) for p in probes)
+                assert len({p[2] for p in probes}) == 8
+                assert ({src[1] for _, src in got}
+                        == {sock.local_port for sock in pinholes})
+                target = got[3][1]
+                got.clear()
+                listener.send(target, pack_probe(KIND_PROBE, session, b"n" * 8))
+                await until(lambda: got)
+                assert got == [(pack_probe(KIND_PROBE_ACK, session, b"n" * 8), target)]
+                assert not done
+                listener.send(target, pack_probe(KIND_CONFIRM, session, b"n" * 8))
+                await until(lambda: done)
+                (ok, sock, peer, why), = done
+                assert (ok, sock.local_port, peer, why) == (True, target[1], me, "birthday")
+                assert [s for s in pinholes if not s._closed] == [sock]
+            finally:
+                listener.close()
+                for s in pinholes:
+                    s.close()
+
+        run(main())
 
 
 class TestHelpers:
@@ -248,11 +311,9 @@ class TestCliProcesses:
                     env=env, capture_output=True, timeout=60)
                 assert caller.returncode == 0, caller.stderr.decode()
             finally:
-                listener.send_signal(signal.SIGINT)
-                assert listener.wait(timeout=10) == 0
+                assert stop(listener) == 0
         finally:
-            coord.send_signal(signal.SIGINT)
-            assert coord.wait(timeout=10) == 0
+            assert stop(coord) == 0
 
     def test_node_without_coordinator_exits_6(self):
         (port,) = free_ports(1)

@@ -2,8 +2,11 @@
 and the birthday opener/prober pair."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmesh.errors import InvalidParametersError
 from bdmesh.netsim import (FilteringMode, HostTransport, LinkPolicy, MappingMode, NatProfile,
@@ -15,6 +18,7 @@ from bdmesh.traversal import (
     KIND_PROBE,
     KIND_PROBE_ACK,
     PROBE_LEN,
+    PROBE_VERSION,
     BirthdayOpener,
     BirthdayProber,
     DirectPunch,
@@ -322,6 +326,17 @@ class TestBirthdayPunch:
         results, opener, prober = run_birthday(net, nat_easy, opener_host, prober_host, cfg)
         assert opener.probes_sent == 100
 
+    def test_opener_nonces_are_b_draws_of_eight(self):
+        net, _, nat_easy, opener_host, _ = birthday_world(42, self.SPACE)
+        rng, twin = random.Random(9), random.Random(9)
+        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, ("10.210.0.1", 3478),
+                                PunchConfig(open_ports=32, space=self.SPACE),
+                                lambda *r: None, rng)
+        opener.start()
+        assert opener._probes == [pack_probe(KIND_PROBE, b"B" * 8, twin.randbytes(8))
+                                  for _ in range(32)]
+        assert rng.getstate() == twin.getstate()
+
     def test_refresh_keeps_mappings_alive(self):
         net, nat_hard, nat_easy, opener_host, prober_host = birthday_world(
             33, self.SPACE, ttl_s=0.8)
@@ -507,3 +522,81 @@ class TestBirthdayPunch:
             return results["prober"], prober.probes_sent, net.now_us
 
         assert once() == once()
+
+
+FUZZ_SESSION = b"F" * 8
+# Probes close to valid: each field valid or one step off, and nonces
+# that are small probe indices or anything.
+_probe_like = st.builds(
+    lambda magic, version, kind, session, nonce: magic + bytes((version, kind)) + session + nonce,
+    st.sampled_from([b"BDHP", b"BDHQ"]),
+    st.sampled_from([PROBE_VERSION, 0, 2]),
+    st.sampled_from([KIND_PROBE, KIND_PROBE_ACK, KIND_CONFIRM]) | st.integers(0, 255),
+    st.sampled_from([FUZZ_SESSION, b"G" * 8]),
+    st.integers(0, 12).map(lambda i: i.to_bytes(8, "big")) | st.binary(min_size=8, max_size=8),
+)
+wire_bytes = (st.binary(max_size=1200) | _probe_like
+              | _probe_like.flatmap(lambda d: st.integers(0, 30).map(lambda n: d[:n])))
+endpoints = st.tuples(st.sampled_from(["10.0.0.1", "198.18.0.1", "127.0.0.1", ""]),
+                      st.integers(0, 65535))
+datagrams = st.lists(st.tuples(wire_bytes, endpoints), max_size=6)
+
+
+class TestWireFuzz:
+    """Arbitrary datagrams at every probe entry point: none raises."""
+
+    @staticmethod
+    def world():
+        net = Network(seed=50)
+        return net, net.add_host("a"), net.add_host("b")
+
+    @given(data=wire_bytes)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_probe_is_total_and_round_trips(self, data):
+        parsed = parse_probe(data)
+        if parsed is not None:
+            assert parsed[0] in (KIND_PROBE, KIND_PROBE_ACK, KIND_CONFIRM)
+            assert pack_probe(*parsed) == data
+
+    @given(seq=datagrams)
+    @settings(max_examples=200, deadline=None)
+    def test_direct_punch(self, seq):
+        net, a, b = self.world()
+        sock = a.bind(lambda *x: None, 7000)
+        punch = DirectPunch(HostTransport(a), sock, FUZZ_SESSION, (b.ip, 7000),
+                            PunchConfig(), lambda *r: None, net.rng)
+        punch.start()
+        for data, src in seq:
+            punch.on_datagram(data, src)
+        net.run_for(10_000)
+
+    @given(seq=datagrams)
+    @settings(max_examples=300, deadline=None)
+    def test_prober_decides_as_the_full_parse_does(self, seq):
+        net, a, b = self.world()
+        results = []
+        prober = BirthdayProber(HostTransport(a), a.bind(lambda *x: None, 7000), FUZZ_SESSION,
+                                b.ip, PunchConfig(), lambda ok, *r: results.append(ok), net.rng)
+        prober.start()
+        net.run_for(50_000)  # probes 0..5 sent
+        sent = prober.probes_sent
+        for data, src in seq:
+            parsed = parse_probe(data)
+            accepts = (not prober.done and parsed is not None and parsed[1] == FUZZ_SESSION
+                       and parsed[0] == KIND_PROBE_ACK
+                       and int.from_bytes(parsed[2], "big") < sent)
+            prober.on_datagram(data, src)
+            assert prober.done == (accepts or bool(results))
+        assert results in ([], [True])
+
+    @given(seq=st.lists(st.tuples(wire_bytes, endpoints, st.integers(0, 3)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_opener(self, seq):
+        net, a, b = self.world()
+        opener = BirthdayOpener(HostTransport(a), FUZZ_SESSION, (b.ip, 7000),
+                                PunchConfig(open_ports=4), lambda *r: None, net.rng)
+        opener.start()
+        pinholes = list(opener._sockets)
+        for data, src, i in seq:
+            opener._on_datagram(data, src, pinholes[i])
+        net.run_for(10_000)
