@@ -37,12 +37,12 @@ from __future__ import annotations
 import base64
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import HandshakeError, InvalidParametersError, ProtocolError, ReplayError
-from .netsim import Endpoint, HostTransport, Network, parse_endpoint
-from .rendezvous import DEFAULT_CONTROL_PORT, DEFAULT_OBSERVER_PORTS, MAX_RELAY_CHUNK
+from .netsim import Endpoint, HostTransport, Network, format_endpoint, parse_endpoint
+from .rendezvous import DEFAULT_CONTROL_PORT, DEFAULT_OBSERVER_PORTS, MAX_RELAY_CHUNK, ROLES
 from .securelink import (
     FrameCipher,
     HandshakeInitiator,
@@ -54,7 +54,6 @@ from .securelink import (
 )
 from .traversal import (
     DEFAULT_PUNCH,
-    KIND_PROBE,
     PROBE_LEN,
     PROBE_MAGIC,
     BirthdayOpener,
@@ -197,12 +196,13 @@ class LinkSession:
 class NodeAgent:
     """One overlay node: registration, traversal, links.
 
-    transport must offer now_us(), call_later(delay_us, fn) -> timer,
+    transport must offer call_later(delay_us, fn) -> timer,
     open_socket(handler, port=0) -> socket, open_sockets(handler, n)
     -> n sockets on ephemeral ports, send_burst(socks, dst, payloads)
-    (payloads[i] from socks[i] to dst, in order) and .rng; channel must
-    offer send(dict) with writable on_line.  Both the simulator and the
-    asyncio backend satisfy these.
+    (payloads[i] from socks[i] to dst, in order) and .rng; a socket
+    offers send(dst, payload), close(), local_port and a writable
+    handler; channel must offer send(dict) with writable on_line.  Both
+    the simulator and the asyncio backend satisfy these.
     """
 
     def __init__(self, node_id: str, transport, channel, local_ip: str,
@@ -276,7 +276,7 @@ class NodeAgent:
         if self.nat_class != "unknown" or self.observed is not None:
             msg["nat_class"] = self.nat_class
             if self.observed is not None:
-                msg["udp_endpoint"] = {"ip": self.observed[0], "port": self.observed[1]}
+                msg["udp_endpoint"] = format_endpoint(self.observed)
         self.channel.send(msg)
 
     def _keepalive(self) -> None:
@@ -308,9 +308,6 @@ class NodeAgent:
             if self._registered_count >= 2:
                 self.ready = True
                 self._emit("ready", nat_class=self.nat_class)
-        elif kind == "observed":
-            if self._classifier is not None:
-                self._classifier.on_observed(msg)
         elif kind == "introduce":
             self._on_introduce(msg)
         elif kind == "relay_opened":
@@ -337,7 +334,7 @@ class NodeAgent:
         except (KeyError, TypeError, ValueError):
             return
         if (len(session_id) != 8 or not isinstance(peer_id, str) or peer_ep is None
-                or role not in ("direct", "opener", "prober", "relay")):
+                or role not in ROLES):
             return
         if peer_id in self.relay_only_peers:
             role = "relay"  # plan said this link never punches
@@ -521,7 +518,7 @@ class NodeAgent:
         if data[:1] == b"{":
             try:
                 obj = json.loads(data)
-            except ValueError:
+            except (ValueError, RecursionError):
                 return
             if obj.get("type") == "observed":
                 self._classifier.on_observed(obj)

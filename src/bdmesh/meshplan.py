@@ -38,6 +38,8 @@ from .errors import (
 
 # One virtual address per overlay member, handed out in declaration order.
 OVERLAY_BLOCK = ipaddress.ip_network("100.64.0.0/16")
+READY_DEADLINE_S = 10.0  # realize_plan: every agent must be ready by then
+POLL_MS = 50  # virtual time a driving loop runs between checks of its goal
 
 __all__ = [
     "SchemeKind", "SCHEME_TABLE", "SCHEME_PARAMS", "classify_scheme",
@@ -331,8 +333,7 @@ def _fully_connected(nodes: Sequence[NodeSpec], up_pairs: set[frozenset]) -> boo
 
 
 def realize_plan(net, agents: dict, plan: MeshPlan,
-                 deadline_s: float = 60.0, ready_deadline_s: float = 10.0,
-                 poll_ms: int = 50) -> RealizationReport:
+                 deadline_s: float = 60.0) -> RealizationReport:
     """Drive every planned link to an outcome on a simulated network.
 
     ``agents`` maps node id to a started NodeAgent.  All links are
@@ -345,12 +346,12 @@ def realize_plan(net, agents: dict, plan: MeshPlan,
     if missing:
         raise InvalidParametersError(f"no agent for planned nodes {missing}")
 
-    ready_until = net.now_us + int(ready_deadline_s * 1_000_000)
+    ready_until = net.now_us + int(READY_DEADLINE_S * 1_000_000)
     while not all(agents[n.node_id].ready for n in plan.nodes):
         if net.now_us >= ready_until:
             stuck = [n.node_id for n in plan.nodes if not agents[n.node_id].ready]
             raise SimulationError(f"agents never became ready: {stuck}")
-        net.run_until(min(ready_until, net.now_us + poll_ms * 1000))
+        net.run_until(min(ready_until, net.now_us + POLL_MS * 1000))
 
     up_at: dict[tuple[frozenset, str], int] = {}   # (pair, node) -> t_us
     probes: dict[tuple[frozenset, str], int] = {}
@@ -398,7 +399,7 @@ def realize_plan(net, agents: dict, plan: MeshPlan,
 
         stop_at = t0 + int(deadline_s * 1_000_000)
         while not all(resolved(p) for p in wanted) and net.now_us < stop_at:
-            net.run_until(min(stop_at, net.now_us + poll_ms * 1000))
+            net.run_until(min(stop_at, net.now_us + POLL_MS * 1000))
     finally:
         for agent, prev in hooks:
             agent.on_event = prev

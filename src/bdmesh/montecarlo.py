@@ -90,15 +90,12 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
 
     done: dict = {}
 
-    def opener_done(ok: bool, sock, peer, why: str) -> None:
-        done["opener"] = ok
-
     def prober_done(ok: bool, sock, peer, why: str) -> None:
         done["prober"] = ok
 
     session_id = net.rng.randbytes(8)
     opener = BirthdayOpener(transport_o, session_id, prober_ext, cfg,
-                            opener_done, rng=net.rng)
+                            lambda ok, sock, peer, why: None, rng=net.rng)
     prober = BirthdayProber(transport_p, prober_sock, session_id,
                             hard_nat.public_ip, cfg, prober_done, rng=net.rng)
     prober_sock.handler = lambda data, src, sock: prober.on_datagram(data, src)

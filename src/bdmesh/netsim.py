@@ -58,6 +58,11 @@ def parse_endpoint(value) -> Optional[Endpoint]:
     return ip, port
 
 
+def format_endpoint(ep: Endpoint) -> dict:
+    """The wire form of an endpoint, as parse_endpoint reads it."""
+    return {"ip": ep[0], "port": ep[1]}
+
+
 MAX_DATAGRAM = 1200
 MAX_CONTROL_LINE = 8192
 DEFAULT_MAPPING_TTL_S = 30.0
@@ -65,6 +70,7 @@ DEFAULT_MAPPING_TTL_S = 30.0
 __all__ = [
     "Endpoint",
     "parse_endpoint",
+    "format_endpoint",
     "MAX_DATAGRAM",
     "MAX_CONTROL_LINE",
     "MappingMode",
@@ -434,7 +440,7 @@ class Host:
 
 class HostTransport:
     """Adapter handing protocol machines what they need from one host:
-    virtual time, timers, fresh sockets, and the world's seeded rng."""
+    virtual-time timers, fresh sockets, and the world's seeded rng."""
 
     __slots__ = ("host",)
 
@@ -444,9 +450,6 @@ class HostTransport:
     @property
     def rng(self) -> random.Random:
         return self.host.net.rng
-
-    def now_us(self) -> int:
-        return self.host.net.clock.now_us
 
     def call_later(self, delay_us: int, fn: Callable[[], None]) -> Timer:
         return self.host.net.clock.call_later(delay_us, fn)

@@ -89,15 +89,13 @@ class AsyncioUdpSocket:
 
 
 class AsyncioTransport:
-    """Wall-clock twin of the simulator's host transport."""
+    """Wall-clock twin of the simulator's host transport.  Its rng is the
+    OS's: a seeded one's state can be rebuilt from plaintext punch
+    nonces, predicting the handshake ephemerals drawn after them."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop,
-                 rng: Optional[random.Random] = None):
+    def __init__(self, loop: asyncio.AbstractEventLoop):
         self._loop = loop
-        self.rng = rng or random.Random()
-
-    def now_us(self) -> int:
-        return time.monotonic_ns() // 1000
+        self.rng = random.SystemRandom()
 
     def call_later(self, delay_us: int, fn: Callable[[], None]) -> asyncio.TimerHandle:
         return self._loop.call_later(delay_us / 1e6, fn)
@@ -155,7 +153,7 @@ class TcpLineChannel:
                     continue
                 try:
                     msg = json.loads(line)
-                except ValueError:
+                except (ValueError, RecursionError):
                     log.warning("dropping unparseable control line")
                     continue
                 if self.on_line is not None:
@@ -195,12 +193,11 @@ class CoordinatorServer:
     """Rendezvous service: TCP control plus two UDP observer ports."""
 
     def __init__(self, host: str = "0.0.0.0", port: int = 4500,
-                 observer_ports: Iterable[int] = DEFAULT_OBSERVER_PORTS,
-                 punch: Optional[dict] = None):
+                 observer_ports: Iterable[int] = DEFAULT_OBSERVER_PORTS):
         self.host = host
         self.port = port
         self.observer_ports = tuple(observer_ports)
-        self.core = Coordinator(punch=punch)
+        self.core = Coordinator()
         self._server: Optional[asyncio.AbstractServer] = None
         self._observers: list = []
         self._connections: dict[asyncio.Task, TcpLineChannel] = {}

@@ -2,11 +2,12 @@
 
 Nodes hold a reliable control channel to the coordinator and speak
 newline-delimited JSON, one object per line, at most 8192 bytes per
-line.  Client-to-coordinator types: register, observe, ping,
-introduce_request, relay_open, relay_data.  Coordinator-to-client
-types: registered, observed, pong, introduce, relay_opened,
-relay_data, error.  Unknown types draw an error reply and leave the
-connection open.
+line.  Client-to-coordinator types: register, ping, introduce_request,
+relay_open, relay_data.  Coordinator-to-client types: registered
+(carrying the channel's observed endpoint), pong, introduce,
+relay_opened, relay_data, error.  Unknown types draw an error reply
+and leave the connection open.  A registration lapses
+REGISTRATION_TTL_S after the last register or ping.
 
 The coordinator also answers observe datagrams on two UDP observer
 ports; two vantage ports are what a node needs to classify its NAT
@@ -44,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .netsim import Endpoint, Host, Network, parse_endpoint
+from .netsim import Endpoint, Host, Network, format_endpoint, parse_endpoint
 from .traversal import DEFAULT_PUNCH
 
 NAT_CLASSES = ("public", "easy", "hard", "udp_blocked", "unknown")
@@ -54,6 +55,7 @@ MAX_NODE_ID = 64
 MAX_RELAY_CHUNK = 1024
 DEFAULT_CONTROL_PORT = 4500
 DEFAULT_OBSERVER_PORTS = (3478, 3479)
+REGISTRATION_TTL_S = 60.0
 
 __all__ = [
     "NAT_CLASSES",
@@ -61,6 +63,7 @@ __all__ = [
     "MAX_RELAY_CHUNK",
     "DEFAULT_CONTROL_PORT",
     "DEFAULT_OBSERVER_PORTS",
+    "REGISTRATION_TTL_S",
     "DEFAULT_PUNCH",
     "assign_roles",
     "NodeRecord",
@@ -114,16 +117,15 @@ class Coordinator:
 
     Channels are duck-typed: .send(dict), .peer_observed, and writable
     .on_line / .on_close.  Works over simulated channels and over the
-    asyncio TCP backend alike.
+    asyncio TCP backend alike.  Session ids come from rng, which
+    defaults to the OS generator; simulations pass their seeded one.
     """
 
     def __init__(self, rng: Optional[random.Random] = None,
                  punch: Optional[dict] = None,
-                 registration_ttl_s: float = 60.0,
                  now_fn: Callable[[], float] = time.monotonic):
-        self.rng = rng or random.Random()
+        self.rng = rng or random.SystemRandom()
         self.punch = dict(DEFAULT_PUNCH, **(punch or {}))
-        self.registration_ttl_s = registration_ttl_s
         self.now_fn = now_fn
         self.nodes: dict[str, NodeRecord] = {}
         self.sessions: dict[str, RelaySession] = {}
@@ -143,12 +145,10 @@ class Coordinator:
             if record is not None and record.channel is channel:
                 record.channel = None
 
-    def bind_sim(self, net: Network, host: Host,
-                 control_port: int = DEFAULT_CONTROL_PORT,
-                 observer_ports: tuple[int, int] = DEFAULT_OBSERVER_PORTS) -> None:
-        """Listen on a simulated host: one control port, two observers."""
-        host.listen_channel(control_port, self.attach)
-        for port in observer_ports:
+    def bind_sim(self, net: Network, host: Host) -> None:
+        """Listen on a simulated host: the control port and both observers."""
+        host.listen_channel(DEFAULT_CONTROL_PORT, self.attach)
+        for port in DEFAULT_OBSERVER_PORTS:
             host.bind(self._sim_observer_handler, port)
 
     def _sim_observer_handler(self, payload: bytes, src: Endpoint, sock) -> None:
@@ -160,12 +160,11 @@ class Coordinator:
         """UDP observer: reflect the source endpoint back, or None to drop."""
         try:
             obj = json.loads(payload)
-        except ValueError:
+        except (ValueError, RecursionError):
             return None
         if not isinstance(obj, dict) or obj.get("type") != "observe":
             return None
-        reply = {"type": "observed", "token": obj.get("token"),
-                 "endpoint": {"ip": src[0], "port": src[1]}}
+        reply = {"type": "observed", "token": obj.get("token"), "endpoint": format_endpoint(src)}
         return json.dumps(reply, separators=(",", ":")).encode()
 
     # -- message handling -------------------------------------------------
@@ -215,7 +214,7 @@ class Coordinator:
             pubkey=pubkey,
             channel=channel,
             observed=channel.peer_observed,
-            expires_s=self.now_fn() + self.registration_ttl_s,
+            expires_s=self.now_fn() + REGISTRATION_TTL_S,
         )
         nat_class = msg.get("nat_class")
         if nat_class in NAT_CLASSES:
@@ -224,21 +223,12 @@ class Coordinator:
         self.nodes[node_id] = record
         self._node_by_channel[id(channel)] = node_id
         channel.send({"type": "registered", "node": node_id,
-                      "observed": {"ip": record.observed[0], "port": record.observed[1]}})
-
-    def _on_observe(self, channel, msg) -> None:
-        record = self._registered_node(channel)
-        if record is None:
-            self._error(channel, "not-registered", "observe requires registration")
-            return
-        ep = channel.peer_observed
-        channel.send({"type": "observed", "token": msg.get("token"),
-                      "endpoint": {"ip": ep[0], "port": ep[1]}})
+                      "observed": format_endpoint(record.observed)})
 
     def _on_ping(self, channel, msg) -> None:
         record = self._registered_node(channel)
         if record is not None:
-            record.expires_s = self.now_fn() + self.registration_ttl_s
+            record.expires_s = self.now_fn() + REGISTRATION_TTL_S
         channel.send({"type": "pong", "nonce": msg.get("nonce")})
 
     def _on_introduce_request(self, channel, msg) -> None:
@@ -261,12 +251,11 @@ class Coordinator:
         self.sessions[session_id] = session
         self.introductions += 1
         for record, other, role in ((requester, peer, role_a), (peer, requester, role_b)):
-            ep = other.udp_endpoint or other.observed
             record.channel.send({
                 "type": "introduce",
                 "session_id": session_id,
                 "peer": other.node_id,
-                "peer_endpoint": {"ip": ep[0], "port": ep[1]},
+                "peer_endpoint": format_endpoint(other.udp_endpoint or other.observed),
                 "peer_nat": other.nat_class,
                 "peer_pubkey_b64": base64.b64encode(other.pubkey).decode(),
                 "role": role,
@@ -327,7 +316,6 @@ class Coordinator:
     # Client message type -> handler; any other type draws unknown-type.
     _HANDLERS = {
         "register": _on_register,
-        "observe": _on_observe,
         "ping": _on_ping,
         "introduce_request": _on_introduce_request,
         "relay_open": _on_relay_open,

@@ -30,6 +30,7 @@ from jsonschema import Draft202012Validator
 from .agent import NodeAgent
 from .errors import ScenarioError
 from .meshplan import (
+    POLL_MS,
     MeshPlan,
     NodeSpec,
     RealizationReport,
@@ -55,6 +56,7 @@ PAYLOAD_MARKER = b"BDMESH-PAYLOAD-MARKER"
 _HASH_PREFIX = b"BDMESH-PAYLOAD-HASH|"
 _PING_PREFIX = b"BDMESH-PING|"
 _PONG_PREFIX = b"BDMESH-PONG|"
+SETTLE_S = 15.0  # virtual time verification waits for every digest and pong
 
 __all__ = [
     "SCENARIO_SCHEMA", "COORD_HOST_ID", "PAYLOAD_MARKER", "ScenarioWorld",
@@ -224,8 +226,7 @@ def _ping_target(plan: MeshPlan, node_id: str) -> str:
     return plan.addresses[node_id]
 
 
-def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport,
-                    settle_s: float = 15.0) -> dict:
+def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport) -> dict:
     """Exercise every established link: payload digest both ways, one
     overlay ping both ways, and a wire privacy check for the marker."""
     net, plan, agents = world.net, world.plan, world.agents
@@ -293,9 +294,9 @@ def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport,
             return all(p in got_hash for p in want_pairs) and \
                 all(p in got_pong for p in want_pairs)
 
-        deadline = net.now_us + int(settle_s * 1_000_000)
+        deadline = net.now_us + int(SETTLE_S * 1_000_000)
         while not done() and net.now_us < deadline:
-            net.run_until(min(deadline, net.now_us + 50_000))
+            net.run_until(min(deadline, net.now_us + POLL_MS * 1000))
     finally:
         net.on_wire = prev_on_wire
 

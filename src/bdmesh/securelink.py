@@ -158,9 +158,9 @@ def _derive(shared: bytes, transcript: bytes, initiator: bool, peer_identity: by
 
 
 class HandshakeInitiator:
-    """Builds M1, consumes M2, yields session keys."""
+    """Builds M1, consumes M2 from expected_peer, yields session keys."""
 
-    def __init__(self, identity: Identity, expected_peer: Optional[bytes] = None,
+    def __init__(self, identity: Identity, expected_peer: bytes,
                  rng: Optional[random.Random] = None):
         self._identity = identity
         self._expected = expected_peer
@@ -181,7 +181,7 @@ class HandshakeInitiator:
         if self._m1 is None:
             raise HandshakeError("message1 not sent yet")
         suite, peer_id, peer_eph, sig = _parse_handshake(data, MSG_REPLY)
-        if self._expected is not None and peer_id != self._expected:
+        if peer_id != self._expected:
             raise HandshakeError("peer identity does not match the introduction")
         my_eph = self._eph.public_key().public_bytes_raw()
         body = _signed_body(b"bdmesh-hs-m2", suite, peer_id, peer_eph, my_eph)
@@ -192,9 +192,9 @@ class HandshakeInitiator:
 
 
 class HandshakeResponder:
-    """Consumes M1, builds M2, yields session keys."""
+    """Consumes M1 from expected_peer, builds M2, yields session keys."""
 
-    def __init__(self, identity: Identity, expected_peer: Optional[bytes] = None,
+    def __init__(self, identity: Identity, expected_peer: bytes,
                  rng: Optional[random.Random] = None):
         self._identity = identity
         self._expected = expected_peer
@@ -203,7 +203,7 @@ class HandshakeResponder:
 
     def consume_message1(self, data: bytes) -> bytes:
         suite, peer_id, peer_eph, sig = _parse_handshake(data, MSG_INIT)
-        if self._expected is not None and peer_id != self._expected:
+        if peer_id != self._expected:
             raise HandshakeError("peer identity does not match the introduction")
         body = _signed_body(b"bdmesh-hs-m1", suite, peer_id, peer_eph, b"")
         if not Identity.verify(peer_id, sig, body):

@@ -57,6 +57,13 @@ PROBE_LEN = _PROBE_STRUCT.size  # 22
 MAX_OPEN_PORTS = 4096
 MAX_PROBE_RATE = 1000.0
 
+DIRECT_INTERVAL_S = 0.1  # direct punch: one probe per interval until the timeout
+DIRECT_TIMEOUT_S = 5.0
+CONFIRM_REPEAT = 3  # CONFIRM copies; the prober spaces them, the direct punch does not
+CONFIRM_SPACING_S = 0.05
+CLASSIFY_TRIES = 3  # NatClassifier rounds of observe datagrams, and their spacing
+CLASSIFY_RETRY_S = 0.5
+
 __all__ = [
     "PROBE_MAGIC",
     "PROBE_LEN",
@@ -98,9 +105,9 @@ class PunchConfig:
 
     open_ports is the pinhole count the opener maintains; probe_rate
     and max_duration_s bound the prober, whose total budget is
-    floor(probe_rate * max_duration_s) distinct ports.  The refresh
-    interval re-sends opener probes to keep NAT mappings alive and
-    defaults to half the common 30 s mapping TTL.
+    floor(probe_rate * max_duration_s) distinct ports drawn from space.
+    The refresh interval re-sends opener probes to keep NAT mappings
+    alive and defaults to half the common 30 s mapping TTL.
     """
 
     open_ports: int = 256
@@ -108,10 +115,6 @@ class PunchConfig:
     max_duration_s: float = 20.0
     refresh_interval_s: float = 15.0
     space: PortSpace = field(default_factory=PortSpace)
-    direct_interval_s: float = 0.1
-    direct_timeout_s: float = 5.0
-    confirm_repeat: int = 3
-    confirm_spacing_s: float = 0.05
 
     def __post_init__(self) -> None:
         if not (1 <= self.open_ports <= min(MAX_OPEN_PORTS, self.space.size)):
@@ -126,10 +129,6 @@ class PunchConfig:
             raise InvalidParametersError(
                 f"budget of {self.probe_budget} probes exceeds the {self.space.size}-port space; "
                 "lower probe_rate or max_duration_s")
-        if self.direct_interval_s <= 0 or self.direct_timeout_s <= 0:
-            raise InvalidParametersError("durations must be positive")
-        if self.confirm_repeat < 1 or self.confirm_spacing_s <= 0:
-            raise InvalidParametersError("confirm schedule must be positive")
 
     @property
     def probe_budget(self) -> int:
@@ -156,7 +155,7 @@ class NatClassifier:
 
     def __init__(self, transport, sock, local: Endpoint, observers: list[Endpoint],
                  on_done: Callable[[str, Optional[Endpoint]], None],
-                 rng: random.Random, tries: int = 3, retry_interval_s: float = 0.5):
+                 rng: random.Random):
         if len(observers) != 2:
             raise InvalidParametersError("classification needs exactly two observers")
         self._transport = transport
@@ -164,8 +163,8 @@ class NatClassifier:
         self._local = local
         self._observers = observers
         self._on_done = on_done
-        self._tries = tries
-        self._interval_us = int(retry_interval_s * 1_000_000)
+        self._tries = CLASSIFY_TRIES
+        self._interval_us = int(CLASSIFY_RETRY_S * 1_000_000)
         self._tokens = [rng.getrandbits(63) for _ in observers]
         self._answers: list[Optional[Endpoint]] = [None, None]
         self._round = 0
@@ -273,7 +272,7 @@ class DirectPunch(_Punch):
         self._sent_nonces: set[bytes] = set()
 
     def start(self) -> None:
-        self._start_deadline(self._cfg.direct_timeout_s)
+        self._start_deadline(DIRECT_TIMEOUT_S)
         self._tick()
 
     def _tick(self) -> None:
@@ -283,8 +282,7 @@ class DirectPunch(_Punch):
         self._sent_nonces.add(nonce)
         self._sock.send(self._peer, pack_probe(KIND_PROBE, self._session_id, nonce))
         self.probes_sent += 1
-        self._timer = self._transport.call_later(
-            int(self._cfg.direct_interval_s * 1_000_000), self._tick)
+        self._timer = self._transport.call_later(int(DIRECT_INTERVAL_S * 1_000_000), self._tick)
 
     def on_datagram(self, data: bytes, src: Endpoint) -> None:
         parsed = parse_probe(data)
@@ -297,7 +295,7 @@ class DirectPunch(_Punch):
         if self.done:
             return
         if kind == KIND_PROBE_ACK and nonce in self._sent_nonces:
-            for _ in range(self._cfg.confirm_repeat):
+            for _ in range(CONFIRM_REPEAT):
                 self._sock.send(src, pack_probe(KIND_CONFIRM, self._session_id, nonce))
             self._finish(True, self._sock, src, "direct")
         elif kind == KIND_CONFIRM:
@@ -424,12 +422,11 @@ class BirthdayProber(_Punch):
         nonce = parsed[2]
         if int.from_bytes(nonce, "big") >= self._next:
             return
-        self._send_confirm(src, nonce, self._cfg.confirm_repeat)
+        self._send_confirm(src, nonce, CONFIRM_REPEAT)
         self._finish(True, self._sock, src, "birthday")
 
     def _send_confirm(self, peer: Endpoint, nonce: bytes, remaining: int) -> None:
         self._sock.send(peer, pack_probe(KIND_CONFIRM, self._session_id, nonce))
         if remaining > 1:
-            self._transport.call_later(
-                int(self._cfg.confirm_spacing_s * 1_000_000),
-                lambda: self._send_confirm(peer, nonce, remaining - 1))
+            self._transport.call_later(int(CONFIRM_SPACING_S * 1_000_000),
+                                       lambda: self._send_confirm(peer, nonce, remaining - 1))

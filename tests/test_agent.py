@@ -248,6 +248,17 @@ class TestAgentEdges:
         net.run_for(1_000_000)
         assert got == [b""]
 
+    def test_deeply_nested_json_datagram_is_dropped(self):
+        net, coord_host, _ = make_world(seed=121)
+        a, host_a = spawn(net, coord_host, "alpha")
+        b, _ = spawn(net, coord_host, "beta")
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        prankster = net.add_host("prankster").bind(lambda *x: None)
+        prankster.send((host_a.ip, a.primary.local_port), b'{"a":' + b"[" * 1190)
+        net.run_for(100_000)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+
 
 class TestIntroduceParameters:
     INTRO = {"type": "introduce", "session_id": "00" * 8, "peer": "beta",

@@ -12,15 +12,18 @@ import time
 
 import pytest
 
+from bdmesh.netsim import HostTransport, Network
 from bdmesh.realbackend import (
     AsyncioTransport,
     AsyncioUdpSocket,
     CoordinatorServer,
     NodeClient,
+    TcpLineChannel,
     _coordinator_main,
     _load_identity,
     _parse_hostport,
 )
+from bdmesh.rendezvous import Coordinator
 from bdmesh.securelink import Identity
 from bdmesh.traversal import (KIND_CONFIRM, KIND_PROBE, KIND_PROBE_ACK, BirthdayOpener,
                               PunchConfig, pack_probe, parse_probe)
@@ -121,6 +124,138 @@ class TestOpenerOnLoopback:
                     s.close()
 
         run(main())
+
+
+class TestTcpLineChannel:
+    def test_deeply_nested_line_is_dropped_and_the_connection_kept(self):
+        async def main():
+            got, channels = [], []
+
+            async def accept(reader, writer):
+                channel = TcpLineChannel(reader, writer)
+                channel.on_line = got.append
+                channels.append(channel)
+                await channel.drain_lines()
+
+            server = await asyncio.start_server(accept, "127.0.0.1", 0)
+            _, writer = await asyncio.open_connection(*server.sockets[0].getsockname())
+            try:
+                writer.write(b"[" * 5000 + b"\n" + b'{"type":"ping"}\n')
+                await until(lambda: got)
+                assert got == [{"type": "ping"}]
+                assert not channels[0].closed
+            finally:
+                writer.close()
+                await until(lambda: channels and channels[0].closed)
+                server.close()
+                await server.wait_closed()
+
+        run(main())
+
+
+class TestBackendContract:
+    """Each backend's transport, socket and channel offer every member
+    the agent, the punch machines and the coordinator use; a missing
+    one fails only at run time, on the backend that lacks it."""
+
+    TRANSPORT = ("call_later", "open_socket", "open_sockets", "send_burst")
+    SOCKET = ("send", "close")
+    CHANNEL = ("send", "close")
+
+    @staticmethod
+    def lacks(obj, methods, values=(), writable=()):
+        missing = [m for m in methods if not callable(getattr(obj, m, None))]
+        missing += [v for v in values if not hasattr(obj, v)]
+        for name in writable:
+            marker = lambda *args: None
+            try:
+                setattr(obj, name, marker)
+            except AttributeError:
+                missing.append(name)
+                continue
+            if getattr(obj, name) is not marker:
+                missing.append(name)
+        return missing
+
+    def test_simulator_and_asyncio_backends_offer_the_same_members(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            net = Network(seed=1)
+            host, coord_host = net.add_host("h"), net.add_host("coord")
+            coord_host.listen_channel(4500, lambda end: None)
+            accepted = []
+            server = await asyncio.start_server(lambda r, w: accepted.append(w),
+                                                "127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(*server.sockets[0].getsockname())
+            aio_sock = AsyncioUdpSocket(loop, lambda *x: None)
+            try:
+                transports = (HostTransport(host), AsyncioTransport(loop))
+                sockets = (host.bind(lambda *x: None), aio_sock)
+                channels = (net.connect_channel(host, coord_host, 4500),
+                            TcpLineChannel(reader, writer))
+                for transport in transports:
+                    assert self.lacks(transport, self.TRANSPORT, ("rng",)) == [], transport
+                    assert isinstance(transport.rng, random.Random)
+                for sock in sockets:
+                    assert self.lacks(sock, self.SOCKET, ("local_port",), ("handler",)) == [], sock
+                    assert isinstance(sock.local_port, int)
+                for channel in channels:
+                    assert self.lacks(channel, self.CHANNEL, ("peer_observed",),
+                                      ("on_line", "on_close")) == [], channel
+                    assert len(channel.peer_observed) == 2
+            finally:
+                aio_sock.close()
+                writer.close()
+                for w in accepted:
+                    w.close()
+                server.close()
+                await server.wait_closed()
+
+        run(main())
+
+
+def _untemper(y: int) -> int:
+    """Invert MT19937's output tempering of one 32-bit word."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x
+
+
+def guess_after_opener_nonces(rng) -> bytes:
+    """Draw the nonces of a 312-pinhole opener burst the way
+    BirthdayOpener.start does (624 32-bit words, sent in plaintext),
+    rebuild an MT19937 from them and return its guess at the next
+    randbytes(32), which seeds the next handshake ephemeral."""
+    leak = rng.randbytes(8 * 312)
+    words = [int.from_bytes(leak[i:i + 4], "little") for i in range(0, len(leak), 4)]
+    clone = random.Random()
+    clone.setstate((3, tuple(_untemper(w) for w in words) + (624,), None))
+    return clone.randbytes(32)
+
+
+class TestRealRandomness:
+    def test_the_recovery_predicts_a_seeded_generator(self):
+        rng = random.Random()
+        rng.randbytes(100)  # start the leak mid-block
+        assert guess_after_opener_nonces(rng) == rng.randbytes(32)
+
+    def test_asyncio_transport_rng_cannot_be_rebuilt_from_nonces(self):
+        loop = asyncio.new_event_loop()
+        try:
+            rng = AsyncioTransport(loop).rng
+        finally:
+            loop.close()
+        assert guess_after_opener_nonces(rng) != rng.randbytes(32)
+
+    def test_coordinator_default_rng_cannot_be_rebuilt(self):
+        rng = Coordinator().rng
+        assert guess_after_opener_nonces(rng) != rng.randbytes(32)
 
 
 class TestHelpers:

@@ -20,11 +20,11 @@ from bdmesh.securelink import (
 )
 
 
-def run_handshake(expect_a=True, expect_b=True, rng=None):
+def run_handshake(rng=None):
     rng = rng or random.Random(1)
     ida, idb = Identity.generate(rng), Identity.generate(rng)
-    init = HandshakeInitiator(ida, idb.public_bytes if expect_a else None, rng=rng)
-    resp = HandshakeResponder(idb, ida.public_bytes if expect_b else None, rng=rng)
+    init = HandshakeInitiator(ida, idb.public_bytes, rng=rng)
+    resp = HandshakeResponder(idb, ida.public_bytes, rng=rng)
     m1 = init.message1()
     m2 = resp.consume_message1(m1)
     keys_a = init.consume_message2(m2)
@@ -61,7 +61,7 @@ class TestHandshake:
         rng = random.Random(2)
         ida, idb, mallory = (Identity.generate(rng) for _ in range(3))
         init = HandshakeInitiator(ida, mallory.public_bytes, rng=rng)
-        resp = HandshakeResponder(idb, rng=rng)
+        resp = HandshakeResponder(idb, ida.public_bytes, rng=rng)
         m2 = resp.consume_message1(init.message1())
         with pytest.raises(HandshakeError, match="identity"):
             init.consume_message2(m2)
@@ -69,7 +69,7 @@ class TestHandshake:
     def test_responder_can_pin_initiator(self):
         rng = random.Random(3)
         ida, idb, mallory = (Identity.generate(rng) for _ in range(3))
-        init = HandshakeInitiator(mallory, rng=rng)
+        init = HandshakeInitiator(mallory, idb.public_bytes, rng=rng)
         resp = HandshakeResponder(idb, expected_peer=ida.public_bytes, rng=rng)
         with pytest.raises(HandshakeError, match="identity"):
             resp.consume_message1(init.message1())
@@ -77,27 +77,27 @@ class TestHandshake:
     def test_tampered_signature_rejected(self):
         rng = random.Random(4)
         ida, idb = Identity.generate(rng), Identity.generate(rng)
-        init = HandshakeInitiator(ida, rng=rng)
+        init = HandshakeInitiator(ida, idb.public_bytes, rng=rng)
         m1 = bytearray(init.message1())
         m1[-1] ^= 0x01
         with pytest.raises(HandshakeError, match="signature"):
-            HandshakeResponder(idb, rng=rng).consume_message1(bytes(m1))
+            HandshakeResponder(idb, ida.public_bytes, rng=rng).consume_message1(bytes(m1))
 
     def test_swapped_ephemeral_rejected(self):
         # An attacker substituting the ephemeral key breaks the signature.
         rng = random.Random(5)
         ida, idb = Identity.generate(rng), Identity.generate(rng)
-        init = HandshakeInitiator(ida, rng=rng)
+        init = HandshakeInitiator(ida, idb.public_bytes, rng=rng)
         m1 = bytearray(init.message1())
         m1[40] ^= 0xFF  # inside eph_pub
         with pytest.raises(HandshakeError, match="signature"):
-            HandshakeResponder(idb, rng=rng).consume_message1(bytes(m1))
+            HandshakeResponder(idb, ida.public_bytes, rng=rng).consume_message1(bytes(m1))
 
     def test_bad_suite_version_type_and_length(self):
         rng = random.Random(6)
         ida, idb = Identity.generate(rng), Identity.generate(rng)
-        m1 = HandshakeInitiator(ida, rng=rng).message1()
-        resp = lambda: HandshakeResponder(idb, rng=rng)
+        m1 = HandshakeInitiator(ida, idb.public_bytes, rng=rng).message1()
+        resp = lambda: HandshakeResponder(idb, ida.public_bytes, rng=rng)
         with pytest.raises(HandshakeError, match="bytes"):
             resp().consume_message1(m1 + b"x")
         bad_version = m1[:4] + b"\x07" + m1[5:]
@@ -112,8 +112,8 @@ class TestHandshake:
 
     def test_reply_before_init_rejected(self):
         rng = random.Random(7)
-        ida = Identity.generate(rng)
-        init = HandshakeInitiator(ida, rng=rng)
+        ida, idb = Identity.generate(rng), Identity.generate(rng)
+        init = HandshakeInitiator(ida, idb.public_bytes, rng=rng)
         with pytest.raises(HandshakeError):
             init.consume_message2(b"\x00" * HANDSHAKE_LEN)
 

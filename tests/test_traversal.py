@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdmesh import traversal
 from bdmesh.errors import InvalidParametersError
 from bdmesh.netsim import (FilteringMode, HostTransport, LinkPolicy, MappingMode, NatProfile,
                            Network)
@@ -103,14 +104,14 @@ def add_observer(net, host, port):
     return host.bind(handler, port)
 
 
-def classify(net, host, observers, **kw):
+def classify(net, host, observers):
     result = []
     transport = HostTransport(host)
     sock = host.bind(lambda data, src, s: cl.on_observed(json.loads(data))
                      if data[:1] == b"{" else None)
     cl = NatClassifier(transport, sock, (host.ip, sock.port), observers,
                        lambda verdict, observed: result.append((verdict, observed)),
-                       rng=net.rng, **kw)
+                       rng=net.rng)
     cl.start()
     net.run_for(10_000_000)
     return result[0]
@@ -184,10 +185,11 @@ class TestNatClassifier:
                             "endpoint": {"ip": host.ip, "port": sock.port}})
         assert result == [("public", (host.ip, sock.port))]
 
-    def test_retries_survive_loss(self):
+    def test_retries_survive_loss(self, monkeypatch):
+        monkeypatch.setattr(traversal, "CLASSIFY_TRIES", 10)
         net, observers = self.world()
         host = net.add_host("h", link=LinkPolicy(loss=0.6))
-        verdict, _ = classify(net, host, observers, tries=10)
+        verdict, _ = classify(net, host, observers)
         assert verdict == "public"
 
 
@@ -219,7 +221,7 @@ class TestDirectPunch:
         sock_b.handler = wire(punch_b)
         punch_a.start()
         punch_b.start()
-        net.run_for(int(cfg.direct_timeout_s * 1_000_000) + 1_000_000)
+        net.run_for(int(traversal.DIRECT_TIMEOUT_S * 1_000_000) + 1_000_000)
         return results
 
     def test_public_to_public(self):
@@ -247,14 +249,15 @@ class TestDirectPunch:
         assert results["a"][0] and results["b"][0]
         assert results["a"][1] == ep_b and results["b"][1] == ep_a
 
-    def test_timeout_when_peer_dark(self):
+    def test_timeout_when_peer_dark(self, monkeypatch):
+        monkeypatch.setattr(traversal, "DIRECT_TIMEOUT_S", 1.0)
         net = Network(seed=24)
         a = net.add_host("a")
         a.bind(lambda *x: None, 7000)
         transport = HostTransport(a)
         results = []
         punch = DirectPunch(transport, a.sockets[7000], b"S" * 8, ("10.77.0.9", 7000),
-                            PunchConfig(direct_timeout_s=1.0),
+                            PunchConfig(),
                             lambda ok, sock, peer, why: results.append((ok, why)), net.rng)
         a.sockets[7000].handler = wire(punch)
         punch.start()
