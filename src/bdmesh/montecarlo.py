@@ -21,6 +21,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,51 +63,54 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
     cfg = PunchConfig(open_ports=open_ports, probe_rate=rate,
                       max_duration_s=max_seconds,
                       space=space or PortSpace())
-    net = Network(seed=seed)
-    link = LinkPolicy(loss=loss, latency_us=latency_us)
-    hard_nat = net.add_nat(NatProfile.hard("nat-hard", alloc_space=cfg.space))
-    opener_host = net.add_host("opener", nat=hard_nat, link=link)
-    prober_host = net.add_host("prober",
-                               nat=net.add_nat(NatProfile.easy("nat-easy")),
-                               link=link)
-    anchor = net.add_host("anchor")
+    # The world is closed on every return path, so reference counting
+    # alone frees it.
+    with closing(Network(seed=seed)) as net:
+        link = LinkPolicy(loss=loss, latency_us=latency_us)
+        hard_nat = net.add_nat(NatProfile.hard("nat-hard", alloc_space=cfg.space))
+        opener_host = net.add_host("opener", nat=hard_nat, link=link)
+        prober_host = net.add_host("prober",
+                                   nat=net.add_nat(NatProfile.easy("nat-easy")),
+                                   link=link)
+        anchor = net.add_host("anchor")
 
-    observed: list = []
-    anchor.bind(lambda data, src, sock: observed.append(src), port=3478)
+        observed: list = []
+        anchor.bind(lambda data, src, sock: observed.append(src), port=3478)
 
-    transport_p = HostTransport(prober_host)
-    transport_o = HostTransport(opener_host)
-    prober_sock = transport_p.open_socket(lambda data, src, sock: None)
+        transport_p = HostTransport(prober_host)
+        transport_o = HostTransport(opener_host)
+        prober_sock = transport_p.open_socket(lambda data, src, sock: None)
 
-    # Reveal the prober's external mapping; retried because the anchor
-    # ping rides the same lossy link as everything else.
-    start_us = net.now_us
-    while not observed:
-        prober_sock.send((anchor.ip, 3478), b"hello")
-        net.run_for(2 * latency_us + 1000)
-        if net.now_us - start_us > 5_000_000:
-            return TrialOutcome(False, 0, net.now_us - start_us)
-    prober_ext = observed[0]
+        # Reveal the prober's external mapping; retried because the anchor
+        # ping rides the same lossy link as everything else.
+        start_us = net.now_us
+        while not observed:
+            prober_sock.send((anchor.ip, 3478), b"hello")
+            net.run_for(2 * latency_us + 1000)
+            if net.now_us - start_us > 5_000_000:
+                return TrialOutcome(False, 0, net.now_us - start_us)
+        prober_ext = observed[0]
 
-    done: dict = {}
+        done: dict = {}
 
-    def prober_done(ok: bool, sock, peer, why: str) -> None:
-        done["prober"] = ok
+        def prober_done(ok: bool, sock, peer, why: str) -> None:
+            done["prober"] = ok
+            done["at_us"] = net.now_us
 
-    session_id = net.rng.randbytes(8)
-    opener = BirthdayOpener(transport_o, session_id, prober_ext, cfg,
-                            lambda ok, sock, peer, why: None, rng=net.rng)
-    prober = BirthdayProber(transport_p, prober_sock, session_id,
-                            hard_nat.public_ip, cfg, prober_done, rng=net.rng)
-    prober_sock.handler = lambda data, src, sock: prober.on_datagram(data, src)
-    t0 = net.now_us
-    opener.start()
-    prober.start()
-    hard_stop = t0 + int((cfg.max_duration_s + 1.0) * 1_000_000)
-    while "prober" not in done and net.now_us < hard_stop:
-        net.run_until(min(hard_stop, net.now_us + 200_000))
-    return TrialOutcome(bool(done.get("prober")), prober.probes_sent,
-                        net.now_us - t0)
+        session_id = net.rng.randbytes(8)
+        opener = BirthdayOpener(transport_o, session_id, prober_ext, cfg,
+                                lambda ok, sock, peer, why: None, rng=net.rng)
+        prober = BirthdayProber(transport_p, prober_sock, session_id,
+                                hard_nat.public_ip, cfg, prober_done, rng=net.rng)
+        prober_sock.handler = lambda data, src, sock: prober.on_datagram(data, src)
+        t0 = net.now_us
+        opener.start()
+        prober.start()
+        hard_stop = t0 + int((cfg.max_duration_s + 1.0) * 1_000_000)
+        while "prober" not in done and net.now_us < hard_stop:
+            net.run_until(min(hard_stop, net.now_us + 200_000))
+        return TrialOutcome(bool(done.get("prober")), prober.probes_sent,
+                            done.get("at_us", net.now_us) - t0)
 
 
 def analytic_success_rate(open_ports: int, rate: float, max_seconds: float,

@@ -343,20 +343,18 @@ class VirtualClock:
 
 
 class TraceLog:
-    """Append-only event trace with a stable content hash: SHA-256 over one
-    line per entry, json.dumps of {t_us, kind, src, dst, info} with sorted
-    keys and no spaces, fed as each entry is added."""
+    """Append-only event trace kept as its stable content hash: SHA-256 over
+    one line per entry, json.dumps of {t_us, kind, src, dst, info} with
+    sorted keys and no spaces, fed as each entry is added.  The lines
+    themselves are not kept."""
 
     def __init__(self) -> None:
-        self.lines: list[bytes] = []
         self._sha = hashlib.sha256()
 
     def add(self, t_us: int, kind: str, src: Endpoint, dst: Endpoint, info: str) -> None:
         line = (f'{{"dst":{_quote(f"{dst[0]}:{dst[1]}")},"info":{_quote(info)},'
                 f'"kind":{_quote(kind)},"src":{_quote(f"{src[0]}:{src[1]}")},"t_us":{t_us}}}\n')
-        line = line.encode()
-        self.lines.append(line)
-        self._sha.update(line)
+        self._sha.update(line.encode())
 
     def digest(self) -> str:
         return self._sha.hexdigest()
@@ -385,6 +383,7 @@ class SimSocket:
     def close(self) -> None:
         if not self.closed:
             self.closed = True
+            self.handler = None  # handlers are often bound to the socket's owner
             del self.host.sockets[self.port]
 
 
@@ -698,3 +697,29 @@ class Network:
     @property
     def now_us(self) -> int:
         return self.clock.now_us
+
+    def close(self) -> None:
+        """End the run: drop pending events (cancelling their timers), every
+        host's sockets and channel listeners, the host, NAT and address
+        tables and each NAT's mappings.  `stats` and the trace digest stay
+        readable.  No cycle then runs through the world's own objects
+        (Host.net, SimSocket.host, handlers and timers bound to protocol
+        machines), so reference counting frees it."""
+        for _, _, fn, _ in self.clock._heap:
+            if type(fn) is Timer:
+                fn.cancel()
+        self.clock._heap.clear()
+        self._batch = []
+        for host in self.hosts.values():
+            for sock in list(host.sockets.values()):
+                sock.close()
+            host.channel_listeners.clear()
+        for nat in self.nats.values():
+            nat._by_key.clear()
+            nat._by_ext.clear()
+            if nat._by_internal is not None:
+                nat._by_internal.clear()
+        self.hosts.clear()
+        self.nats.clear()
+        self._by_ip.clear()
+        self.on_wire = None

@@ -197,6 +197,11 @@ class Coordinator:
         if not isinstance(node_id, str) or not (0 < len(node_id) <= MAX_NODE_ID):
             self._error(channel, "bad-message", f"node must be a 1..{MAX_NODE_ID} char string")
             return
+        bound = self._node_by_channel.get(id(channel))
+        if bound is not None and bound != node_id:
+            # One channel speaks for one node: its record holds the channel.
+            self._error(channel, "bad-message", f"channel is registered as {bound!r}")
+            return
         try:
             pubkey = base64.b64decode(msg.get("pubkey_b64", ""), validate=True)
         except (binascii.Error, TypeError):

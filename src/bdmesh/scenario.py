@@ -334,6 +334,7 @@ def _run_single(doc: dict, seed: int) -> dict:
     report["ok"] = bool(report["connected"] and checks["all_ok"])
     report["stats"] = dict(world.net.stats)
     report["trace_hash"] = world.net.trace.digest()
+    world.net.close()
     return report
 
 

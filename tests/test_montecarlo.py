@@ -1,8 +1,11 @@
 """Seeded punch trials against the analytic success law."""
 
+import gc
+import weakref
+
 import pytest
 
-from bdmesh import montecarlo
+from bdmesh import montecarlo, netsim
 from bdmesh.errors import InvalidParametersError
 from bdmesh.montecarlo import (
     MIN_TRIALS_PER_WORKER,
@@ -61,14 +64,22 @@ class TestRunPunchTrial:
     # (open ports, seconds, loss) of the four benchmark punch configurations,
     # each with (success, probes_sent, elapsed_us) of trial_seed(10, i), i < 6.
     PINNED = {
-        (256, 10.0, 0.0): [(True, 150, 1600000), (True, 294, 3000000), (True, 317, 3200000),
-                           (True, 122, 1400000), (True, 766, 7800000), (True, 239, 2400000)],
-        (128, 10.0, 0.0): [(True, 59, 600000), (False, 1000, 10000000), (True, 37, 400000),
-                           (True, 879, 8800000), (True, 421, 4400000), (True, 221, 2400000)],
-        (512, 5.0, 0.0): [(True, 47, 600000), (True, 242, 2600000), (True, 5, 200000),
-                          (False, 500, 5000000), (True, 18, 200000), (True, 78, 800000)],
-        (256, 10.0, 0.05): [(True, 287, 3000000), (True, 751, 7600000), (True, 323, 3400000),
-                            (True, 489, 5000000), (True, 428, 4400000), (True, 1000, 10000000)],
+        (256, 10.0, 0.0): [(True, 150, 1492000), (True, 294, 2932000), (True, 317, 3162000),
+                           (True, 122, 1212000), (True, 766, 7652000), (True, 239, 2382000)],
+        (128, 10.0, 0.0): [(True, 59, 582000), (False, 1000, 10000000), (True, 37, 362000),
+                           (True, 879, 8782000), (True, 421, 4202000), (True, 221, 2202000)],
+        (512, 5.0, 0.0): [(True, 47, 462000), (True, 242, 2412000), (True, 5, 42000),
+                          (False, 500, 5000000), (True, 18, 172000), (True, 78, 772000)],
+        (256, 10.0, 0.05): [(True, 287, 2862000), (True, 751, 7502000), (True, 323, 3222000),
+                            (True, 489, 4882000), (True, 428, 4272000), (True, 1000, 9992000)],
+    }
+    # elapsed_us of the same trials when it was the end of the 200 ms slice
+    # of virtual time in which the prober reported.
+    SLICE_END_US = {
+        (256, 10.0, 0.0): [1600000, 3000000, 3200000, 1400000, 7800000, 2400000],
+        (128, 10.0, 0.0): [600000, 10000000, 400000, 8800000, 4400000, 2400000],
+        (512, 5.0, 0.0): [600000, 2600000, 200000, 5000000, 200000, 800000],
+        (256, 10.0, 0.05): [3000000, 7600000, 3400000, 5000000, 4400000, 10000000],
     }
 
     @pytest.mark.parametrize("config", list(PINNED))
@@ -79,6 +90,39 @@ class TestRunPunchTrial:
         got = [run_punch_trial(trial_seed(10, i), open_ports=open_ports, rate=100.0,
                                max_seconds=max_seconds, loss=loss) for i in range(6)]
         assert [(o.success, o.probes_sent, o.elapsed_us) for o in got] == self.PINNED[config]
+        # The report time is the prober's own, inside the slice that ended with it.
+        for o, slice_end in zip(got, self.SLICE_END_US[config]):
+            assert slice_end - 200_000 < o.elapsed_us <= slice_end
+
+    @pytest.mark.parametrize("loss", [0.0, 0.4, 0.9999999])
+    def test_trial_world_is_freed_by_reference_counting(self, monkeypatch, loss):
+        # loss=0.4: the opener acks more than one pinhole and closes the
+        # extra ones.  loss=0.9999999: no anchor ping gets through, so the
+        # trial takes the early return after 5 s of virtual time.
+        nets = []
+
+        class Recorded(netsim.Network):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                nets.append(weakref.ref(self))
+
+        monkeypatch.setattr(montecarlo, "Network", Recorded)
+        gc.collect()
+        gc.disable()
+        try:
+            before = world_objects()
+            out = run_punch_trial(trial_seed(10, 0), loss=loss)
+            left = [o for o in world_objects() if not any(o is b for b in before)]
+        finally:
+            gc.enable()
+        assert (out.probes_sent == 0) == (loss > 0.99)
+        assert len(nets) == 1 and nets[0]() is None
+        assert left == []
+
+
+def world_objects():
+    """Every live NAT mapping and simulated socket."""
+    return [o for o in gc.get_objects() if type(o) in (netsim._Mapping, netsim.SimSocket)]
 
 
 class TestAnalyticRate:

@@ -135,6 +135,24 @@ class TestRegistration:
         register(net, a2, "a", KEY_A)
         assert len(a2.of_type("registered")) == 1
 
+    def test_channel_registers_one_node_id(self):
+        # A channel may re-register its own id (agents do, after
+        # classification); test_malformed_udp_endpoint_is_not_kept does so.
+        net, coord_host, coord = world()
+        x = Client(net, net.add_host("hx"), coord_host)
+        other = Client(net, net.add_host("ho"), coord_host)
+        register(net, x, "a", KEY_A)
+        register(net, x, "b", KEY_B)
+        register(net, other, "c", KEY_C)
+        x.ch.close()
+        net.run_for(20_000)
+        # a's channel is gone, so no introduction may be sent on it.
+        other.send(type="introduce_request", peer="a")
+        net.run_for(20_000)
+        assert other.last_error() == "no-such-node"
+        assert x.last_error() == "bad-message"
+        assert set(coord.nodes) == {"a", "c"}
+
     def test_registration_expires(self, monkeypatch):
         monkeypatch.setattr(rendezvous, "REGISTRATION_TTL_S", 1.0)
         net, coord_host, coord = world()

@@ -1,6 +1,7 @@
 """Scenario validation, world building, bundled runs, determinism."""
 
 import copy
+import gc
 import json
 from importlib.resources import files
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+from bdmesh import netsim, scenario
 from bdmesh.errors import ScenarioError, UnsupportedSchemeError
 from bdmesh.probability import success_probability
 from bdmesh.scenario import (
@@ -232,6 +234,39 @@ class TestDeterminism:
         # a different master seed reshuffles every per-trial seed
         r3 = run_scenario(minimal_doc(experiment={"trials": 3, "seed": 78}))
         assert r3["aggregate"]["rows_digest"] != r1["aggregate"]["rows_digest"]
+
+
+class TestWorldLifetime:
+    @pytest.mark.parametrize("name", ["blocked.json", "fullmesh5.json", "site2site.json"])
+    def test_run_releases_mappings_and_pending_events(self, monkeypatch, name):
+        # Agents and their sessions still form cycles, so the world itself
+        # may outlive the run, but none of its NAT mappings or heap events do.
+        nets = []
+
+        class Recorded(netsim.Network):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                nets.append(self)
+
+        monkeypatch.setattr(scenario, "Network", Recorded)
+        gc.collect()
+        gc.disable()
+        try:
+            before = pending_world_objects()
+            report = run_scenario(bundled_scenario_path(name))
+            left = [o for o in pending_world_objects() if not any(o is b for b in before)]
+        finally:
+            gc.enable()
+        assert report["trace_hash"] == TestDeterminism.GOLDEN_TRACE_HASHES[name]
+        (net,) = nets
+        assert net.clock._heap == [] and net.nats == {} and net.hosts == {}
+        assert left == []
+
+
+def pending_world_objects():
+    """Every live NAT mapping and every timer that would still fire."""
+    return [o for o in gc.get_objects()
+            if type(o) is netsim._Mapping or (type(o) is netsim.Timer and o.fn is not None)]
 
 
 class TestRealizationStatistics:

@@ -12,7 +12,9 @@ and, untraced, the number of pairs the change won.  The runs of one
 invocation are stored under the workload and the label (--label,
 default "seeds <seeds>, trace <t>") in --out, which gathers every
 invocation along with the CPU count, the Python version and the
-commands that produced it.  Exits 1 when a run fails or is not correct.
+commands that produced it.  Stdout gets one summary line per metric:
+both sides' median [q1, q3], their ratio and the pairs the change won.
+Exits 1 when a run fails or is not correct.
 """
 
 from __future__ import annotations
@@ -46,6 +48,37 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def open_record(path: str, tool: str, argv) -> dict:
+    """The BENCH_*.json at path (empty if new), stamped with this machine's
+    CPU count and Python version and with the command being run."""
+    doc = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc.update({"cpu_count": os.cpu_count(), "python": platform.python_version()})
+    argv = sys.argv[1:] if argv is None else argv
+    doc.setdefault("commands", []).append(shlex.join(["python3", tool, *argv]))
+    return doc
+
+
+def write_record(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def summary_line(name: str, entry: dict) -> str:
+    """One metric of one invocation: each side's median [q1, q3], the
+    change's median over the parent's and, untraced, the pairs it won."""
+    p, c = entry["parent"], entry["change"]
+    ratio = c["median"] / p["median"] if p["median"] else float("nan")
+    line = (f"{name} ({entry['unit']}): parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
+            f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  ratio {ratio:.3f}")
+    if "change_wins" in entry:
+        line += f"  wins {entry['change_wins']}/{entry['pairs']}"
+    return line
 
 
 def main(argv=None) -> int:
@@ -86,13 +119,7 @@ def main(argv=None) -> int:
             entry["pairs"] = len(sides_values["parent"])
         metrics[name] = entry
 
-    doc = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc.update({"cpu_count": os.cpu_count(), "python": platform.python_version()})
-    argv = sys.argv[1:] if argv is None else argv
-    doc.setdefault("commands", []).append(shlex.join(["python3", "tools/bench_pairs.py", *argv]))
+    doc = open_record(args.out, "tools/bench_pairs.py", argv)
     label = args.label or f"seeds {args.seeds}, trace {args.trace}"
     doc.setdefault("workloads", {}).setdefault(args.workload, {})[label] = {
         "seconds": args.seconds, "trace": args.trace, "metrics": metrics,
@@ -100,9 +127,9 @@ def main(argv=None) -> int:
                          "attempted": r["attempted"], "failed": r["failed"],
                          "metrics": {k: m["value"] for k, m in r["metrics"].items()}}
                         for r in rs] for side, rs in runs.items()}}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_record(args.out, doc)
+    for name, entry in metrics.items():
+        print(summary_line(name, entry))
     bad = [r for rs in runs.values() for r in rs if not r["correct"] or r["failed"]]
     return 1 if bad else 0
 
