@@ -24,7 +24,6 @@ from .errors import (
     SimulationError,
     UnsupportedSchemeError,
 )
-from .montecarlo import SIGMA_CHECK_MIN_TRIALS, run_monte_carlo
 from .probability import (PortSpace, min_probes, probability_curve, probe_count,
                           success_probability)
 
@@ -106,6 +105,8 @@ def cmd_analyze_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate_traversal(args: argparse.Namespace) -> int:
+    from .montecarlo import SIGMA_CHECK_MIN_TRIALS, run_monte_carlo
+
     progress = None
     if log.isEnabledFor(logging.INFO):
         progress = lambda done, total: log.info("trials %d/%d", done, total)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -198,6 +197,9 @@ def run_monte_carlo(open_ports: int = 256, rate: float = 100.0,
     if workers == 1:
         successes, total_probes = _run_block(job(0, trials), progress)
     else:
+        # Only a run that starts a pool loads it and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         block = max(1, math.ceil(trials / (workers * 4)))
         jobs = [job(start, min(block, trials - start))
                 for start in range(0, trials, block)]

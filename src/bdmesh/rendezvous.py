@@ -11,7 +11,9 @@ REGISTRATION_TTL_S after the last register or ping.
 
 The coordinator also answers observe datagrams on two UDP observer
 ports; two vantage ports are what a node needs to classify its NAT
-(see traversal.NatClassifier).
+(see traversal.NatClassifier).  An observe carries an integer token in
+[0, 2**63), the only kind the classifier sends; any other request is
+dropped, so a reply never reflects content the sender chose.
 
 An introduce_request names a registered peer.  The coordinator picks
 roles from the two NAT classes and sends both sides an introduce
@@ -164,7 +166,10 @@ class Coordinator:
             return None
         if not isinstance(obj, dict) or obj.get("type") != "observe":
             return None
-        reply = {"type": "observed", "token": obj.get("token"), "endpoint": format_endpoint(src)}
+        token = obj.get("token")
+        if type(token) is not int or not 0 <= token < 1 << 63:
+            return None
+        reply = {"type": "observed", "token": token, "endpoint": format_endpoint(src)}
         return json.dumps(reply, separators=(",", ":")).encode()
 
     # -- message handling -------------------------------------------------

@@ -22,10 +22,9 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib.resources import files
 from typing import Optional
-
-from jsonschema import Draft202012Validator
 
 from .agent import NodeAgent
 from .errors import ScenarioError
@@ -69,7 +68,14 @@ __all__ = [
 SCENARIO_SCHEMA: dict = json.loads(
     files("bdmesh").joinpath("scenario.schema.json").read_text(encoding="utf-8"))
 
-_VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
+
+@cache
+def _validator():
+    """The schema's validator, built on the first validation, so a process
+    that validates nothing never pays for importing jsonschema."""
+    from jsonschema import Draft202012Validator
+
+    return Draft202012Validator(SCENARIO_SCHEMA)
 
 
 def bundled_scenario_path(name: str):
@@ -97,7 +103,7 @@ def validate_scenario(doc) -> None:
     offending field.  The scheme combination itself is NOT classified
     here; an unsupported-but-well-formed triple is a planning concern.
     """
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: e.json_path)
+    errors = sorted(_validator().iter_errors(doc), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
         raise ScenarioError(f"{first.json_path}: {first.message}")

@@ -1,5 +1,6 @@
 """Seeded punch trials against the analytic success law."""
 
+import concurrent.futures
 import gc
 import weakref
 
@@ -168,7 +169,7 @@ class TestRunMonteCarlo:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         small = run_monte_carlo(trials=MIN_TRIALS_PER_WORKER - 1, seed=13)
         solo = run_monte_carlo(trials=MIN_TRIALS_PER_WORKER - 1, seed=13, workers=1)
         assert small == solo

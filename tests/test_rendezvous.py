@@ -2,6 +2,7 @@
 role assignment, and the relay path."""
 
 import base64
+import json
 
 import pytest
 
@@ -192,11 +193,25 @@ class TestObservation:
         sock.send((coord_host.ip, 3479), b"not json at all")
         net.run_for(20_000)
         assert len(got) == 1
-        import json
-
         reply = json.loads(got[0])
         assert reply == {"type": "observed", "token": 9,
                          "endpoint": {"ip": host.ip, "port": 7000}}
+
+    def test_only_a_classifier_token_is_echoed(self):
+        net, coord_host, _ = world()
+        got = []
+        sock = net.add_host("a").bind(lambda data, src, s: got.append(data), 7000)
+        for token in ("x" * 1024, {"a": [1, {"b": 2}]}, True, -1, 1 << 63, 1.0, None):
+            sock.send((coord_host.ip, 3478),
+                      json.dumps({"type": "observe", "token": token}).encode())
+        sock.send((coord_host.ip, 3478), b'{"type":"observe"}')
+        net.run_for(20_000)
+        assert got == []
+        for token in (9, 0, (1 << 63) - 1):
+            sock.send((coord_host.ip, 3479),
+                      json.dumps({"type": "observe", "token": token}).encode())
+        net.run_for(20_000)
+        assert [json.loads(g)["token"] for g in got] == [9, 0, (1 << 63) - 1]
 
     def test_deeply_nested_datagram_is_dropped(self):
         net, coord_host, _ = world()
