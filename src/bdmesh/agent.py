@@ -466,8 +466,12 @@ class NodeAgent:
             self._channels[keys.channel_id] = ls
             self._link_up(ls)
         else:
-            if ls.handshake_reply is not None and body == ls.handshake_m1:
-                ls.send_handshake(ls.handshake_reply)  # duplicate M1, same M2
+            # One M1 per session.  An initiator's retries are byte-identical
+            # and get the same M2; any other M1 (one replayed from an earlier
+            # session between the same identities still verifies) is dropped.
+            if ls.handshake_reply is not None:
+                if body == ls.handshake_m1:
+                    ls.send_handshake(ls.handshake_reply)
                 return
             responder = HandshakeResponder(self.identity, ls.peer_pubkey, rng=self.rng)
             try:

@@ -18,15 +18,18 @@ P describes intent, not a promise.  A link planned direct can still
 fall back to the relay when punching fails; the plan records what was
 meant and the realization report records what actually happened.
 Planning is pure; ``realize_plan`` drives live agents on a simulated
-network until every planned link is up or a deadline passes.
+network until every planned link is up or a deadline passes.  Every wait
+on the simulated clock, here and in scenario verification, goes through
+``drive``: run in POLL_MS steps until a goal holds or a deadline passes.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     InvalidParametersError,
@@ -44,7 +47,7 @@ POLL_MS = 50  # virtual time a driving loop runs between checks of its goal
 __all__ = [
     "SchemeKind", "SCHEME_TABLE", "SCHEME_PARAMS", "classify_scheme",
     "nearest_scheme", "NodeSpec", "PlannedLink", "MeshPlan", "plan_links",
-    "route_lookup", "LinkOutcome", "RealizationReport", "realize_plan",
+    "route_lookup", "LinkOutcome", "RealizationReport", "realize_plan", "drive",
 ]
 
 
@@ -136,10 +139,7 @@ class MeshPlan:
                  "subnets": list(n.subnets)}
                 for n in self.nodes
             ],
-            "links": [
-                {"a": l.a, "b": l.b, "encrypted": l.encrypted, "path": l.path}
-                for l in self.links
-            ],
+            "links": [asdict(l) for l in self.links],
             "routes": dict(self.routes),
         }
 
@@ -165,19 +165,18 @@ def _check_nodes(nodes: Sequence[NodeSpec]) -> None:
             except ValueError as exc:
                 raise PlanError(f"node {n.node_id!r}: bad subnet {cidr!r}: {exc}") from exc
             parsed.append((n.node_id, cidr, net))
-    for i, (id_a, cidr_a, net_a) in enumerate(parsed):
-        for id_b, cidr_b, net_b in parsed[i + 1:]:
-            if net_a.version == net_b.version and net_a.overlaps(net_b):
-                raise PlanError(
-                    f"subnets overlap: {cidr_a!r} ({id_a}) and {cidr_b!r} ({id_b})")
+    for (id_a, cidr_a, net_a), (id_b, cidr_b, net_b) in combinations(parsed, 2):
+        if net_a.version == net_b.version and net_a.overlaps(net_b):
+            raise PlanError(f"subnets overlap: {cidr_a!r} ({id_a}) and {cidr_b!r} ({id_b})")
 
 
-def _pairs(members: Sequence[NodeSpec], encrypted: bool, path: str) -> list[PlannedLink]:
-    out = []
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            out.append(PlannedLink(a.node_id, b.node_id, encrypted, path))
-    return out
+# The pairwise schemes link every two members: (member kind, member
+# count, whether the count is exact rather than a minimum).
+_PAIRWISE: dict[SchemeKind, tuple[str, int, bool]] = {
+    SchemeKind.FULL_MESH: ("point", 2, False),
+    SchemeKind.SITE_MESH: ("gateway", 2, False),
+    SchemeKind.SITE_TO_SITE: ("gateway", 2, True),
+}
 
 
 def plan_links(scheme: SchemeKind, nodes: Sequence[NodeSpec]) -> MeshPlan:
@@ -185,51 +184,42 @@ def plan_links(scheme: SchemeKind, nodes: Sequence[NodeSpec]) -> MeshPlan:
 
     Composition rules: full_mesh takes >= 2 points and no gateways;
     site_mesh >= 2 gateways and no points; site_to_site exactly 2
-    gateways; point_to_site exactly 1 gateway plus >= 1 point.
+    gateways; point_to_site exactly 1 gateway plus >= 1 point, each
+    pair ordered as its two nodes were declared.
     Advertised subnets must be pairwise disjoint.
     """
     if not isinstance(scheme, SchemeKind):
         raise InvalidParametersError(f"not a scheme: {scheme!r}")
     nodes = tuple(nodes)
     _check_nodes(nodes)
-    points = [n for n in nodes if n.kind == "point"]
-    gateways = [n for n in nodes if n.kind == "gateway"]
+    by_kind: dict[str, list[NodeSpec]] = {"point": [], "gateway": []}
+    for n in nodes:
+        by_kind[n.kind].append(n)
     _, p_flag, theta = SCHEME_PARAMS[scheme]
-    encrypted = bool(theta)
-    intent = "direct" if p_flag else "relayed"
 
-    if scheme is SchemeKind.FULL_MESH:
-        if gateways:
-            raise PlanError(f"full_mesh takes points only; "
-                            f"{[g.node_id for g in gateways]} are gateways")
-        if len(points) < 2:
-            raise PlanError("full_mesh needs at least 2 points")
-        links = _pairs(points, encrypted, intent)
-    elif scheme is SchemeKind.SITE_MESH:
-        if points:
-            raise PlanError(f"site_mesh takes gateways only; "
-                            f"{[p.node_id for p in points]} are points")
-        if len(gateways) < 2:
-            raise PlanError("site_mesh needs at least 2 gateways")
-        links = _pairs(gateways, encrypted, intent)
-    elif scheme is SchemeKind.SITE_TO_SITE:
-        if points:
-            raise PlanError(f"site_to_site takes gateways only; "
-                            f"{[p.node_id for p in points]} are points")
-        if len(gateways) != 2:
-            raise PlanError(f"site_to_site needs exactly 2 gateways, got {len(gateways)}")
-        links = _pairs(gateways, encrypted, intent)
-    else:  # POINT_TO_SITE
+    if scheme is SchemeKind.POINT_TO_SITE:
+        gateways = by_kind["gateway"]
         if len(gateways) != 1:
             raise PlanError(f"point_to_site needs exactly 1 gateway, got {len(gateways)}")
-        if not points:
+        if not by_kind["point"]:
             raise PlanError("point_to_site needs at least one point")
-        gw = gateways[0]
-        links = []
-        for n in nodes:
-            if n.kind == "point":
-                a, b = (n, gw) if _declared_before(nodes, n, gw) else (gw, n)
-                links.append(PlannedLink(a.node_id, b.node_id, encrypted, intent))
+        gw_at = nodes.index(gateways[0])
+        pairs = [(n, nodes[gw_at]) if i < gw_at else (nodes[gw_at], n)
+                 for i, n in enumerate(nodes) if n.kind == "point"]
+    else:
+        kind, count, exact = _PAIRWISE[scheme]
+        other = "gateway" if kind == "point" else "point"
+        members, others = by_kind[kind], by_kind[other]
+        if others:
+            raise PlanError(f"{scheme.value} takes {kind}s only; "
+                            f"{[n.node_id for n in others]} are {other}s")
+        if exact and len(members) != count:
+            raise PlanError(f"{scheme.value} needs exactly {count} {kind}s, got {len(members)}")
+        if len(members) < count:
+            raise PlanError(f"{scheme.value} needs at least {count} {kind}s")
+        pairs = combinations(members, 2)
+    links = tuple(PlannedLink(a.node_id, b.node_id, bool(theta),
+                              "direct" if p_flag else "relayed") for a, b in pairs)
 
     if len(nodes) >= OVERLAY_BLOCK.num_addresses - 1:
         raise PlanError(f"too many nodes for the overlay block {OVERLAY_BLOCK}")
@@ -237,18 +227,9 @@ def plan_links(scheme: SchemeKind, nodes: Sequence[NodeSpec]) -> MeshPlan:
         n.node_id: str(OVERLAY_BLOCK.network_address + i)
         for i, n in enumerate(nodes, start=1)
     }
-    routes = {cidr: n.node_id for n in gateways for cidr in n.subnets}
-    return MeshPlan(scheme=scheme, nodes=nodes, links=tuple(links),
+    routes = {cidr: n.node_id for n in nodes for cidr in n.subnets}
+    return MeshPlan(scheme=scheme, nodes=nodes, links=links,
                     addresses=addresses, routes=routes)
-
-
-def _declared_before(nodes: Sequence[NodeSpec], a: NodeSpec, b: NodeSpec) -> bool:
-    for n in nodes:
-        if n is a:
-            return True
-        if n is b:
-            return False
-    return False
 
 
 def route_lookup(plan: MeshPlan, dst: str) -> str:
@@ -280,6 +261,14 @@ def route_lookup(plan: MeshPlan, dst: str) -> str:
 # -- realization --------------------------------------------------------
 
 
+def drive(net, done: Callable[[], bool], until_us: int) -> bool:
+    """Run the simulated network in POLL_MS steps until ``done()`` holds
+    or its clock reaches ``until_us``; return whether ``done()`` holds."""
+    while not done() and net.now_us < until_us:
+        net.run_until(min(until_us, net.now_us + POLL_MS * 1000))
+    return done()
+
+
 @dataclass
 class LinkOutcome:
     a: str
@@ -289,11 +278,6 @@ class LinkOutcome:
     probes_sent: int          # punch datagrams, both ends combined
     elapsed_ms: Optional[float]
     up: bool
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "encrypted": self.encrypted,
-                "path": self.path, "probes_sent": self.probes_sent,
-                "elapsed_ms": self.elapsed_ms, "up": self.up}
 
 
 @dataclass
@@ -308,13 +292,13 @@ class RealizationReport:
 
     def to_dict(self) -> dict:
         d = self.plan.to_dict()
-        d["links"] = [o.to_dict() for o in self.links]
+        d["links"] = [asdict(o) for o in self.links]
         d["connected"] = self.connected
         d["dead_links"] = [list(pair) for pair in self.dead_links]
         return d
 
 
-def _fully_connected(nodes: Sequence[NodeSpec], up_pairs: set[frozenset]) -> bool:
+def _fully_connected(nodes: Sequence[NodeSpec], up_pairs: list[tuple[str, str]]) -> bool:
     if len(nodes) <= 1:
         return True
     parent = {n.node_id: n.node_id for n in nodes}
@@ -325,8 +309,7 @@ def _fully_connected(nodes: Sequence[NodeSpec], up_pairs: set[frozenset]) -> boo
             x = parent[x]
         return x
 
-    for pair in up_pairs:
-        a, b = tuple(pair)
+    for a, b in up_pairs:
         parent[find(a)] = find(b)
     roots = {find(n.node_id) for n in nodes}
     return len(roots) == 1
@@ -346,40 +329,36 @@ def realize_plan(net, agents: dict, plan: MeshPlan,
     if missing:
         raise InvalidParametersError(f"no agent for planned nodes {missing}")
 
-    ready_until = net.now_us + int(READY_DEADLINE_S * 1_000_000)
-    while not all(agents[n.node_id].ready for n in plan.nodes):
-        if net.now_us >= ready_until:
-            stuck = [n.node_id for n in plan.nodes if not agents[n.node_id].ready]
-            raise SimulationError(f"agents never became ready: {stuck}")
-        net.run_until(min(ready_until, net.now_us + POLL_MS * 1000))
+    def ready() -> bool:
+        return all(agents[n.node_id].ready for n in plan.nodes)
 
-    up_at: dict[tuple[frozenset, str], int] = {}   # (pair, node) -> t_us
-    probes: dict[tuple[frozenset, str], int] = {}
-    paths: dict[tuple[frozenset, str], str] = {}
+    if not drive(net, ready, net.now_us + int(READY_DEADLINE_S * 1_000_000)):
+        stuck = [n.node_id for n in plan.nodes if not agents[n.node_id].ready]
+        raise SimulationError(f"agents never became ready: {stuck}")
+
+    # (node, peer) -> (t_us, probes, path) of that end's first link_up
+    ups: dict[tuple[str, str], tuple[int, int, str]] = {}
     failed: set[frozenset] = set()
-    hooks: list[tuple[object, object]] = []
+    watched = [(agents[n.node_id], agents[n.node_id].on_event) for n in plan.nodes]
 
-    def watch(agent) -> None:
-        prev = agent.on_event
-
-        def hook(ev: dict) -> None:
-            pair = frozenset((agent.node_id, ev.get("peer")))
+    def hook(agent, prev):
+        def on_event(ev: dict) -> None:
             if ev.get("event") == "link_up":
-                key = (pair, agent.node_id)
-                up_at.setdefault(key, net.now_us)
-                probes[key] = ev.get("probes", 0)
-                paths[key] = ev.get("path")
+                ups.setdefault((agent.node_id, ev.get("peer")),
+                               (net.now_us, ev.get("probes", 0), ev.get("path")))
             elif ev.get("event") == "session_failed":
-                failed.add(pair)
+                failed.add(frozenset((agent.node_id, ev.get("peer"))))
             if prev is not None:
                 prev(ev)
-        agent.on_event = hook
-        hooks.append((agent, prev))
+        return on_event
 
-    wanted = [frozenset((l.a, l.b)) for l in plan.links]
+    def resolved() -> bool:
+        return all(((l.a, l.b) in ups and (l.b, l.a) in ups)
+                   or frozenset((l.a, l.b)) in failed for l in plan.links)
+
     try:
-        for n in plan.nodes:
-            watch(agents[n.node_id])
+        for agent, prev in watched:
+            agent.on_event = hook(agent, prev)
         for link in plan.links:
             ea, eb = agents[link.a], agents[link.b]
             ea.link_encryption[link.b] = link.encrypted
@@ -391,36 +370,21 @@ def realize_plan(net, agents: dict, plan: MeshPlan,
         for link in plan.links:
             initiator = min(link.a, link.b)
             agents[initiator].connect(link.b if initiator == link.a else link.a)
-
-        def resolved(pair: frozenset) -> bool:
-            a, b = tuple(pair)
-            both_up = (pair, a) in up_at and (pair, b) in up_at
-            return both_up or pair in failed
-
-        stop_at = t0 + int(deadline_s * 1_000_000)
-        while not all(resolved(p) for p in wanted) and net.now_us < stop_at:
-            net.run_until(min(stop_at, net.now_us + POLL_MS * 1000))
+        drive(net, resolved, t0 + int(deadline_s * 1_000_000))
     finally:
-        for agent, prev in hooks:
+        for agent, prev in watched:
             agent.on_event = prev
 
     outcomes: list[LinkOutcome] = []
-    up_pairs: set[frozenset] = set()
     for link in plan.links:
-        pair = frozenset((link.a, link.b))
-        ka, kb = (pair, link.a), (pair, link.b)
-        up = ka in up_at and kb in up_at
-        if up:
-            up_pairs.add(pair)
-            elapsed_ms = round((max(up_at[ka], up_at[kb]) - t0) / 1000.0, 3)
-            path = paths.get(ka)
-        else:
-            elapsed_ms = None
-            path = None
+        ra, rb = ups.get((link.a, link.b)), ups.get((link.b, link.a))
+        up = ra is not None and rb is not None
         outcomes.append(LinkOutcome(
-            a=link.a, b=link.b, encrypted=link.encrypted, path=path,
-            probes_sent=probes.get(ka, 0) + probes.get(kb, 0),
-            elapsed_ms=elapsed_ms, up=up,
+            a=link.a, b=link.b, encrypted=link.encrypted,
+            path=ra[2] if up else None,
+            probes_sent=(ra[1] if ra else 0) + (rb[1] if rb else 0),
+            elapsed_ms=round((max(ra[0], rb[0]) - t0) / 1000.0, 3) if up else None,
+            up=up,
         ))
-    return RealizationReport(plan=plan, links=outcomes,
-                             connected=_fully_connected(plan.nodes, up_pairs))
+    return RealizationReport(plan=plan, links=outcomes, connected=_fully_connected(
+        plan.nodes, [(o.a, o.b) for o in outcomes if o.up]))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import ipaddress
 import json
 from dataclasses import dataclass
 from functools import cache
@@ -29,11 +30,11 @@ from typing import Optional
 from .agent import NodeAgent
 from .errors import ScenarioError
 from .meshplan import (
-    POLL_MS,
     MeshPlan,
     NodeSpec,
     RealizationReport,
     classify_scheme,
+    drive,
     plan_links,
     route_lookup,
 )
@@ -108,15 +109,13 @@ def validate_scenario(doc) -> None:
         first = errors[0]
         raise ScenarioError(f"{first.json_path}: {first.message}")
 
-    host_ids: set[str] = set()
-    kinds: dict[str, str] = {}
+    kinds: dict[str, str] = {}  # host id -> kind
     for i, hd in enumerate(doc["hosts"]):
         hid = hd["id"]
         if hid == COORD_HOST_ID:
             raise ScenarioError(f"$.hosts[{i}].id: {COORD_HOST_ID!r} is reserved")
-        if hid in host_ids:
+        if hid in kinds:
             raise ScenarioError(f"$.hosts[{i}].id: duplicate host id {hid!r}")
-        host_ids.add(hid)
         kinds[hid] = hd.get("kind", "point")
 
     nat_ids: set[str] = set()
@@ -132,7 +131,7 @@ def validate_scenario(doc) -> None:
 
     linked: set[str] = set()
     for i, ld in enumerate(doc.get("links", [])):
-        if ld["host"] not in host_ids:
+        if ld["host"] not in kinds:
             raise ScenarioError(f"$.links[{i}].host: unknown host {ld['host']!r}")
         if ld["host"] in linked:
             raise ScenarioError(f"$.links[{i}].host: duplicate link policy "
@@ -141,7 +140,7 @@ def validate_scenario(doc) -> None:
 
     for i, sd in enumerate(doc.get("subnets", [])):
         gw = sd["gateway"]
-        if gw not in host_ids:
+        if gw not in kinds:
             raise ScenarioError(f"$.subnets[{i}].gateway: unknown host {gw!r}")
         if kinds[gw] != "gateway":
             raise ScenarioError(f"$.subnets[{i}].gateway: {gw!r} is not a gateway")
@@ -158,14 +157,12 @@ def validate_scenario(doc) -> None:
 class ScenarioWorld:
     net: Network
     coord: Coordinator
-    coord_host: object
     agents: dict
     plan: MeshPlan
-    doc: dict
     seed: int
 
 
-def build_world(doc: dict, seed: Optional[int] = None, trace: bool = True) -> ScenarioWorld:
+def build_world(doc: dict, seed: Optional[int] = None) -> ScenarioWorld:
     """Construct the simulated world a validated scenario describes.
 
     Agents are started but not yet connected; the scheme is classified
@@ -177,7 +174,7 @@ def build_world(doc: dict, seed: Optional[int] = None, trace: bool = True) -> Sc
         seed = exp.get("seed", 0)
     plan = build_plan_only(doc)
 
-    net = Network(seed=seed, trace=trace)
+    net = Network(seed=seed, trace=True)
     coord_host = net.add_host(COORD_HOST_ID)
     coord = Coordinator(rng=net.rng, punch=exp.get("punch"), now_fn=lambda: net.now_us / 1e6)
     coord.bind_sim(net, coord_host)
@@ -209,8 +206,7 @@ def build_world(doc: dict, seed: Optional[int] = None, trace: bool = True) -> Sc
         agent.start()
         agents[hd["id"]] = agent
 
-    return ScenarioWorld(net=net, coord=coord, coord_host=coord_host,
-                         agents=agents, plan=plan, doc=doc, seed=seed)
+    return ScenarioWorld(net=net, coord=coord, agents=agents, plan=plan, seed=seed)
 
 
 def _verification_payload(seed: int, a: str, b: str) -> bytes:
@@ -221,14 +217,15 @@ def _verification_payload(seed: int, a: str, b: str) -> bytes:
 
 def _ping_target(plan: MeshPlan, node_id: str) -> str:
     """An address the node is responsible for: the first host of its
-    first advertised subnet, else its own overlay address."""
-    import ipaddress
+    first advertised subnet when route lookup resolves that to the node
+    (another node's overlay address may lie inside the subnet), else the
+    node's own overlay address."""
     for spec in plan.nodes:
         if spec.node_id == node_id and spec.subnets:
             net = ipaddress.ip_network(spec.subnets[0])
-            if net.prefixlen >= net.max_prefixlen - 1:
-                return str(net.network_address)
-            return str(net.network_address + 1)
+            first = net.network_address + (1 if net.prefixlen < net.max_prefixlen - 1 else 0)
+            if route_lookup(plan, str(first)) == node_id:
+                return str(first)
     return plan.addresses[node_id]
 
 
@@ -237,23 +234,27 @@ def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport) -> dict:
     overlay ping both ways, and a wire privacy check for the marker."""
     net, plan, agents = world.net, world.plan, world.agents
     up_links = [o for o in outcome.links if o.up]
+    directed = [p for o in up_links for p in ((o.a, o.b), (o.b, o.a))]  # sending order
     expected_hash: dict[tuple[str, str], str] = {}
     got_hash: dict[tuple[str, str], str] = {}
     got_pong: set[tuple[str, str]] = set()
-    wire: list[bytes] = []
+    marker_on_wire = False
 
     prev_on_wire = net.on_wire
 
     def on_wire(kind, src, dst, payload):
-        wire.append(payload)
-        if kind == "ctrl":
+        nonlocal marker_on_wire
+        if marker_on_wire or PAYLOAD_MARKER in payload:
+            marker_on_wire = True
+        elif kind == "ctrl":
             try:
                 obj = json.loads(payload)
             except ValueError:
                 return
             if isinstance(obj, dict) and obj.get("type") == "relay_data":
                 try:
-                    wire.append(base64.b64decode(obj.get("payload_b64", "")))
+                    marker_on_wire = PAYLOAD_MARKER in base64.b64decode(
+                        obj.get("payload_b64", ""))
                 except (ValueError, TypeError):
                     pass
 
@@ -282,40 +283,27 @@ def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport) -> dict:
 
     net.on_wire = on_wire
     try:
-        for o in up_links:
-            for me, peer in ((o.a, o.b), (o.b, o.a)):
-                agents[me].links[peer].on_payload = receiver(me, peer)
-        for o in up_links:
-            for src, dst in ((o.a, o.b), (o.b, o.a)):
-                payload = _verification_payload(world.seed, src, dst)
-                expected_hash[(src, dst)] = hashlib.sha256(payload).hexdigest()
-                link = agents[src].links[dst]
-                link.send(payload)
-                target = _ping_target(plan, dst)
-                link.send(_PING_PREFIX + f"{target}|{src}->{dst}".encode())
-
-        want_pairs = [(o.a, o.b) for o in up_links] + [(o.b, o.a) for o in up_links]
+        for me, peer in directed:
+            agents[me].links[peer].on_payload = receiver(me, peer)
+        for src, dst in directed:
+            payload = _verification_payload(world.seed, src, dst)
+            expected_hash[(src, dst)] = hashlib.sha256(payload).hexdigest()
+            link = agents[src].links[dst]
+            link.send(payload)
+            link.send(_PING_PREFIX + f"{_ping_target(plan, dst)}|{src}->{dst}".encode())
 
         def done() -> bool:
-            return all(p in got_hash for p in want_pairs) and \
-                all(p in got_pong for p in want_pairs)
+            return all(p in got_hash and p in got_pong for p in directed)
 
-        deadline = net.now_us + int(SETTLE_S * 1_000_000)
-        while not done() and net.now_us < deadline:
-            net.run_until(min(deadline, net.now_us + POLL_MS * 1000))
+        drive(net, done, net.now_us + int(SETTLE_S * 1_000_000))
     finally:
         net.on_wire = prev_on_wire
 
-    payloads_ok = all(got_hash.get(p) == expected_hash[p] for p in expected_hash)
-    pings_ok = all(p in got_pong for p in expected_hash)
-    marker_on_wire = any(PAYLOAD_MARKER in w for w in wire)
-    encrypted_scheme = bool(up_links) and all(o.encrypted for o in up_links)
-    if not up_links:
-        encryption_ok = True
-    elif encrypted_scheme:
-        encryption_ok = not marker_on_wire
-    else:
-        encryption_ok = marker_on_wire
+    payloads_ok = all(got_hash.get(p) == expected_hash[p] for p in directed)
+    pings_ok = all(p in got_pong for p in directed)
+    # The marker must stay off the wire of an all-encrypted overlay and be
+    # seen on any other; with no link up there is nothing to check.
+    encryption_ok = not up_links or marker_on_wire != all(o.encrypted for o in up_links)
     return {
         "links_verified": len(up_links),
         "payloads_ok": payloads_ok,
@@ -329,17 +317,14 @@ def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport) -> dict:
 def _run_single(doc: dict, seed: int) -> dict:
     from .meshplan import realize_plan
 
-    world = build_world(doc, seed=seed, trace=True)
+    world = build_world(doc, seed=seed)
     outcome = realize_plan(world.net, world.agents, world.plan,
                            deadline_s=world.coord.punch["max_seconds"] + 20.0)
     checks = _verify_overlay(world, outcome)
     report = outcome.to_dict()
-    report["mode"] = "single"
-    report["seed"] = seed
-    report["checks"] = checks
-    report["ok"] = bool(report["connected"] and checks["all_ok"])
-    report["stats"] = dict(world.net.stats)
-    report["trace_hash"] = world.net.trace.digest()
+    report.update(mode="single", seed=seed, checks=checks,
+                  ok=bool(outcome.connected and checks["all_ok"]),
+                  stats=dict(world.net.stats), trace_hash=world.net.trace.digest())
     world.net.close()
     return report
 
@@ -363,8 +348,6 @@ def run_scenario(doc_or_path, seed: Optional[int] = None) -> dict:
     if trials == 1:
         return _run_single(doc, master)
 
-    plan = build_plan_only(doc)
-    planned = len(plan.links)
     rows = []
     for i in range(trials):
         rep = _run_single(doc, trial_seed(master, i, "bdmesh-scenario-trial"))
@@ -379,11 +362,12 @@ def run_scenario(doc_or_path, seed: Optional[int] = None) -> dict:
             "ok": rep["ok"],
             "trace_hash": rep["trace_hash"],
         })
+    planned = len(rep["links"])  # every trial plans the same scheme and links
     digest = hashlib.sha256(
         "\n".join(json.dumps(r, sort_keys=True) for r in rows).encode()
     ).hexdigest()
     return {
-        "scheme": plan.scheme.value,
+        "scheme": rep["scheme"],
         "mode": "multi",
         "trials": trials,
         "master_seed": master,
@@ -405,12 +389,9 @@ def build_plan_only(doc: dict) -> MeshPlan:
     scheme_doc = doc["scheme"]
     scheme = classify_scheme(int(scheme_doc["G"]), int(scheme_doc["P"]),
                              int(scheme_doc["theta"]))
-    subnets_by_gw: dict[str, list[str]] = {}
-    for sd in doc.get("subnets", []):
-        subnets_by_gw.setdefault(sd["gateway"], []).append(sd["cidr"])
     specs = [
         NodeSpec(hd["id"], hd.get("kind", "point"),
-                 tuple(subnets_by_gw.get(hd["id"], ())))
+                 tuple(sd["cidr"] for sd in doc.get("subnets", []) if sd["gateway"] == hd["id"]))
         for hd in doc["hosts"]
     ]
     return plan_links(scheme, specs)

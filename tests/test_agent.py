@@ -8,6 +8,7 @@ import json
 from bdmesh.agent import NodeAgent
 from bdmesh.netsim import LinkPolicy, NatProfile, Network
 from bdmesh.rendezvous import Coordinator
+from bdmesh.securelink import MSG_INIT, is_handshake
 
 
 def make_world(seed=100, punch=None, trace=False):
@@ -74,6 +75,30 @@ class TestDirectLink:
         net.run_for(1_000_000)
         assert got == [b"plaintext-marker/0001"]
         assert not any(b"plaintext-marker" in w for w in wire)
+
+    def test_replayed_m1_from_an_earlier_session_keeps_the_link(self):
+        # An M1 does not bind its session, so the one from an earlier
+        # session between the same identities still verifies; answering it
+        # would replace the responder's cipher and no later frame would open.
+        net, coord_host, _ = make_world(seed=101)
+        a, _ = spawn(net, coord_host, "alpha")
+        b, host_b = spawn(net, coord_host, "beta")
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        wire = sniff(net)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        (old_m1,) = {w for w in wire if is_handshake(w) and w[5] == MSG_INIT}
+        first = a.links["beta"]
+        a.connect("beta")  # a second session between the same identities
+        assert wait(net, lambda: a.links["beta"] is not first, 10.0)
+        net.run_for(1_000_000)
+        a.primary.send((host_b.ip, b.primary.local_port), old_m1)  # from alpha's endpoint
+        net.run_for(100_000)
+        got = []
+        b.links["alpha"].on_payload = got.append
+        a.links["beta"].send(b"after the replay")
+        net.run_for(1_000_000)
+        assert got == [b"after the replay"]
 
     def test_easy_pair_direct(self):
         net, coord_host, _ = make_world(seed=102)

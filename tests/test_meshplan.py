@@ -85,6 +85,34 @@ def specs(*ids, kind="point", subnets=()):
     return [NodeSpec(i, kind=kind, subnets=subnets) for i in ids]
 
 
+# (scheme, nodes, the exact PlanError text): these texts reach the stderr
+# of `bdmesh scenario`, so a rewording must be deliberate.
+COMPOSITION_ERRORS = [
+    (SchemeKind.FULL_MESH, specs("a", "b", kind="gateway"),
+     "full_mesh takes points only; ['a', 'b'] are gateways"),
+    (SchemeKind.FULL_MESH, specs("a"), "full_mesh needs at least 2 points"),
+    (SchemeKind.SITE_MESH, specs("a", "b"),               # points, not gateways
+     "site_mesh takes gateways only; ['a', 'b'] are points"),
+    (SchemeKind.SITE_MESH, specs("a", kind="gateway"), "site_mesh needs at least 2 gateways"),
+    (SchemeKind.SITE_TO_SITE, specs("a", "b", "c", kind="gateway"),
+     "site_to_site needs exactly 2 gateways, got 3"),
+    (SchemeKind.SITE_TO_SITE, specs("a", kind="gateway"),
+     "site_to_site needs exactly 2 gateways, got 1"),
+    (SchemeKind.POINT_TO_SITE, specs("a", "b"),           # no gateway
+     "point_to_site needs exactly 1 gateway, got 0"),
+    (SchemeKind.POINT_TO_SITE, specs("a", "b", kind="gateway"),
+     "point_to_site needs exactly 1 gateway, got 2"),
+    (SchemeKind.POINT_TO_SITE, [NodeSpec("gw", "gateway")],
+     "point_to_site needs at least one point"),
+    (SchemeKind.SITE_TO_SITE, specs("a", "b", kind="gateway") + specs("c"),
+     "site_to_site takes gateways only; ['c'] are points"),
+    (SchemeKind.FULL_MESH, specs("p") + specs("g", kind="gateway"),
+     "full_mesh takes points only; ['g'] are gateways"),
+    (SchemeKind.SITE_MESH, specs("g", kind="gateway") + specs("p", "q"),
+     "site_mesh takes gateways only; ['p', 'q'] are points"),
+]
+
+
 class TestPlanLinks:
     @given(st.integers(min_value=2, max_value=10))
     @settings(max_examples=20)
@@ -127,20 +155,12 @@ class TestPlanLinks:
         assert (plan.links[0].a, plan.links[0].b) == ("p1", "hub")
         assert (plan.links[1].a, plan.links[1].b) == ("hub", "p2")
 
-    @pytest.mark.parametrize("scheme,nodes", [
-        (SchemeKind.FULL_MESH, specs("a", "b", kind="gateway")),
-        (SchemeKind.FULL_MESH, specs("a")),
-        (SchemeKind.SITE_MESH, specs("a", "b")),               # points, not gateways
-        (SchemeKind.SITE_MESH, specs("a", kind="gateway")),
-        (SchemeKind.SITE_TO_SITE, specs("a", "b", "c", kind="gateway")),
-        (SchemeKind.SITE_TO_SITE, specs("a", kind="gateway")),
-        (SchemeKind.POINT_TO_SITE, specs("a", "b")),           # no gateway
-        (SchemeKind.POINT_TO_SITE, specs("a", "b", kind="gateway")),
-        (SchemeKind.POINT_TO_SITE, [NodeSpec("gw", "gateway")]),
-    ])
-    def test_composition_errors(self, scheme, nodes):
-        with pytest.raises(PlanError):
+    @pytest.mark.parametrize("scheme,nodes,message", COMPOSITION_ERRORS, ids=[
+        f"{scheme}-nodes{i}" for i, (scheme, _, _) in enumerate(COMPOSITION_ERRORS)])
+    def test_composition_errors(self, scheme, nodes, message):
+        with pytest.raises(PlanError) as exc:
             plan_links(scheme, nodes)
+        assert str(exc.value) == message
 
     def test_point_may_not_advertise(self):
         with pytest.raises(PlanError, match="may not advertise"):

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import json
 from importlib.resources import files
 from pathlib import Path
@@ -234,6 +235,82 @@ class TestDeterminism:
         # a different master seed reshuffles every per-trial seed
         r3 = run_scenario(minimal_doc(experiment={"trials": 3, "seed": 78}))
         assert r3["aggregate"]["rows_digest"] != r1["aggregate"]["rows_digest"]
+
+
+# A point_to_site overlay whose gateway is declared between two points,
+# so one link is (point, gateway) and the other (gateway, point).
+POINT_TO_SITE_DOC = {
+    "hosts": [{"id": "p1"}, {"id": "hub", "kind": "gateway", "nat": "nh"},
+              {"id": "p2", "nat": "n2"}],
+    "nats": [{"id": "nh"}, {"id": "n2"}],
+    "scheme": {"G": 1, "P": 0, "theta": 1},
+    "subnets": [{"gateway": "hub", "cidr": "192.168.50.0/24"}],
+    "experiment": {"seed": 31},
+}
+
+# A site_mesh with one gateway behind a hard NAT on a 30 % lossy link: two
+# links are punched by the birthday opener, and verification loses payloads.
+SITE_MESH_LOSSY_DOC = {
+    "hosts": [{"id": "g1", "kind": "gateway", "nat": "n1"},
+              {"id": "g2", "kind": "gateway", "nat": "hard"},
+              {"id": "g3", "kind": "gateway"}],
+    "nats": [{"id": "n1"},
+             {"id": "hard", "mapping": "endpoint_dependent",
+              "filtering": "address_and_port_dependent"}],
+    "links": [{"host": "g2", "loss": 0.3}],
+    "scheme": {"G": 1, "P": 1, "theta": 1},
+    "subnets": [{"gateway": "g1", "cidr": "10.1.0.0/16"},
+                {"gateway": "g2", "cidr": "10.2.0.0/16"},
+                {"gateway": "g3", "cidr": "10.3.0.0/16"}],
+    "experiment": {"seed": 13, "punch": {"max_seconds": 10.0}},
+}
+
+
+def report_digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+class TestReportDigests:
+    # Whole reports, not just their trace hashes: checks, per-link timings
+    # and probe counts, dead links and the multi-trial rows and aggregate.
+    REPORTS = {
+        "fullmesh5.json": (
+            lambda: bundled_scenario_path("fullmesh5.json"),
+            "ff76d85f34f3ef65d554841fa3c027b7f3cc9d7d4b963874cb50df3484c09766"),
+        "site2site.json": (
+            lambda: bundled_scenario_path("site2site.json"),
+            "d0c4113c350f51a7314bc8c6eaf7316484bc15175f4e4b4a09aebe58265a43a8"),
+        "blocked.json": (
+            lambda: bundled_scenario_path("blocked.json"),
+            "96aa3b2d926d8149f5b1d016c033d6fdf7488260b223b97dac3bc3fe621841ac"),
+        "point_to_site": (
+            lambda: copy.deepcopy(POINT_TO_SITE_DOC),
+            "fba857b803241b8a760694eeada071a103e4d9bc9876e724a148f89eebe57703"),
+        "site_mesh_lossy": (
+            lambda: copy.deepcopy(SITE_MESH_LOSSY_DOC),
+            "6bcf24aa32c65271c35f6abe7fad2568e59bc29e182a07e0d625a4d15268a2b2"),
+        "three_trials": (
+            lambda: minimal_doc(experiment={"trials": 3, "seed": 77}),
+            "6a48ba01e8bed85a74000a5fffffb521a7ec05f3b65e89c51b94164b0ee8c745"),
+    }
+
+    @pytest.mark.parametrize("name", list(REPORTS))
+    def test_report_is_pinned(self, name):
+        source, digest = self.REPORTS[name]
+        assert report_digest(run_scenario(source())) == digest
+
+
+class TestVerification:
+    def test_subnet_over_node_addresses_pings_the_gateway_itself(self):
+        # gw-west advertises the overlay's first /24, whose first host is
+        # gw-east's overlay address; route lookup sends that to gw-east, so
+        # gw-west's ping goes to gw-west's own overlay address instead.
+        doc = load_scenario(bundled_scenario_path("site2site.json"))
+        doc["subnets"][1]["cidr"] = "100.64.0.0/24"
+        rep = run_scenario(doc)
+        assert rep["connected"]
+        assert rep["checks"]["pings_ok"] and rep["checks"]["payloads_ok"]
+        assert rep["ok"]
 
 
 class TestWorldLifetime:
