@@ -27,9 +27,10 @@ terminal, and a punch result that arrives after that is ignored.
 All datagrams of one agent share its primary socket except opener
 pinholes, which get sockets of their own; the agent takes over the one
 pinhole a birthday punch keeps, inside the punch's callback.  Demux
-order on arrival: probe packets (22-byte "BDHP"), handshake messages
-("BDHS"), sealed frames (by channel id), plain frames (by source
-route), observer replies (JSON).  Anything else is dropped silently.
+order on arrival: probe packets (22-byte "BDHP", by session id); sealed
+frames (by channel id); anything else from a route, which its session
+reads as a handshake message or a frame; observer replies (JSON).
+Anything else is dropped silently.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ class LinkSession:
 
     agent: "NodeAgent"
     session_id: bytes
-    session_hex: str
     peer_id: str
     role: str
     peer_ep: Optional[Endpoint]
@@ -113,15 +113,15 @@ class LinkSession:
     path: Optional[str] = None          # "direct" | "relayed", once found
     failure: Optional[str] = None       # why no path was found in time
     sock: object = None                 # direct path socket
-    cipher: Optional[FrameCipher] = None
+    cipher: Optional[FrameCipher] = None    # set with link, encrypted only
     link: Optional[OverlayLink] = None
     initiator: bool = False
+    # Initiator: its HandshakeInitiator.  Responder: (M1, M2) once it
+    # has answered, so a retried M1 gets the same M2.
     handshake: object = None
-    handshake_m1: Optional[bytes] = None       # responder: the M1 answered
-    handshake_reply: Optional[bytes] = None    # responder M2 cache
     handshake_tries: int = 0
     relay_requested: bool = False
-    _rx_buf: bytes = b""
+    _rx_buf: bytes = b""                # relay stream bytes not yet framed
     deadline: object = None
 
     @property
@@ -135,26 +135,21 @@ class LinkSession:
         if self.link is None:
             raise ProtocolError(f"link to {self.peer_id} is not up")
         if self.encrypted:
-            body = self.cipher.seal(chunk)
-            wire = body if self.path == "direct" else len(body).to_bytes(2, "big") + body
-        else:
-            wire = frame_plain(chunk)
-        if self.path == "direct":
-            self.sock.send(self.peer_ep, wire)
-        else:
-            self._relay_bytes(wire)
+            self.send_body(self.cipher.seal(chunk))
+        else:  # a plain datagram carries its own length prefix
+            self.send_body(frame_plain(chunk) if self.path == "direct" else chunk)
 
-    def send_handshake(self, body: bytes) -> None:
+    def send_body(self, body: bytes) -> None:
+        """One datagram on the direct path, one length-prefixed record
+        on the relay stream."""
         if self.path == "direct":
             self.sock.send(self.peer_ep, body)
-        else:
-            self._relay_bytes(len(body).to_bytes(2, "big") + body)
-
-    def _relay_bytes(self, data: bytes) -> None:
+            return
+        data = frame_plain(body)
         for i in range(0, len(data), MAX_RELAY_CHUNK):
             self.agent.channel.send({
                 "type": "relay_data",
-                "session_id": self.session_hex,
+                "session_id": self.session_id.hex(),
                 "payload_b64": base64.b64encode(data[i:i + MAX_RELAY_CHUNK]).decode(),
             })
 
@@ -168,29 +163,24 @@ class LinkSession:
                 break
             body = self._rx_buf[2:2 + n]
             self._rx_buf = self._rx_buf[2 + n:]
-            self.on_body(body, None)
+            self.on_body(body)
 
-    def on_body(self, body: bytes, src: Optional[Endpoint]) -> None:
-        if self.encrypted:
-            if is_handshake(body):
-                self.agent._on_handshake_body(self, body)
-                return
-            if self.cipher is None:
-                return
-            try:
-                chunk = self.cipher.open(body)
-            except (ProtocolError, ReplayError):
-                return
-            if self.link is not None:
-                self.link._deliver(chunk)
-        else:
-            if self.link is not None:
-                if self.path == "direct":
-                    try:
-                        body = split_plain(body)
-                    except ProtocolError:
-                        return
-                self.link._deliver(body)
+    def on_body(self, body: bytes) -> None:
+        """A handshake message (encrypted links only), a sealed frame or
+        a plain frame; anything that does not parse is dropped."""
+        if self.encrypted and is_handshake(body):
+            self.agent._on_handshake_body(self, body)
+            return
+        if self.link is None:
+            return
+        try:
+            if self.encrypted:
+                body = self.cipher.open(body)
+            elif self.path == "direct":
+                body = split_plain(body)
+        except (ProtocolError, ReplayError):
+            return
+        self.link._deliver(body)
 
 
 class NodeAgent:
@@ -351,8 +341,8 @@ class NodeAgent:
             self._emit("session_failed", peer=peer_id, reason=f"bad punch params: {exc}")
             return
         ls = LinkSession(
-            agent=self, session_id=session_id, session_hex=msg["session_id"],
-            peer_id=peer_id, role=role, peer_ep=peer_ep, peer_pubkey=peer_pubkey,
+            agent=self, session_id=session_id, peer_id=peer_id, role=role,
+            peer_ep=peer_ep, peer_pubkey=peer_pubkey,
             encrypted=self.encrypted_for(peer_id), cfg=cfg,
         )
         ls.initiator = self.node_id < peer_id
@@ -379,33 +369,28 @@ class NodeAgent:
         def done(ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
             if ls.terminal:
                 return  # the relay or the session deadline came first
-            if ok:
-                self._direct_path_up(ls, sock, peer)
-            else:
+            if not ok:
                 self._request_relay(ls)
+                return
+            ls.sock = sock
+            ls.peer_ep = peer
+            if sock is not self.primary:
+                sock.handler = self._on_datagram  # take over an opener pinhole
+            self._routes[(id(sock), peer)] = ls
+            self._path_found(ls, "direct")
         return done
-
-    def _direct_path_up(self, ls: LinkSession, sock, peer: Endpoint) -> None:
-        ls.path = "direct"
-        ls.sock = sock
-        ls.peer_ep = peer
-        if sock is not self.primary:
-            sock.handler = self._on_datagram  # take over an opener pinhole
-        self._routes[(id(sock), peer)] = ls
-        self._transport_ready(ls)
 
     def _request_relay(self, ls: LinkSession) -> None:
         if ls.relay_requested or ls.terminal:
             return
         ls.relay_requested = True
-        self.channel.send({"type": "relay_open", "session_id": ls.session_hex})
+        self.channel.send({"type": "relay_open", "session_id": ls.session_id.hex()})
 
     def _on_relay_opened(self, msg: dict) -> None:
         ls = self._session_by_sid_hex(msg.get("session_id"))
         if ls is None or ls.terminal:
             return
-        ls.path = "relayed"
-        self._transport_ready(ls)
+        self._path_found(ls, "relayed")
 
     def _on_relay_data(self, msg: dict) -> None:
         ls = self._session_by_sid_hex(msg.get("session_id"))
@@ -435,11 +420,11 @@ class NodeAgent:
 
     # -- link bring-up -----------------------------------------------------
 
-    def _transport_ready(self, ls: LinkSession) -> None:
+    def _path_found(self, ls: LinkSession, path: str) -> None:
+        ls.path = path
         if not ls.encrypted:
             self._link_up(ls)
-            return
-        if ls.initiator:
+        elif ls.initiator:
             ls.handshake = HandshakeInitiator(self.identity, ls.peer_pubkey, rng=self.rng)
             self._send_m1(ls)
         # The responder waits for M1.
@@ -450,7 +435,7 @@ class NodeAgent:
         if ls.handshake_tries >= HANDSHAKE_TRIES:
             return  # the session deadline will report the failure
         ls.handshake_tries += 1
-        ls.send_handshake(ls.handshake.message1())
+        ls.send_body(ls.handshake.message1())
         self.transport.call_later(int(HANDSHAKE_RETRY_S * 1_000_000),
                                   lambda: self._send_m1(ls))
 
@@ -462,35 +447,31 @@ class NodeAgent:
                 keys = ls.handshake.consume_message2(body)
             except HandshakeError:
                 return
-            ls.cipher = FrameCipher(keys)
-            self._channels[keys.channel_id] = ls
-            self._link_up(ls)
-        else:
+            self._link_up(ls, keys)
+        elif ls.handshake is not None:
             # One M1 per session.  An initiator's retries are byte-identical
             # and get the same M2; any other M1 (one replayed from an earlier
             # session between the same identities still verifies) is dropped.
-            if ls.handshake_reply is not None:
-                if body == ls.handshake_m1:
-                    ls.send_handshake(ls.handshake_reply)
-                return
+            m1, m2 = ls.handshake
+            if body == m1:
+                ls.send_body(m2)
+        else:
             responder = HandshakeResponder(self.identity, ls.peer_pubkey, rng=self.rng)
             try:
                 reply = responder.consume_message1(body)
             except HandshakeError:
                 return
-            ls.handshake_m1 = body
-            ls.handshake_reply = reply
-            ls.cipher = FrameCipher(responder.keys)
-            self._channels[responder.keys.channel_id] = ls
-            ls.send_handshake(reply)
-            if ls.link is None:
-                self._link_up(ls)
+            ls.handshake = (body, reply)
+            ls.send_body(reply)
+            self._link_up(ls, responder.keys)
 
-    def _link_up(self, ls: LinkSession) -> None:
+    def _link_up(self, ls: LinkSession, keys=None) -> None:
+        if keys is not None:
+            ls.cipher = FrameCipher(keys)
+            self._channels[keys.channel_id] = ls
         ls.link = OverlayLink(ls)
         self.links[ls.peer_id] = ls.link
-        if ls.deadline is not None:
-            ls.deadline.cancel()
+        ls.deadline.cancel()
         self._emit("link_up", peer=ls.peer_id, path=ls.path,
                    encrypted=ls.encrypted,
                    probes=ls.machine.probes_sent if ls.machine is not None else 0)
@@ -506,18 +487,9 @@ class NodeAgent:
             if ls is not None and ls.machine is not None:
                 ls.machine.on_datagram(data, src)
             return
-        if is_handshake(data):
-            ls = self._routes.get((id(sock), src))
-            if ls is not None:
-                self._on_handshake_body(ls, data)
-            return
-        ls = self._channels.get(data[:8])
+        ls = self._channels.get(data[:8]) or self._routes.get((id(sock), src))
         if ls is not None:
-            ls.on_body(data, src)
-            return
-        ls = self._routes.get((id(sock), src))
-        if ls is not None and not ls.encrypted:
-            ls.on_body(data, src)
+            ls.on_body(data)
             return
         if data[:1] == b"{":
             try:

@@ -56,7 +56,6 @@ class TrialOutcome:
 
 def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
                     max_seconds: float = 10.0, loss: float = 0.0,
-                    latency_us: int = 1000,
                     space: Optional[PortSpace] = None) -> TrialOutcome:
     """One seeded punch between an easy prober and a hard opener."""
     cfg = PunchConfig(open_ports=open_ports, probe_rate=rate,
@@ -65,7 +64,7 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
     # The world is closed on every return path, so reference counting
     # alone frees it.
     with closing(Network(seed=seed)) as net:
-        link = LinkPolicy(loss=loss, latency_us=latency_us)
+        link = LinkPolicy(loss=loss)
         hard_nat = net.add_nat(NatProfile.hard("nat-hard", alloc_space=cfg.space))
         opener_host = net.add_host("opener", nat=hard_nat, link=link)
         prober_host = net.add_host("prober",
@@ -85,7 +84,7 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
         start_us = net.now_us
         while not observed:
             prober_sock.send((anchor.ip, 3478), b"hello")
-            net.run_for(2 * latency_us + 1000)
+            net.run_for(2 * link.latency_us + 1000)
             if net.now_us - start_us > 5_000_000:
                 return TrialOutcome(False, 0, net.now_us - start_us)
         prober_ext = observed[0]
@@ -140,13 +139,12 @@ class MonteCarloResult:
 
 def _run_block(args, progress: Optional[Callable[[int, int], None]] = None,
                ) -> tuple[int, int]:
-    (master, start, count, open_ports, rate, max_seconds, loss,
-     latency_us, lo, hi) = args
+    master, start, count, open_ports, rate, max_seconds, loss, lo, hi = args
     space = PortSpace(lo, hi)
     successes = probes = 0
     for n, i in enumerate(range(start, start + count), 1):
         out = run_punch_trial(trial_seed(master, i), open_ports, rate,
-                              max_seconds, loss, latency_us, space)
+                              max_seconds, loss, space)
         successes += out.success
         probes += out.probes_sent
         if progress is not None and (n % 500 == 0 or n == count):
@@ -164,8 +162,7 @@ def _usable_cpus() -> int:
 def run_monte_carlo(open_ports: int = 256, rate: float = 100.0,
                     max_seconds: float = 10.0, trials: int = 10000,
                     seed: int = 42, loss: float = 0.0,
-                    workers: Optional[int] = None,
-                    latency_us: int = 1000, space: Optional[PortSpace] = None,
+                    workers: Optional[int] = None, space: Optional[PortSpace] = None,
                     progress: Optional[Callable[[int, int], None]] = None,
                     ) -> MonteCarloResult:
     """Run seeded punch trials and compare against the analytic rate.
@@ -192,7 +189,7 @@ def run_monte_carlo(open_ports: int = 256, rate: float = 100.0,
 
     def job(start: int, count: int) -> tuple:
         return (seed, start, count, open_ports, rate, max_seconds, loss,
-                latency_us, space.lo, space.hi)
+                space.lo, space.hi)
 
     if workers == 1:
         successes, total_probes = _run_block(job(0, trials), progress)

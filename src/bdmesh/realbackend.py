@@ -43,15 +43,20 @@ __all__ = [
 
 
 class AsyncioUdpSocket:
-    """Non-blocking UDP socket satisfying the simulator socket duck."""
+    """Non-blocking UDP socket satisfying the simulator socket duck.  A
+    node binds every interface; the coordinator binds its observers to
+    its own host."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, handler, port: int = 0):
+    def __init__(self, loop: asyncio.AbstractEventLoop, handler, port: int = 0,
+                 host: str = "0.0.0.0"):
         self._loop = loop
         self.handler = handler
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        # The coordinator's --host may be an IPv6 literal.
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._sock = socket.socket(family, socket.SOCK_DGRAM)
         self._sock.setblocking(False)
         try:
-            self._sock.bind(("0.0.0.0", port))
+            self._sock.bind((host, port))
         except OSError:
             self._sock.close()
             raise
@@ -66,9 +71,7 @@ class AsyncioUdpSocket:
         while True:
             try:
                 data, src = self._sock.recvfrom(65535)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
+            except OSError:  # drained, interrupted or closed
                 return
             self.handler(data, (src[0], src[1]), self)
 
@@ -77,7 +80,7 @@ class AsyncioUdpSocket:
             return
         try:
             self._sock.sendto(payload, dst)
-        except (BlockingIOError, OSError):
+        except OSError:
             pass  # UDP: drop on transient error, like a congested wire
 
     def close(self) -> None:
@@ -175,20 +178,6 @@ class TcpLineChannel:
             self.on_close()
 
 
-class _ObserverProtocol(asyncio.DatagramProtocol):
-    def __init__(self, coordinator: Coordinator):
-        self._coordinator = coordinator
-        self._transport = None
-
-    def connection_made(self, transport) -> None:
-        self._transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        reply = self._coordinator.observe_datagram(data, (addr[0], addr[1]))
-        if reply is not None and self._transport is not None:
-            self._transport.sendto(reply, addr)
-
-
 class CoordinatorServer:
     """Rendezvous service: TCP control plus two UDP observer ports."""
 
@@ -199,7 +188,7 @@ class CoordinatorServer:
         self.observer_ports = tuple(observer_ports)
         self.core = Coordinator()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._observers: list = []
+        self._observers: list[AsyncioUdpSocket] = []
         self._connections: dict[asyncio.Task, TcpLineChannel] = {}
 
     async def start(self) -> None:
@@ -207,10 +196,8 @@ class CoordinatorServer:
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port, limit=MAX_CONTROL_LINE * 2)
         for oport in self.observer_ports:
-            transport, _ = await loop.create_datagram_endpoint(
-                lambda: _ObserverProtocol(self.core),
-                local_addr=(self.host, oport))
-            self._observers.append(transport)
+            self._observers.append(
+                AsyncioUdpSocket(loop, self.core.on_observe, oport, self.host))
         log.info("coordinator on %s:%d (observers %s)",
                  self.host, self.port, ",".join(map(str, self.observer_ports)))
 
@@ -229,8 +216,8 @@ class CoordinatorServer:
         an error per connection)."""
         if self._server is not None:
             self._server.close()
-        for transport in self._observers:
-            transport.close()
+        for sock in self._observers:
+            sock.close()
         connections = list(self._connections.items())
         for _, channel in connections:
             channel.close()

@@ -151,26 +151,22 @@ class Coordinator:
         """Listen on a simulated host: the control port and both observers."""
         host.listen_channel(DEFAULT_CONTROL_PORT, self.attach)
         for port in DEFAULT_OBSERVER_PORTS:
-            host.bind(self._sim_observer_handler, port)
+            host.bind(self.on_observe, port)
 
-    def _sim_observer_handler(self, payload: bytes, src: Endpoint, sock) -> None:
-        reply = self.observe_datagram(payload, src)
-        if reply is not None:
-            sock.send(src, reply)
-
-    def observe_datagram(self, payload: bytes, src: Endpoint) -> Optional[bytes]:
-        """UDP observer: reflect the source endpoint back, or None to drop."""
+    def on_observe(self, payload: bytes, src: Endpoint, sock) -> None:
+        """UDP observer socket handler: reflect the source endpoint back
+        to it; anything but a well-formed observe request is dropped."""
         try:
             obj = json.loads(payload)
         except (ValueError, RecursionError):
-            return None
+            return
         if not isinstance(obj, dict) or obj.get("type") != "observe":
-            return None
+            return
         token = obj.get("token")
         if type(token) is not int or not 0 <= token < 1 << 63:
-            return None
+            return
         reply = {"type": "observed", "token": token, "endpoint": format_endpoint(src)}
-        return json.dumps(reply, separators=(",", ":")).encode()
+        sock.send(src, json.dumps(reply, separators=(",", ":")).encode())
 
     # -- message handling -------------------------------------------------
 

@@ -8,7 +8,7 @@ import json
 from bdmesh.agent import NodeAgent
 from bdmesh.netsim import LinkPolicy, NatProfile, Network
 from bdmesh.rendezvous import Coordinator
-from bdmesh.securelink import MSG_INIT, is_handshake
+from bdmesh.securelink import MSG_INIT, MSG_REPLY, HandshakeInitiator, frame_plain, is_handshake
 
 
 def make_world(seed=100, punch=None, trace=False):
@@ -125,6 +125,54 @@ class TestDirectLink:
         assert got == [b"plaintext-marker/0002"]
         assert any(b"plaintext-marker/0002" in w for w in wire)
         assert not a.links["beta"].encrypted
+
+    def test_sealed_frame_from_another_source_is_delivered(self):
+        # Sealed frames are demuxed by channel id, not by source.
+        net, coord_host, _ = make_world(seed=101)
+        a, host_a = spawn(net, coord_host, "alpha")
+        b, host_b = spawn(net, coord_host, "beta")
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        got = []
+        b.links["alpha"].on_payload = got.append
+        frame = a._session_by_peer["beta"].cipher.seal(b"roamed")
+        other = host_a.bind(lambda *x: None)
+        other.send((host_b.ip, b.primary.local_port), frame)
+        net.run_for(100_000)
+        assert got == [b"roamed"]
+
+    def test_plain_frame_from_another_source_is_dropped(self):
+        net, coord_host, _ = make_world(seed=103)
+        a, host_a = spawn(net, coord_host, "alpha", default_encrypted=False)
+        b, host_b = spawn(net, coord_host, "beta", default_encrypted=False)
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        got = []
+        b.links["alpha"].on_payload = got.append
+        other = host_a.bind(lambda *x: None)
+        other.send((host_b.ip, b.primary.local_port), frame_plain(b"spoofed"))
+        net.run_for(100_000)
+        assert got == []
+
+    def test_unencrypted_link_ignores_a_handshake(self):
+        # A link configured without encryption never answers an M1: no
+        # cipher, no channel id, no M2 on the wire.
+        net, coord_host, _ = make_world(seed=101)
+        a, _ = spawn(net, coord_host, "alpha", default_encrypted=False)
+        b, host_b = spawn(net, coord_host, "beta", default_encrypted=False)
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        wire = sniff(net)
+        m1 = HandshakeInitiator(a.identity, b.identity.public_bytes, rng=net.rng).message1()
+        a.primary.send((host_b.ip, b.primary.local_port), m1)  # from alpha's route
+        net.run_for(1_000_000)
+        ls = b._session_by_peer["alpha"]
+        assert ls.cipher is None
+        assert b._channels == {}
+        assert not any(is_handshake(w) and w[5] == MSG_REPLY for w in wire)
 
 
 class TestBirthdayLink:

@@ -75,6 +75,14 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=r"links\[0\]\.host"):
             validate_scenario(doc)
 
+    def test_total_loss_is_refused_at_its_path(self):
+        # LinkPolicy takes loss in [0, 1); the schema refuses 1 first, so
+        # the message names the field.
+        doc = minimal_doc(links=[{"host": "a", "loss": 1}])
+        with pytest.raises(ScenarioError) as info:
+            validate_scenario(doc)
+        assert str(info.value).startswith("$.links[0].loss")
+
     def test_duplicate_link_policy(self):
         doc = minimal_doc(links=[{"host": "a"}, {"host": "a"}])
         with pytest.raises(ScenarioError, match=r"links\[1\]\.host"):
