@@ -28,6 +28,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -143,6 +144,19 @@ class MeshPlan:
             "routes": dict(self.routes),
         }
 
+    @cached_property
+    def _route_table(self) -> tuple[dict, list]:
+        """Parsed once per plan: overlay address -> node id (the first
+        node declared with it), and the subnet routes as (network,
+        owner), longest prefix first and otherwise in declaration order."""
+        by_address: dict = {}
+        for node_id, addr in self.addresses.items():
+            by_address.setdefault(ipaddress.ip_address(addr), node_id)
+        subnets = sorted(((ipaddress.ip_network(cidr), owner)
+                          for cidr, owner in self.routes.items()),
+                         key=lambda route: -route[0].prefixlen)
+        return by_address, subnets
+
 
 def _check_nodes(nodes: Sequence[NodeSpec]) -> None:
     if not nodes:
@@ -243,19 +257,14 @@ def route_lookup(plan: MeshPlan, dst: str) -> str:
         ip = ipaddress.ip_address(dst)
     except ValueError as exc:
         raise InvalidParametersError(f"not an address: {dst!r}") from exc
-    for node_id, addr in plan.addresses.items():
-        if ip == ipaddress.ip_address(addr):
-            return node_id
-    best: Optional[tuple[ipaddress.IPv4Network, str]] = None
-    for cidr, owner in plan.routes.items():
-        net = ipaddress.ip_network(cidr)
-        if net.version != ip.version:
-            continue
-        if ip in net and (best is None or net.prefixlen > best[0].prefixlen):
-            best = (net, owner)
-    if best is None:
-        raise NoRouteError(f"no overlay route for {dst}")
-    return best[1]
+    by_address, subnets = plan._route_table
+    node_id = by_address.get(ip)
+    if node_id is not None:
+        return node_id
+    for net, owner in subnets:
+        if ip in net:  # never across IP versions
+            return owner
+    raise NoRouteError(f"no overlay route for {dst}")
 
 
 # -- realization --------------------------------------------------------

@@ -1,8 +1,9 @@
 """Monte Carlo validation: simulated birthday punches vs the analytic law.
 
 Each trial builds a tiny seeded world (an opener behind a hard NAT, a
-prober behind an easy NAT, a public anchor standing in for the
-rendezvous observation step) and runs the real punch machines.  A
+prober behind a NAT with endpoint-independent mapping and
+address-and-port-dependent filtering, a public anchor standing in for
+the rendezvous observation step) and runs the real punch machines.  A
 trial succeeds when the prober's machine reports an established path
 before its deadline, which corresponds term for term to the at-least-
 one-hit event the product formula integrates: B pinhole mappings are
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InvalidParametersError
-from .netsim import HostTransport, LinkPolicy, NatProfile, Network
+from .netsim import FilteringMode, HostTransport, LinkPolicy, NatProfile, Network
 from .probability import PortSpace, success_probability
 from .traversal import BirthdayOpener, BirthdayProber, PunchConfig
 
@@ -57,7 +58,15 @@ class TrialOutcome:
 def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
                     max_seconds: float = 10.0, loss: float = 0.0,
                     space: Optional[PortSpace] = None) -> TrialOutcome:
-    """One seeded punch between an easy prober and a hard opener."""
+    """One seeded punch between an easy prober and a hard opener.
+
+    The prober's NAT maps endpoint-independently but filters by address
+    and port, the peer the birthday law describes: the opener's probes
+    reach the prober only from ports it has already swept, so it never
+    sends a triggered check and every hit is a swept port finding a
+    pinhole.  (A prober that does not filter answers the first opener
+    probe it hears and links in one round trip.)
+    """
     cfg = PunchConfig(open_ports=open_ports, probe_rate=rate,
                       max_duration_s=max_seconds,
                       space=space or PortSpace())
@@ -67,9 +76,9 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
         link = LinkPolicy(loss=loss)
         hard_nat = net.add_nat(NatProfile.hard("nat-hard", alloc_space=cfg.space))
         opener_host = net.add_host("opener", nat=hard_nat, link=link)
-        prober_host = net.add_host("prober",
-                                   nat=net.add_nat(NatProfile.easy("nat-easy")),
-                                   link=link)
+        filtering_nat = net.add_nat(NatProfile(
+            "nat-easy", filtering=FilteringMode.ADDRESS_AND_PORT_DEPENDENT))
+        prober_host = net.add_host("prober", nat=filtering_nat, link=link)
         anchor = net.add_host("anchor")
 
         observed: list = []

@@ -415,13 +415,15 @@ class Host:
         return sock
 
     def bind_ephemeral(self, handler, n: int) -> list[SimSocket]:
-        """n sockets on the ports n calls of bind(handler) would take."""
+        """n sockets on the ports n calls of bind(handler) would take; when
+        fewer than n ports are free, none is taken."""
         lo, span = self.EPHEMERAL_LO, self.EPHEMERAL_HI - self.EPHEMERAL_LO + 1
         sockets, socks = self.sockets, []
         cand, misses = self._eph_next, 0
         while len(socks) < n:
             if misses == span:
-                self._eph_next = cand
+                for sock in socks:
+                    sock.close()
                 raise PortsExhaustedError(f"host {self.id} has no free ephemeral ports")
             port, cand = cand, lo + (cand - lo + 1) % span
             if port in sockets:

@@ -107,7 +107,17 @@ class AsyncioTransport:
         return AsyncioUdpSocket(self._loop, handler, port)
 
     def open_sockets(self, handler, n: int) -> list[AsyncioUdpSocket]:
-        return [self.open_socket(handler) for _ in range(n)]
+        """n sockets, or none: an OSError (out of descriptors, say) closes
+        the ones already opened before it propagates."""
+        socks: list[AsyncioUdpSocket] = []
+        try:
+            for _ in range(n):
+                socks.append(self.open_socket(handler))
+        except OSError:
+            for sock in socks:
+                sock.close()
+            raise
+        return socks
 
     def send_burst(self, socks: list[AsyncioUdpSocket], dst, payloads) -> None:
         for sock, payload in zip(socks, payloads):

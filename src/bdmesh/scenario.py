@@ -5,7 +5,9 @@ embedded coordinator, realizes the overlay and verifies it end to end.
 
 Verification rides the established overlay links themselves: every up
 link carries a marker payload each way (the receiver answers with the
-payload's digest), plus an overlay ping addressed by route lookup.  A
+payload's digest), plus an overlay ping addressed by route lookup.
+Whatever is still unanswered is resent every VERIFY_RETRY_S of virtual
+time until SETTLE_S, so a lossy link does not fail its checks.  A
 wire sniffer watches the same window: on encrypted overlays the marker
 must never appear on the wire, on plaintext overlays it must.
 
@@ -57,6 +59,7 @@ _HASH_PREFIX = b"BDMESH-PAYLOAD-HASH|"
 _PING_PREFIX = b"BDMESH-PING|"
 _PONG_PREFIX = b"BDMESH-PONG|"
 SETTLE_S = 15.0  # virtual time verification waits for every digest and pong
+VERIFY_RETRY_S = 1.0  # virtual time before an unanswered payload or ping is resent
 
 __all__ = [
     "SCENARIO_SCHEMA", "COORD_HOST_ID", "PAYLOAD_MARKER", "ScenarioWorld",
@@ -231,11 +234,16 @@ def _ping_target(plan: MeshPlan, node_id: str) -> str:
 
 def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport) -> dict:
     """Exercise every established link: payload digest both ways, one
-    overlay ping both ways, and a wire privacy check for the marker."""
+    overlay ping both ways (each resent until answered or settled), and
+    a wire privacy check for the marker."""
     net, plan, agents = world.net, world.plan, world.agents
     up_links = [o for o in outcome.links if o.up]
     directed = [p for o in up_links for p in ((o.a, o.b), (o.b, o.a))]  # sending order
-    expected_hash: dict[tuple[str, str], str] = {}
+    payloads = {(src, dst): _verification_payload(world.seed, src, dst)
+                for src, dst in directed}
+    pings = {(src, dst): _PING_PREFIX + f"{_ping_target(plan, dst)}|{src}->{dst}".encode()
+             for src, dst in directed}
+    expected_hash = {p: hashlib.sha256(payload).hexdigest() for p, payload in payloads.items()}
     got_hash: dict[tuple[str, str], str] = {}
     got_pong: set[tuple[str, str]] = set()
     marker_on_wire = False
@@ -285,17 +293,24 @@ def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport) -> dict:
     try:
         for me, peer in directed:
             agents[me].links[peer].on_payload = receiver(me, peer)
-        for src, dst in directed:
-            payload = _verification_payload(world.seed, src, dst)
-            expected_hash[(src, dst)] = hashlib.sha256(payload).hexdigest()
-            link = agents[src].links[dst]
-            link.send(payload)
-            link.send(_PING_PREFIX + f"{_ping_target(plan, dst)}|{src}->{dst}".encode())
+
+        def send_unanswered() -> None:
+            for p in directed:
+                link = agents[p[0]].links[p[1]]
+                if p not in got_hash:
+                    link.send(payloads[p])
+                if p not in got_pong:
+                    link.send(pings[p])
 
         def done() -> bool:
             return all(p in got_hash and p in got_pong for p in directed)
 
-        drive(net, done, net.now_us + int(SETTLE_S * 1_000_000))
+        settle_us = net.now_us + int(SETTLE_S * 1_000_000)
+        send_unanswered()
+        while not drive(net, done, min(settle_us, net.now_us + int(VERIFY_RETRY_S * 1_000_000))):
+            if net.now_us >= settle_us:
+                break
+            send_unanswered()
     finally:
         net.on_wire = prev_on_wire
 

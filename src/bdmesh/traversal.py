@@ -25,12 +25,19 @@ Probe datagrams are 22 bytes:
 
 with kinds PROBE(1), PROBE_ACK(2, echoing the probe's nonce) and
 CONFIRM(3, echoing the ack's nonce).  Anything that does not parse is
-ignored.  The prober ignores PROBE and the opener ignores PROBE_ACK,
-so establishment is driven purely by prober probes finding pinholes;
-the opener also treats a non-probe datagram on a punched socket as an
-implicit confirm, which covers a lost CONFIRM followed by data, but
-only from an endpoint whose PROBE it acked on that socket, so a stray
-datagram cannot take over a punch.
+ignored.  The opener ignores PROBE_ACK, so establishment is driven by
+prober probes finding pinholes.  When the prober's own NAT filters
+unsolicited datagrams (the case the collision law describes), the
+opener's probes reach it only from ports it has already swept, and it
+ignores them.  A prober that is public or behind a NAT that does not
+filter hears the opener's probes from unswept pinholes; like an ICE
+triggered check (RFC 8445 section 7.3.1.4) it answers the first one
+with an ordinary indexed PROBE straight back to that pinhole, so the
+link comes up in one round trip instead of a sweep.  The opener also
+treats a non-probe datagram on a punched socket as an implicit
+confirm, which covers a lost CONFIRM followed by data, but only from
+an endpoint whose PROBE it acked on that socket, so a stray datagram
+cannot take over a punch.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import InvalidParametersError
+from .errors import InvalidParametersError, PortsExhaustedError
 from .netsim import Endpoint, parse_endpoint
 from .probability import PortSpace, iter_ports, probe_count
 
@@ -307,10 +314,13 @@ class BirthdayOpener(_Punch):
 
     Each of open_ports sockets sends one probe at the prober's fixed
     endpoint, allocating a uniformly random external port on the local
-    endpoint-dependent NAT.  Those probes are fire-and-forget (the
-    prober ignores them); their sole purpose is the mapping.  Packed
-    once, they go out as one transport send_burst, in start and again
-    every refresh interval so mappings outlive their idle TTL.
+    endpoint-dependent NAT.  The mapping is their purpose; a prober
+    that hears one from a port it has not swept answers it with a
+    triggered check.  Packed once, they go out as one transport
+    send_burst, in start and again every refresh interval so mappings
+    outlive their idle TTL.  When the sockets cannot be opened (the
+    host's ephemeral ports or the process's descriptors run out), the
+    opener finishes at once, not ok, with reason "no-sockets".
 
     Only a (socket, endpoint) pair whose PROBE the opener acked can
     establish the link, by CONFIRM or by implicit data; anything else
@@ -331,7 +341,11 @@ class BirthdayOpener(_Punch):
 
     def start(self) -> None:
         n = self._cfg.open_ports
-        self._sockets = self._transport.open_sockets(self._on_datagram, n)
+        try:
+            self._sockets = self._transport.open_sockets(self._on_datagram, n)
+        except (PortsExhaustedError, OSError):
+            self._finish(False, None, None, "no-sockets")
+            return
         # The same bytes, and the same rng state after, as n draws of 8.
         nonces = self._rng.randbytes(8 * n)
         head = pack_probe(KIND_PROBE, self._session_id, bytes(8))[:-8]
@@ -380,8 +394,15 @@ class BirthdayProber(_Punch):
     ports drawn without replacement; if it runs out early the prober
     keeps listening until the deadline for acks still in flight.  Each
     port is drawn from the schedule (iter_ports) at the tick that
-    sends it, so the ports sent are always a prefix of
+    sends it, so the swept ports are always a prefix of
     schedule_ports(cfg.space, cfg.probe_budget, schedule_seed).
+
+    Triggered check: the first well-formed PROBE of this session that
+    comes from the opener's address and from a port not yet swept gets
+    one PROBE sent straight back to its source.  It takes the next
+    index and counts against the budget, but draws no port from the
+    schedule.  A prober whose NAT filters only ever hears the opener
+    from swept ports, so it never sends one.
     """
 
     def __init__(self, transport, sock, session_id: bytes, opener_ip: str,
@@ -395,6 +416,8 @@ class BirthdayProber(_Punch):
         self._ports = iter_ports(cfg.space, self._budget, schedule_seed)
         self._interval_us = max(1, round(1_000_000 / cfg.probe_rate))
         self._next = 0
+        self._swept: set[int] = set()
+        self._triggered = False
         self._head = pack_probe(KIND_PROBE, session_id, bytes(8))[:-8]  # all but the nonce
 
     def start(self) -> None:
@@ -407,14 +430,33 @@ class BirthdayProber(_Punch):
             return
         self._next = index + 1
         self.probes_sent += 1
-        self._sock.send((self._opener_ip, next(self._ports)),
-                        self._head + index.to_bytes(8, "big"))
+        port = next(self._ports)
+        self._swept.add(port)
+        self._sock.send((self._opener_ip, port), self._head + index.to_bytes(8, "big"))
         if index + 1 < self._budget:
             self._timer = self._transport.call_later(self._interval_us, self._tick)
 
+    def _triggered_check(self, data: bytes, src: Endpoint) -> None:
+        parsed = parse_probe(data)
+        index = self._next
+        if (parsed is None or parsed[1] != self._session_id or self.done
+                or index >= self._budget or src[1] in self._swept):
+            return
+        self._triggered = True
+        self._next = index + 1
+        self.probes_sent += 1
+        self._sock.send(src, self._head + index.to_bytes(8, "big"))
+
     def on_datagram(self, data: bytes, src: Endpoint) -> None:
-        # Mostly the opener's PROBEs: drop all but acks before the full parse.
-        if len(data) != PROBE_LEN or data[5] != KIND_PROBE_ACK:
+        if len(data) != PROBE_LEN:
+            return
+        kind = data[5]
+        if kind == KIND_PROBE:
+            # The opener's PROBEs: only the first from its address can count.
+            if not self._triggered and src[0] == self._opener_ip:
+                self._triggered_check(data, src)
+            return
+        if kind != KIND_PROBE_ACK:
             return
         parsed = parse_probe(data)
         if parsed is None or parsed[1] != self._session_id or self.done:

@@ -5,6 +5,7 @@ import base64
 import hashlib
 import json
 
+from bdmesh import traversal
 from bdmesh.agent import NodeAgent
 from bdmesh.netsim import LinkPolicy, NatProfile, Network
 from bdmesh.rendezvous import Coordinator
@@ -155,6 +156,29 @@ class TestDirectLink:
         other.send((host_b.ip, b.primary.local_port), frame_plain(b"spoofed"))
         net.run_for(100_000)
         assert got == []
+
+    def test_a_probe_is_parsed_once_and_a_malformed_one_is_dropped(self, monkeypatch):
+        # The agent demuxes a probe by its session id field; the machine
+        # makes the one full parse.
+        net, coord_host, _ = make_world(seed=101)
+        a, host_a = spawn(net, coord_host, "alpha")
+        b, _ = spawn(net, coord_host, "beta")
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        ls = b._session_by_peer["alpha"]
+        parsed = []
+        monkeypatch.setattr(traversal, "parse_probe",
+                            lambda data, real=traversal.parse_probe: parsed.append(data) or real(data))
+        sent = net.stats["sent"]
+        probe = traversal.pack_probe(traversal.KIND_PROBE, ls.session_id, b"n" * 8)
+        src = (host_a.ip, a.primary.local_port)
+        b._on_datagram(probe[:4] + b"\x09" + probe[5:], src, b.primary)  # bad version
+        assert len(parsed) == 1 and net.stats["sent"] == sent
+        b._on_datagram(probe, src, b.primary)  # a direct punch acks every PROBE
+        assert parsed == [probe[:4] + b"\x09" + probe[5:], probe]
+        assert net.stats["sent"] == sent + 1
+        assert b.links["alpha"] is ls.link
 
     def test_unencrypted_link_ignores_a_handshake(self):
         # A link configured without encryption never answers an M1: no

@@ -1,5 +1,7 @@
 """Scheme classification, plan construction, route lookup, realization."""
 
+import ipaddress
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,6 +249,33 @@ class TestRouteLookup:
     def test_invalid_destination(self):
         with pytest.raises(InvalidParametersError):
             route_lookup(self.make_plan(), "not-an-ip")
+
+    def test_longest_prefix_and_ipv6_routes(self):
+        plan = MeshPlan(scheme=SchemeKind.SITE_MESH, nodes=(), links=(),
+                        addresses={"a": "100.64.0.1", "b": "100.64.0.2"},
+                        routes={"10.0.0.0/8": "a", "2001:db8::/32": "a",
+                                "10.5.0.0/16": "b", "2001:db8:5::/48": "b"})
+        assert route_lookup(plan, "10.5.1.1") == "b"
+        assert route_lookup(plan, "10.6.1.1") == "a"
+        assert route_lookup(plan, "2001:db8:5::1") == "b"
+        assert route_lookup(plan, "2001:db8:6::1") == "a"
+        assert route_lookup(plan, "100.64.0.2") == "b"
+        with pytest.raises(NoRouteError):
+            route_lookup(plan, "::ffff:10.5.1.1")  # an IPv6 address, not 10.5.1.1
+
+    def test_a_plan_is_parsed_once(self, monkeypatch):
+        plan = self.make_plan()
+        calls = {"ip_address": 0, "ip_network": 0}
+        for name in calls:
+            def counted(text, _real=getattr(ipaddress, name), _name=name):
+                calls[_name] += 1
+                return _real(text)
+            monkeypatch.setattr(ipaddress, name, counted)
+        for _ in range(5):
+            assert route_lookup(plan, "10.2.3.4") == "gw-b"
+        # Each call parses its destination; the plan's three addresses and
+        # four subnets are parsed on the first call only.
+        assert calls == {"ip_address": 5 + 3, "ip_network": 4}
 
     def test_deterministic(self):
         plan = self.make_plan()

@@ -465,7 +465,11 @@ class TestBurstsAndBatches:
         HostTransport(host).open_sockets(lambda *x: None, span - 1)
         with pytest.raises(PortsExhaustedError):
             HostTransport(host).open_sockets(lambda *x: None, 2)
-        assert len(host.sockets) == span
+        # A call that cannot take all n ports takes none of them.
+        assert len(host.sockets) == span - 1
+        assert host.bind(lambda *x: None).port == host.EPHEMERAL_HI
+        with pytest.raises(PortsExhaustedError):
+            host.bind(lambda *x: None)
         host.sockets[30005].close()
         assert host.bind(lambda *x: None).port == 30005
 

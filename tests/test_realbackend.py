@@ -1,6 +1,7 @@
 """Real-socket backend: loopback rendezvous, links, and failure exits."""
 
 import asyncio
+import json
 import logging
 import os
 import random
@@ -124,6 +125,59 @@ class TestOpenerOnLoopback:
                     s.close()
 
         run(main())
+
+
+# Runs in a child process: alice is told to open a birthday punch (bob to
+# use the relay), with the descriptor limit lowered below the 256 sockets
+# the opener wants.  Prints the link's path and the open descriptor
+# counts before the introduction and after the link came up.
+OUT_OF_DESCRIPTORS_CHILD = r"""
+import asyncio, json, os, resource, sys
+from bdmesh import rendezvous
+from bdmesh.realbackend import CoordinatorServer, NodeClient
+
+rendezvous.assign_roles = lambda class_a, class_b: ("opener", "relay")
+port, o1, o2 = (int(a) for a in sys.argv[1:4])
+
+def open_fds():
+    return sorted(int(fd) for fd in os.listdir("/proc/self/fd"))
+
+async def main():
+    server = CoordinatorServer("127.0.0.1", port, (o1, o2))
+    await server.start()
+    a = NodeClient(f"127.0.0.1:{port}", "alice", connect=["bob"], observer_ports=(o1, o2))
+    b = NodeClient(f"127.0.0.1:{port}", "bob", observer_ports=(o1, o2))
+    try:
+        assert await a.start() == 0 and await b.start() == 0
+        assert await a.wait_ready(10.0) and await b.wait_ready(10.0)
+        before = open_fds()
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        resource.setrlimit(resource.RLIMIT_NOFILE, (before[-1] + 16, hard))
+        linked = await a.link_all(timeout_s=20.0)
+        after = open_fds()
+        link = a.agent.links.get("bob")
+        print(json.dumps({"linked": linked, "path": link and link.path,
+                          "before": len(before), "after": len(after)}))
+    finally:
+        await a.close()
+        await b.close()
+        await server.close()
+
+asyncio.run(asyncio.wait_for(main(), 30.0))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_opener_out_of_descriptors_falls_back_to_the_relay():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", OUT_OF_DESCRIPTORS_CHILD,
+                           *map(str, free_ports(3))],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["linked"] and result["path"] == "relayed"
+    assert result["after"] == result["before"]  # every pinhole it opened was closed
 
 
 class TestTcpLineChannel:

@@ -4,6 +4,8 @@ import copy
 import gc
 import hashlib
 import json
+import os
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -211,7 +213,7 @@ class TestDeterminism:
     GOLDEN_TRACE_HASHES = {
         "fullmesh5.json": "c55b301b32f66284c6d34dd8958a68fd2112c71cdccbd6b7c40df02b20aafa79",
         "site2site.json": "1c424add5b32f934e3350bc1697786181628a8b318e5cdbc809d75674a0885c0",
-        "blocked.json": "444d7b27ee21d5f8b3f61ae0bed4c14469c7c9c8f6b49bf1a67367da38fbb881",
+        "blocked.json": "8d453cfd5eed0c14d0592d129f0ed6a21189597d84051fce574a7f735123ebe1",
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_HASHES))
@@ -257,7 +259,8 @@ POINT_TO_SITE_DOC = {
 }
 
 # A site_mesh with one gateway behind a hard NAT on a 30 % lossy link: two
-# links are punched by the birthday opener, and verification loses payloads.
+# links are punched by the birthday opener, and verification must resend
+# what the link loses.
 SITE_MESH_LOSSY_DOC = {
     "hosts": [{"id": "g1", "kind": "gateway", "nat": "n1"},
               {"id": "g2", "kind": "gateway", "nat": "hard"},
@@ -290,13 +293,13 @@ class TestReportDigests:
             "d0c4113c350f51a7314bc8c6eaf7316484bc15175f4e4b4a09aebe58265a43a8"),
         "blocked.json": (
             lambda: bundled_scenario_path("blocked.json"),
-            "96aa3b2d926d8149f5b1d016c033d6fdf7488260b223b97dac3bc3fe621841ac"),
+            "9f5c0afa7b1b995bd6a8262a7eba3224e61d7e96bcb46e5d25081d7a33905efe"),
         "point_to_site": (
             lambda: copy.deepcopy(POINT_TO_SITE_DOC),
             "fba857b803241b8a760694eeada071a103e4d9bc9876e724a148f89eebe57703"),
         "site_mesh_lossy": (
             lambda: copy.deepcopy(SITE_MESH_LOSSY_DOC),
-            "6bcf24aa32c65271c35f6abe7fad2568e59bc29e182a07e0d625a4d15268a2b2"),
+            "ca93ce85223c2705777aec54dc542c2677cccb8e4b90654c3e47654f3967f525"),
         "three_trials": (
             lambda: minimal_doc(experiment={"trials": 3, "seed": 77}),
             "6a48ba01e8bed85a74000a5fffffb521a7ec05f3b65e89c51b94164b0ee8c745"),
@@ -309,6 +312,14 @@ class TestReportDigests:
 
 
 class TestVerification:
+    def test_lossy_links_are_verified_by_resending(self):
+        # 30 % loss on one gateway's uplink: each payload and ping is
+        # resent until answered, so a run whose links are all up is ok.
+        rep = run_scenario(copy.deepcopy(SITE_MESH_LOSSY_DOC))
+        assert rep["connected"]
+        assert rep["checks"]["payloads_ok"] and rep["checks"]["pings_ok"]
+        assert rep["ok"]
+
     def test_subnet_over_node_addresses_pings_the_gateway_itself(self):
         # gw-west advertises the overlay's first /24, whose first host is
         # gw-east's overlay address; route lookup sends that to gw-east, so
@@ -348,38 +359,77 @@ class TestWorldLifetime:
         assert left == []
 
 
+class TestOpenerOutOfPorts:
+    def test_openers_that_run_out_of_ports_fall_back_to_the_relay(self):
+        # One hard host opens 4096 pinholes toward each of its nine peers,
+        # more than its 31000 ephemeral ports: the sessions that find no
+        # ports left finish "no-sockets" and their links are relayed.
+        tools = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+        sys.path.insert(0, tools)
+        try:
+            from bench_mesh_scale import mesh_doc
+        finally:
+            sys.path.remove(tools)
+        doc = mesh_doc(10, 1, 1)
+        doc["experiment"]["punch"] = {"open_ports": 4096}
+        rep = run_scenario(doc, seed=1)
+        assert rep["ok"] and rep["connected"]
+        assert len(rep["links"]) == 45 and all(l["up"] for l in rep["links"])
+        assert any(l["path"] == "relayed" for l in rep["links"])
+
+
 def pending_world_objects():
     """Every live NAT mapping and every timer that would still fire."""
     return [o for o in gc.get_objects()
             if type(o) is netsim._Mapping or (type(o) is netsim.Timer and o.fn is not None)]
 
 
+def two_birthday_links_doc(trials: int, easy_filtering: str) -> dict:
+    """Two easy nodes (endpoint-independent mapping, the given filtering)
+    and one hard node, full mesh: the two easy<->hard links punch with
+    B=256, A=1000 each."""
+    return {
+        "hosts": [
+            {"id": "e1", "nat": "ne1"},
+            {"id": "e2", "nat": "ne2"},
+            {"id": "hh", "nat": "nh"},
+        ],
+        "nats": [
+            {"id": "ne1", "filtering": easy_filtering},
+            {"id": "ne2", "filtering": easy_filtering},
+            {"id": "nh", "mapping": "endpoint_dependent",
+             "filtering": "address_and_port_dependent"},
+        ],
+        "scheme": {"G": 0, "P": 1, "theta": 1},
+        "experiment": {"trials": trials, "seed": 2024,
+                       "punch": {"open_ports": 256, "rate": 100.0,
+                                 "max_seconds": 10.0}},
+    }
+
+
 class TestRealizationStatistics:
     def test_two_birthday_links_fully_direct_rate(self):
-        # two easy nodes and one hard node: the two easy<->hard links
-        # punch with B=256, A=1000 each; a trial is fully direct when
-        # both succeed, so the rate tracks the analytic square.
+        # The easy NATs filter, the peer the birthday law describes: a
+        # trial is fully direct when both sweeps hit, so the rate tracks
+        # the analytic square.
         trials = 400
-        doc = {
-            "hosts": [
-                {"id": "e1", "nat": "ne1"},
-                {"id": "e2", "nat": "ne2"},
-                {"id": "hh", "nat": "nh"},
-            ],
-            "nats": [
-                {"id": "ne1"}, {"id": "ne2"},
-                {"id": "nh", "mapping": "endpoint_dependent",
-                 "filtering": "address_and_port_dependent"},
-            ],
-            "scheme": {"G": 0, "P": 1, "theta": 1},
-            "experiment": {"trials": trials, "seed": 2024,
-                           "punch": {"open_ports": 256, "rate": 100.0,
-                                     "max_seconds": 10.0}},
-        }
-        rep = run_scenario(doc)
+        rep = run_scenario(two_birthday_links_doc(trials, "address_and_port_dependent"))
         assert rep["aggregate"]["connected_trials"] == trials  # relay rescues misses
         p = success_probability(64511, 256, 1000)
         expect = p * p
         emp = rep["aggregate"]["fully_direct_trials"] / trials
         sigma3 = 3 * (expect * (1 - expect) / trials) ** 0.5
         assert abs(emp - expect) <= sigma3, (emp, expect, sigma3)
+        # A prober that filters never sends a triggered check, so every
+        # trial is the one a sweep-only prober gives (pinned before the
+        # triggered check existed).
+        assert rep["aggregate"]["rows_digest"] == (
+            "16374763852d5e2d9e8e209d4324e116b5a2cec2526e78dec5edb4bce264e156")
+
+    def test_full_cone_probers_link_every_trial_directly(self):
+        # Easy NATs that filter nothing deliver the opener's probes, and
+        # the prober's triggered check answers one: no sweep can miss.
+        trials = 400
+        rep = run_scenario(two_birthday_links_doc(trials, "endpoint_independent"))
+        assert rep["aggregate"]["connected_trials"] == trials
+        assert rep["aggregate"]["fully_direct_trials"] == trials

@@ -266,10 +266,11 @@ class TestDirectPunch:
         assert punch.probes_sent == 10  # one per 100 ms over 1 s
 
 
-def birthday_world(seed, space, loss=0.0, ttl_s=30.0):
+def birthday_world(seed, space, loss=0.0, ttl_s=30.0,
+                   prober_filtering=FilteringMode.ENDPOINT_INDEPENDENT):
     net = Network(seed=seed)
     nat_hard = net.add_nat(NatProfile.hard("nh", alloc_space=space, mapping_ttl_s=ttl_s))
-    nat_easy = net.add_nat(NatProfile.easy("ne", mapping_ttl_s=ttl_s))
+    nat_easy = net.add_nat(NatProfile("ne", filtering=prober_filtering, mapping_ttl_s=ttl_s))
     opener_host = net.add_host("opener", nat=nat_hard,
                                link=LinkPolicy(latency_us=500, loss=loss))
     prober_host = net.add_host("prober", nat=nat_easy,
@@ -494,7 +495,9 @@ class TestBirthdayPunch:
         assert len(set(ports)) == cfg.probe_budget == 200
 
     def test_prober_that_hits_sends_a_prefix_of_its_schedule(self):
-        net, nat_hard, nat_easy, opener_host, prober_host = birthday_world(40, self.SPACE)
+        # Behind a filtering NAT the prober never sends a triggered check.
+        net, nat_hard, nat_easy, opener_host, prober_host = birthday_world(
+            40, self.SPACE, prober_filtering=FilteringMode.ADDRESS_AND_PORT_DEPENDENT)
         cfg = PunchConfig(open_ports=64, probe_rate=1000, max_duration_s=2.0,
                           space=self.SPACE)
         ports = self.probed_ports(net, prober_host, nat_hard.public_ip)
@@ -525,6 +528,126 @@ class TestBirthdayPunch:
             return results["prober"], prober.probes_sent, net.now_us
 
         assert once() == once()
+
+
+class TestTriggeredCheck:
+    """A prober that hears an opener PROBE from a port it has not swept
+    answers it once with an indexed PROBE straight back."""
+
+    SPACE = PortSpace(10000, 11999)
+    LATENCY_US = 500
+
+    def world(self, prober_nat):
+        net = Network(seed=60)
+        nat_hard = net.add_nat(NatProfile.hard("nh", alloc_space=self.SPACE))
+        opener_host = net.add_host("opener", nat=nat_hard,
+                                   link=LinkPolicy(latency_us=self.LATENCY_US))
+        nat = net.add_nat(prober_nat) if prober_nat is not None else None
+        prober_host = net.add_host("prober", nat=nat,
+                                   link=LinkPolicy(latency_us=self.LATENCY_US))
+        return net, nat_hard, opener_host, prober_host
+
+    @pytest.mark.parametrize("prober_nat", [None, NatProfile.easy("full-cone")],
+                             ids=["public", "full-cone"])
+    def test_hard_opener_links_in_one_round_trip(self, prober_nat):
+        net, nat_hard, opener_host, prober_host = self.world(prober_nat)
+        prober_sock = prober_host.bind(lambda *x: None, 7000)
+        prober_ep = ((prober_host.ip, 7000) if prober_host.nat is None
+                     else stun(prober_host.nat, prober_host, 7000, ("10.210.0.1", 3478)))
+        cfg = PunchConfig(open_ports=256, probe_rate=100, max_duration_s=10.0, space=self.SPACE)
+        done = {}
+        opener = BirthdayOpener(HostTransport(opener_host), b"T" * 8, prober_ep, cfg,
+                                lambda ok, sock, peer, why: done.setdefault(
+                                    "opener", (ok, peer, why, net.now_us)), net.rng)
+        prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"T" * 8,
+                                nat_hard.public_ip, cfg,
+                                lambda ok, sock, peer, why: done.setdefault(
+                                    "prober", (ok, peer, why, net.now_us)), net.rng)
+        prober_sock.handler = wire(prober)
+        t0 = net.now_us
+        opener.start()
+        prober.start()
+        net.run_for(1_000_000)
+        # The opener's probes land one latency after t0; the triggered
+        # check and its ack make one round trip; the CONFIRM one more leg.
+        ok, pinhole, why, at = done["prober"]
+        assert (ok, why) == (True, "birthday") and pinhole[0] == nat_hard.public_ip
+        assert at - t0 <= 3 * self.LATENCY_US
+        assert done["opener"][:3] == (True, prober_ep, "birthday")
+        assert done["opener"][3] - t0 <= 4 * self.LATENCY_US
+        assert 1 <= prober.probes_sent <= 2
+        assert len(opener_host.sockets) == 1
+
+    def started_prober(self, budget_s=1.0):
+        net, _, _, prober_host = self.world(None)
+        sent = []
+        net.on_wire = lambda kind, src, dst, payload: sent.append((dst, parse_probe(payload)))
+        cfg = PunchConfig(open_ports=8, probe_rate=100, max_duration_s=budget_s,
+                          space=self.SPACE)
+        prober = BirthdayProber(HostTransport(prober_host), prober_host.bind(lambda *x: None, 7000),
+                                b"T" * 8, "198.18.0.77", cfg, lambda *r: None, net.rng,
+                                schedule_seed=4545)
+        prober.start()
+        net.run_for(25_000)  # three sweep probes, at 0, 10 and 20 ms
+        return net, prober, sent
+
+    def test_only_a_probe_of_the_session_from_an_unswept_opener_port_is_answered(self):
+        net, prober, sent = self.started_prober()
+        swept = [dst[1] for dst, _ in sent]
+        unswept = next(p for p in range(10000, 12000) if p not in swept)
+        assert len(swept) == prober.probes_sent == 3
+        probe = pack_probe(KIND_PROBE, b"T" * 8, bytes(8))
+        prober.on_datagram(probe, ("198.18.0.78", unswept))                  # another IP
+        prober.on_datagram(pack_probe(KIND_PROBE, b"U" * 8, bytes(8)),
+                           ("198.18.0.77", unswept))                         # another session
+        prober.on_datagram(probe, ("198.18.0.77", swept[1]))                 # a swept port
+        prober.on_datagram(probe[:4] + b"\x09" + probe[5:],
+                           ("198.18.0.77", unswept))                         # malformed
+        assert prober.probes_sent == 3 and len(sent) == 3
+        prober.on_datagram(probe, ("198.18.0.77", unswept))
+        assert prober.probes_sent == 4
+        assert sent[3] == (("198.18.0.77", unswept), (KIND_PROBE, b"T" * 8, (3).to_bytes(8, "big")))
+        # The schedule is not advanced: the next sweep probe takes index 4
+        # and the port the schedule had next.
+        net.run_for(10_000)
+        assert sent[4][1][2] == (4).to_bytes(8, "big")
+        assert [dst[1] for dst, _ in sent[:3] + sent[4:]] == schedule_ports(
+            self.SPACE, 100, 4545)[:4]
+
+    def test_the_prober_answers_only_once(self):
+        net, prober, sent = self.started_prober()
+        probe = pack_probe(KIND_PROBE, b"T" * 8, bytes(8))
+        swept = {dst[1] for dst, _ in sent}
+        fresh = [p for p in range(10000, 12000) if p not in swept][:3]
+        for port in fresh:
+            prober.on_datagram(probe, ("198.18.0.77", port))
+        assert [dst for dst, _ in sent[3:]] == [("198.18.0.77", fresh[0])]
+        assert prober.probes_sent == 4
+
+    def test_no_answer_once_the_budget_is_spent(self):
+        net, prober, sent = self.started_prober(budget_s=0.03)
+        assert prober.probes_sent == prober._budget == 3
+        prober.on_datagram(pack_probe(KIND_PROBE, b"T" * 8, bytes(8)), ("198.18.0.77", 1))
+        assert prober.probes_sent == 3 and len(sent) == 3
+
+
+class TestOpenerWithoutSockets:
+    def test_exhausted_ephemeral_ports_finish_the_opener_not_ok(self):
+        net = Network(seed=61)
+        host = net.add_host("opener")
+        span = host.EPHEMERAL_HI - host.EPHEMERAL_LO + 1
+        host.bind_ephemeral(lambda *x: None, span - 10)
+        before = dict(host.sockets)
+        results, rng_state = [], net.rng.getstate()
+        opener = BirthdayOpener(HostTransport(host), b"N" * 8, ("198.18.0.1", 7000),
+                                PunchConfig(open_ports=64, space=PortSpace(10000, 11999)),
+                                lambda *r: results.append(r), net.rng)
+        opener.start()
+        assert results == [(False, None, None, "no-sockets")]
+        assert opener.done and host.sockets == before
+        assert net.rng.getstate() == rng_state
+        net.run_for(30_000_000)  # no timer left behind
+        assert results == [(False, None, None, "no-sockets")]
 
 
 FUZZ_SESSION = b"F" * 8
@@ -591,6 +714,39 @@ class TestWireFuzz:
             prober.on_datagram(data, src)
             assert prober.done == (accepts or bool(results))
         assert results in ([], [True])
+
+    @given(seq=st.lists(st.tuples(st.just(pack_probe(KIND_PROBE, FUZZ_SESSION, bytes(8)))
+                                  | wire_bytes,
+                                  st.integers(-6, -1) | st.integers(0, 65535)),
+                        max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_prober_answers_at_most_one_opener_probe(self, seq):
+        # Datagrams from the opener's address (a negative port picks one of
+        # the six swept ones): only the first PROBE of the session from an
+        # unswept port, before any valid ack, is answered.
+        net, a, b = self.world()
+        probes_to = []
+        net.on_wire = lambda kind, src, dst, payload: (
+            probes_to.append(dst) if payload[5:6] == bytes((KIND_PROBE,)) else None)
+        prober = BirthdayProber(HostTransport(a), a.bind(lambda *x: None, 7000), FUZZ_SESSION,
+                                b.ip, PunchConfig(), lambda *r: None, net.rng)
+        prober.start()
+        net.run_for(50_000)  # probes 0..5 sent
+        swept = [dst[1] for dst in probes_to]
+        expect, sent, done = [], prober.probes_sent, False
+        for data, port in seq:
+            port = swept[port] if port < 0 else port
+            parsed = parse_probe(data)
+            if done or parsed is None or parsed[1] != FUZZ_SESSION:
+                pass
+            elif parsed[0] == KIND_PROBE_ACK and int.from_bytes(parsed[2], "big") < sent:
+                done = True
+            elif parsed[0] == KIND_PROBE and not expect and port not in swept:
+                expect.append((b.ip, port))
+                sent += 1
+            prober.on_datagram(data, (b.ip, port))
+        assert probes_to[len(swept):] == expect
+        assert prober.probes_sent == sent and prober.done == done
 
     @given(seq=st.lists(st.tuples(wire_bytes, endpoints, st.integers(0, 3)), max_size=6))
     @settings(max_examples=300, deadline=None)
