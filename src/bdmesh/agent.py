@@ -54,7 +54,6 @@ from .securelink import (
     split_plain,
 )
 from .traversal import (
-    DEFAULT_PUNCH,
     PROBE_LEN,
     PROBE_MAGIC,
     BirthdayOpener,
@@ -195,9 +194,9 @@ class NodeAgent:
     """
 
     def __init__(self, node_id: str, transport, channel, local_ip: str,
+                 observers: list[Endpoint],
                  identity: Optional[Identity] = None,
                  default_encrypted: bool = True,
-                 observers: Optional[list[Endpoint]] = None,
                  on_event: Optional[Callable[[dict], None]] = None):
         self.node_id = node_id
         self.transport = transport
@@ -232,9 +231,8 @@ class NodeAgent:
         """Wire an agent to a simulated host and coordinator."""
         transport = HostTransport(host)
         channel = net.connect_channel(host, coord_host, DEFAULT_CONTROL_PORT)
-        kw.setdefault("observers",
-                      [(coord_host.ip, p) for p in DEFAULT_OBSERVER_PORTS])
-        return cls(node_id, transport, channel, local_ip=host.ip, **kw)
+        observers = [(coord_host.ip, p) for p in DEFAULT_OBSERVER_PORTS]
+        return cls(node_id, transport, channel, host.ip, observers, **kw)
 
     def _emit(self, event: str, **info) -> None:
         if self.on_event is not None:
@@ -283,9 +281,6 @@ class NodeAgent:
         self.channel.send({"type": "introduce_request", "node": self.node_id,
                            "peer": peer_id})
 
-    def encrypted_for(self, peer_id: str) -> bool:
-        return self.link_encryption.get(peer_id, self.default_encrypted)
-
     # -- control channel ---------------------------------------------------
 
     def _on_control(self, msg: dict) -> None:
@@ -331,18 +326,14 @@ class NodeAgent:
         if old is not None and not old.terminal:
             return  # one live session per peer
         try:
-            # Parsed JSON may hold 100 for 100.0: each parameter is cast
-            # to its default's type.
-            cfg = PunchConfig.from_params({name: type(default)(punch[name])
-                                           for name, default in DEFAULT_PUNCH.items()
-                                           if name in punch})
+            cfg = PunchConfig.from_params(punch)
         except (InvalidParametersError, ValueError, TypeError, OverflowError) as exc:
             self._emit("session_failed", peer=peer_id, reason=f"bad punch params: {exc}")
             return
         ls = LinkSession(
             agent=self, session_id=session_id, peer_id=peer_id, role=role,
             peer_ep=peer_ep, peer_pubkey=peer_pubkey,
-            encrypted=self.encrypted_for(peer_id), cfg=cfg,
+            encrypted=self.link_encryption.get(peer_id, self.default_encrypted), cfg=cfg,
         )
         ls.initiator = self.node_id < peer_id
         self.sessions[session_id] = ls

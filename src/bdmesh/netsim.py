@@ -52,8 +52,8 @@ def parse_endpoint(value) -> Optional[Endpoint]:
     if not isinstance(value, dict):
         return None
     ip, port = value.get("ip"), value.get("port")
-    if (not isinstance(ip, str) or not isinstance(port, int) or isinstance(port, bool)
-            or not 0 <= port <= 65535):
+    if (not isinstance(ip, str) or len(ip) > MAX_IP_TEXT or not isinstance(port, int)
+            or isinstance(port, bool) or not 0 <= port <= 65535):
         return None
     return ip, port
 
@@ -65,6 +65,7 @@ def format_endpoint(ep: Endpoint) -> dict:
 
 MAX_DATAGRAM = 1200
 MAX_CONTROL_LINE = 8192
+MAX_IP_TEXT = 64  # fits IPv6 with a zone id; bounds the endpoint an introduce carries
 DEFAULT_MAPPING_TTL_S = 30.0
 
 __all__ = [
@@ -191,6 +192,16 @@ class Nat:
             if not peers:
                 del self._by_internal[m.internal]
 
+    def _is_free(self, port: int, now_us: int) -> bool:
+        """Whether port can take a new mapping: it has none or an expired one (purged)."""
+        m = self._by_ext.get(port)
+        if m is None:
+            return True
+        if m.expires_us <= now_us:
+            self._purge(m)
+            return True
+        return False
+
     def _alloc_port(self, now_us: int) -> int:
         lo, k = self._alloc_lo, self._alloc_size
         if len(self._by_ext) >= k:
@@ -201,20 +212,12 @@ class Nat:
         if self._random_alloc:
             while True:
                 cand = lo + _below(self._getrandbits, k)
-                m = self._by_ext.get(cand)
-                if m is not None and m.expires_us <= now_us:
-                    self._purge(m)
-                    m = None
-                if m is None:
+                if self._is_free(cand, now_us):
                     return cand
         for _ in range(k):
             cand = self._seq_cursor
             self._seq_cursor = lo + (cand - lo + 1) % k
-            m = self._by_ext.get(cand)
-            if m is not None and m.expires_us <= now_us:
-                self._purge(m)
-                m = None
-            if m is None:
+            if self._is_free(cand, now_us):
                 return cand
         raise PortsExhaustedError(f"nat {self.profile.nat_id} has no free ports")
 
@@ -312,10 +315,6 @@ class VirtualClock:
     def schedule_at(self, t_us: int, fn, *args) -> None:
         self._seq += 1
         heappush(self._heap, (t_us, self._seq, fn, args))
-
-    def schedule(self, delay_us: int, fn, *args) -> None:
-        self._seq += 1
-        heappush(self._heap, (self.now_us + delay_us, self._seq, fn, args))
 
     def call_later(self, delay_us: int, fn: Callable[[], None]) -> Timer:
         timer = Timer(fn)
@@ -467,26 +466,25 @@ class HostTransport:
         ports = [sock.port for sock in socks if not sock.closed]
         if len(ports) != len(socks):
             raise SimulationError("send on closed socket")
-        self.host.net._send_burst(self.host, ports, dst, payloads)
+        host = self.host
+        send = host.net._send_from
+        for src_port, payload in zip(ports, payloads):
+            send(host, src_port, dst, payload)
 
 
 class ChannelEnd:
     """One side of a reliable ordered line channel (TCP-like)."""
 
-    def __init__(self, net: "Network", host: Host, local: Endpoint, remote: Endpoint):
+    def __init__(self, net: "Network", host: Host, local: Endpoint, peer_observed: Endpoint):
         self.net = net
         self.host = host
-        self.local = local          # this end as the peer sees it
-        self.remote = remote        # the peer as this end sees it
+        self.local = local                  # this end as the peer sees it
+        self.peer_observed = peer_observed  # the peer as this end sees it
         self.peer: Optional[ChannelEnd] = None
         self.closed = False
         self.on_line: Optional[Callable[[dict], None]] = None
         self.on_close: Optional[Callable[[], None]] = None
         self._deliver_floor_us = 0
-
-    @property
-    def peer_observed(self) -> Endpoint:
-        return self.remote
 
     def send(self, obj: dict) -> None:
         line = json.dumps(obj, separators=(",", ":")).encode() + b"\n"
@@ -502,8 +500,8 @@ class ChannelEnd:
         self.closed = True
         peer = self.peer
         if peer is not None and not peer.closed:
-            delay = self.host.link.latency_us
-            self.net.clock.schedule(delay, peer._peer_closed)
+            clock = self.net.clock
+            clock.schedule_at(clock.now_us + self.host.link.latency_us, peer._peer_closed)
 
     def _peer_closed(self) -> None:
         if self.closed:
@@ -602,12 +600,6 @@ class Network:
             clock.schedule_at(t, self._deliver, self._batch)
             self._batch_t, self._batch_seq = t, clock._seq
 
-    def _send_burst(self, host: Host, ports, dst: Endpoint, payloads) -> None:
-        """_send_from(host, ports[i], dst, payloads[i]) for each i, in order."""
-        send = self._send_from
-        for src_port, payload in zip(ports, payloads):
-            send(host, src_port, dst, payload)
-
     def _deliver(self, batch: list) -> None:
         """Deliver one heap entry's batch of (src, dst, payload), in order."""
         if batch is self._batch:
@@ -668,7 +660,7 @@ class Network:
         server_end = ChannelEnd(self, server, server_seen, client_seen)
         client_end.peer = server_end
         server_end.peer = client_end
-        self.clock.schedule(client.link.latency_us, acceptor, server_end)
+        self.clock.schedule_at(self.now_us + client.link.latency_us, acceptor, server_end)
         return client_end
 
     def _channel_send(self, end: ChannelEnd, line: bytes) -> None:

@@ -141,11 +141,6 @@ class TcpLineChannel:
         self.on_close: Optional[Callable[[], None]] = None
         self.closed = False
 
-    @property
-    def local_address(self) -> tuple[str, int]:
-        name = self._writer.get_extra_info("sockname") or ("0.0.0.0", 0)
-        return (name[0], name[1])
-
     def send(self, msg: dict) -> None:
         if self.closed:
             return
@@ -286,7 +281,6 @@ class NodeClient:
         self.agent: Optional[NodeAgent] = None
         self.channel: Optional[TcpLineChannel] = None
         self.exit_code: Optional[int] = None
-        self.events: list[dict] = []
         self._echoed: set[str] = set()
         self._pinged: set[str] = set()
         self._reader_task = None
@@ -311,13 +305,13 @@ class NodeClient:
         self.channel = TcpLineChannel(reader, writer)
         transport = AsyncioTransport(loop)
         coord_ip = writer.get_extra_info("peername")[0]
+        local_ip = (writer.get_extra_info("sockname") or ("0.0.0.0", 0))[0]
         observers = [(coord_ip, p) for p in self.observer_ports]
         try:
             self.agent = NodeAgent(
-                self.node_id, transport, self.channel,
-                local_ip=self.channel.local_address[0],
+                self.node_id, transport, self.channel, local_ip, observers,
                 identity=self.identity, default_encrypted=self.encrypted,
-                observers=observers, on_event=self._on_event)
+                on_event=self._on_event)
             self.agent.start()
         except OSError as e:
             print(f"cannot bind a local socket: {e}", file=sys.stderr)
@@ -333,7 +327,6 @@ class NodeClient:
         self._wake.set()
 
     def _on_event(self, event: dict) -> None:
-        self.events.append(event)
         log.debug("node %s event %s", self.node_id, event)
         if event["event"] == "coordinator_error" and \
                 event.get("error") == "identity-conflict":
@@ -365,12 +358,7 @@ class NodeClient:
                 return False
             if self.agent is not None and self.agent.ready:
                 return True
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(),
-                                       max(0.05, deadline - time.monotonic()))
-            except asyncio.TimeoutError:
-                pass
+            await self._wait(max(0.05, deadline - time.monotonic()))
         return self.agent is not None and self.agent.ready
 
     async def link_all(self, timeout_s: float = 60.0) -> bool:
@@ -386,20 +374,20 @@ class NodeClient:
                     self.agent.connect(p)
             if all(p in self._echoed for p in self.connect_peers):
                 return True
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), INTRODUCE_RETRY_S)
-            except asyncio.TimeoutError:
-                pass
+            await self._wait(INTRODUCE_RETRY_S)
         return all(p in self._echoed for p in self.connect_peers)
 
     async def run_forever(self) -> None:
         while self.exit_code is None:
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), 3600.0)
-            except asyncio.TimeoutError:
-                pass
+            await self._wait(3600.0)
+
+    async def _wait(self, timeout_s: float) -> None:
+        """Sleep until an event wakes the client or timeout_s passes."""
+        self._wake.clear()
+        try:
+            await asyncio.wait_for(self._wake.wait(), timeout_s)
+        except asyncio.TimeoutError:
+            pass
 
     async def close(self) -> None:
         if self._reader_task is not None:

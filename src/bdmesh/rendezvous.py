@@ -6,8 +6,9 @@ line.  Client-to-coordinator types: register, ping, introduce_request,
 relay_open, relay_data.  Coordinator-to-client types: registered
 (carrying the channel's observed endpoint), pong, introduce,
 relay_opened, relay_data, error.  Unknown types draw an error reply
-and leave the connection open.  A registration lapses
-REGISTRATION_TTL_S after the last register or ping.
+and leave the connection open; no error detail echoes the client's
+input.  A registration lapses REGISTRATION_TTL_S after the last
+register or ping.
 
 The coordinator also answers observe datagrams on two UDP observer
 ports; two vantage ports are what a node needs to classify its NAT
@@ -40,7 +41,6 @@ vanished counterpart yields peer-gone.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import random
 import time
@@ -105,7 +105,6 @@ class NodeRecord:
 class RelaySession:
     session_id: str
     nodes: tuple[str, str]
-    roles: dict[str, str]
     opened: set[str] = field(default_factory=set)
     relayed_bytes: int = 0
 
@@ -120,7 +119,8 @@ class Coordinator:
     Channels are duck-typed: .send(dict), .peer_observed, and writable
     .on_line / .on_close.  Works over simulated channels and over the
     asyncio TCP backend alike.  Session ids come from rng, which
-    defaults to the OS generator; simulations pass their seeded one.
+    defaults to the OS generator; Coordinator.sim passes a simulated
+    world's seeded one and reads the world's clock for now_fn.
     """
 
     def __init__(self, rng: Optional[random.Random] = None,
@@ -147,11 +147,15 @@ class Coordinator:
             if record is not None and record.channel is channel:
                 record.channel = None
 
-    def bind_sim(self, net: Network, host: Host) -> None:
-        """Listen on a simulated host: the control port and both observers."""
-        host.listen_channel(DEFAULT_CONTROL_PORT, self.attach)
+    @classmethod
+    def sim(cls, net: Network, host: Host, punch: Optional[dict] = None) -> "Coordinator":
+        """A coordinator on a simulated host, drawing from the world's rng
+        and reading its clock: the control port and both observers."""
+        coord = cls(rng=net.rng, punch=punch, now_fn=lambda: net.now_us / 1e6)
+        host.listen_channel(DEFAULT_CONTROL_PORT, coord.attach)
         for port in DEFAULT_OBSERVER_PORTS:
-            host.bind(self.on_observe, port)
+            host.bind(coord.on_observe, port)
+        return coord
 
     def on_observe(self, payload: bytes, src: Endpoint, sock) -> None:
         """UDP observer socket handler: reflect the source endpoint back
@@ -176,7 +180,7 @@ class Coordinator:
             return
         handler = self._HANDLERS.get(msg["type"])
         if handler is None:
-            self._error(channel, "unknown-type", f"unknown message type {msg['type']!r}")
+            self._error(channel, "unknown-type", "unknown message type")
             return
         handler(self, channel, msg)
 
@@ -201,19 +205,18 @@ class Coordinator:
         bound = self._node_by_channel.get(id(channel))
         if bound is not None and bound != node_id:
             # One channel speaks for one node: its record holds the channel.
-            self._error(channel, "bad-message", f"channel is registered as {bound!r}")
+            self._error(channel, "bad-message", "channel is registered as another node")
             return
         try:
             pubkey = base64.b64decode(msg.get("pubkey_b64", ""), validate=True)
-        except (binascii.Error, TypeError):
+        except (ValueError, TypeError):  # binascii.Error is a ValueError
             pubkey = b""
         if len(pubkey) != 32:
             self._error(channel, "bad-message", "pubkey_b64 must decode to 32 bytes")
             return
         existing = self.nodes.get(node_id)
         if self._alive(existing) and existing.pubkey != pubkey:
-            self._error(channel, "identity-conflict",
-                        f"node {node_id!r} is registered with a different key")
+            self._error(channel, "identity-conflict", "node is registered with a different key")
             return
         record = NodeRecord(
             node_id=node_id,
@@ -245,15 +248,14 @@ class Coordinator:
         peer_id = msg.get("peer")
         peer = self.nodes.get(peer_id) if isinstance(peer_id, str) else None
         if not self._alive(peer):
-            self._error(channel, "no-such-node", f"peer {peer_id!r} is not registered")
+            self._error(channel, "no-such-node", "peer is not registered")
             return
         if peer.node_id == requester.node_id:
             self._error(channel, "bad-message", "cannot introduce a node to itself")
             return
         session_id = self.rng.randbytes(8).hex()
         role_a, role_b = assign_roles(requester.nat_class, peer.nat_class)
-        session = RelaySession(session_id, (requester.node_id, peer.node_id),
-                               {requester.node_id: role_a, peer.node_id: role_b})
+        session = RelaySession(session_id, (requester.node_id, peer.node_id))
         self.sessions[session_id] = session
         self.introductions += 1
         for record, other, role in ((requester, peer, role_a), (peer, requester, role_b)):
@@ -302,9 +304,9 @@ class Coordinator:
         if record.node_id not in session.opened:
             self._error(channel, "no-such-session", "relay_data before relay_open")
             return
-        try:
-            payload = base64.b64decode(msg.get("payload_b64", ""), validate=True)
-        except (binascii.Error, TypeError):
+        try:  # a missing or non-string payload is a TypeError
+            payload = base64.b64decode(msg.get("payload_b64"), validate=True)
+        except (ValueError, TypeError):
             self._error(channel, "bad-message", "payload_b64 must be valid base64")
             return
         if len(payload) > MAX_RELAY_CHUNK:

@@ -38,6 +38,7 @@ from .meshplan import (
     classify_scheme,
     drive,
     plan_links,
+    realize_plan,
     route_lookup,
 )
 from .montecarlo import trial_seed
@@ -179,8 +180,7 @@ def build_world(doc: dict, seed: Optional[int] = None) -> ScenarioWorld:
 
     net = Network(seed=seed, trace=True)
     coord_host = net.add_host(COORD_HOST_ID)
-    coord = Coordinator(rng=net.rng, punch=exp.get("punch"), now_fn=lambda: net.now_us / 1e6)
-    coord.bind_sim(net, coord_host)
+    coord = Coordinator.sim(net, coord_host, punch=exp.get("punch"))
 
     nats = {}
     for nd in doc.get("nats", []):
@@ -199,10 +199,7 @@ def build_world(doc: dict, seed: Optional[int] = None) -> ScenarioWorld:
         ld = link_by_host.get(hd["id"])
         pol = None
         if ld is not None:
-            pol = LinkPolicy(loss=ld.get("loss", 0.0),
-                             latency_us=ld.get("latency_us", 1000),
-                             jitter_us=ld.get("jitter_us", 0),
-                             udp_blocked=ld.get("udp_blocked", False))
+            pol = LinkPolicy(**{k: v for k, v in ld.items() if k != "host"})
         nat = nats[hd["nat"]] if hd.get("nat") else None
         host = net.add_host(hd["id"], nat=nat, link=pol)
         agent = NodeAgent.sim(net, host, coord_host, hd["id"])
@@ -330,8 +327,6 @@ def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport) -> dict:
 
 
 def _run_single(doc: dict, seed: int) -> dict:
-    from .meshplan import realize_plan
-
     world = build_world(doc, seed=seed)
     outcome = realize_plan(world.net, world.agents, world.plan,
                            deadline_s=world.coord.punch["max_seconds"] + 20.0)

@@ -70,6 +70,7 @@ CONFIRM_REPEAT = 3  # CONFIRM copies; the prober spaces them, the direct punch d
 CONFIRM_SPACING_S = 0.05
 CLASSIFY_TRIES = 3  # NatClassifier rounds of observe datagrams, and their spacing
 CLASSIFY_RETRY_S = 0.5
+REFRESH_INTERVAL_S = 15.0  # opener re-sends its probes: half the common 30 s mapping TTL
 
 __all__ = [
     "PROBE_MAGIC",
@@ -113,14 +114,14 @@ class PunchConfig:
     open_ports is the pinhole count the opener maintains; probe_rate
     and max_duration_s bound the prober, whose total budget is
     floor(probe_rate * max_duration_s) distinct ports drawn from space.
-    The refresh interval re-sends opener probes to keep NAT mappings
-    alive and defaults to half the common 30 s mapping TTL.
+    The coordinator sends the first three under their wire names
+    (DEFAULT_PUNCH), and from_params is their one parser.  How often the
+    opener refreshes its mappings is REFRESH_INTERVAL_S, not a knob.
     """
 
     open_ports: int = 256
     probe_rate: float = 100.0
     max_duration_s: float = 20.0
-    refresh_interval_s: float = 15.0
     space: PortSpace = field(default_factory=PortSpace)
 
     def __post_init__(self) -> None:
@@ -130,7 +131,7 @@ class PunchConfig:
         if not (0.0 < self.probe_rate <= MAX_PROBE_RATE):
             raise InvalidParametersError(
                 f"probe_rate must lie in (0, {MAX_PROBE_RATE}], got {self.probe_rate}")
-        if self.max_duration_s <= 0 or self.refresh_interval_s <= 0:
+        if self.max_duration_s <= 0:
             raise InvalidParametersError("durations must be positive")
         if self.probe_budget > self.space.size:
             raise InvalidParametersError(
@@ -143,8 +144,11 @@ class PunchConfig:
 
     @classmethod
     def from_params(cls, params: dict) -> "PunchConfig":
-        """Config from wire-named punch parameters; one left out keeps its default."""
-        return cls(**{_PARAM_FIELDS[name]: value for name, value in params.items()})
+        """Config from wire-named punch parameters; one left out keeps its
+        default and an unknown name is ignored.  Parsed JSON may hold 100
+        for 100.0, so each value is cast to its default's type."""
+        return cls(**{f: type(getattr(cls, f))(params[name])
+                      for name, f in _PARAM_FIELDS.items() if name in params})
 
 
 DEFAULT_PUNCH = {name: getattr(PunchConfig, f) for name, f in _PARAM_FIELDS.items()}
@@ -170,8 +174,6 @@ class NatClassifier:
         self._local = local
         self._observers = observers
         self._on_done = on_done
-        self._tries = CLASSIFY_TRIES
-        self._interval_us = int(CLASSIFY_RETRY_S * 1_000_000)
         self._tokens = [rng.getrandbits(63) for _ in observers]
         self._answers: list[Optional[Endpoint]] = [None, None]
         self._round = 0
@@ -188,10 +190,9 @@ class NatClassifier:
                 line = json.dumps({"type": "observe", "token": self._tokens[i]},
                                   separators=(",", ":")).encode()
                 self._sock.send(obs, line)
-        if self._round < self._tries:
-            self._timer = self._transport.call_later(self._interval_us, self._send_round)
-        else:
-            self._timer = self._transport.call_later(self._interval_us, self._finish)
+        self._timer = self._transport.call_later(
+            int(CLASSIFY_RETRY_S * 1_000_000),
+            self._send_round if self._round < CLASSIFY_TRIES else self._finish)
 
     def on_observed(self, obj: dict) -> None:
         """Feed a parsed {"type": "observed", ...} reply."""
@@ -208,8 +209,6 @@ class NatClassifier:
             self._finish()
 
     def _finish(self) -> None:
-        if self._done:
-            return
         self._done = True
         if self._timer is not None:
             self._timer.cancel()
@@ -283,8 +282,6 @@ class DirectPunch(_Punch):
         self._tick()
 
     def _tick(self) -> None:
-        if self.done:
-            return
         nonce = self._rng.randbytes(8)
         self._sent_nonces.add(nonce)
         self._sock.send(self._peer, pack_probe(KIND_PROBE, self._session_id, nonce))
@@ -317,7 +314,7 @@ class BirthdayOpener(_Punch):
     endpoint-dependent NAT.  The mapping is their purpose; a prober
     that hears one from a port it has not swept answers it with a
     triggered check.  Packed once, they go out as one transport
-    send_burst, in start and again every refresh interval so mappings
+    send_burst, in start and again every REFRESH_INTERVAL_S so mappings
     outlive their idle TTL.  When the sockets cannot be opened (the
     host's ephemeral ports or the process's descriptors run out), the
     opener finishes at once, not ok, with reason "no-sockets".
@@ -354,12 +351,10 @@ class BirthdayOpener(_Punch):
         self._send_all()
 
     def _send_all(self) -> None:
-        if self.done:
-            return
         self._transport.send_burst(self._sockets, self._prober, self._probes)
         self.probes_sent += len(self._probes)
         self._timer = self._transport.call_later(
-            int(self._cfg.refresh_interval_s * 1_000_000), self._send_all)
+            int(REFRESH_INTERVAL_S * 1_000_000), self._send_all)
 
     def _on_datagram(self, data: bytes, src: Endpoint, sock) -> None:
         parsed = parse_probe(data)

@@ -15,8 +15,7 @@ from bdmesh.securelink import MSG_INIT, MSG_REPLY, HandshakeInitiator, frame_pla
 def make_world(seed=100, punch=None, trace=False):
     net = Network(seed=seed, trace=trace)
     coord_host = net.add_host("coord")
-    coord = Coordinator(rng=net.rng, punch=punch, now_fn=lambda: net.now_us / 1e6)
-    coord.bind_sim(net, coord_host)
+    coord = Coordinator.sim(net, coord_host, punch=punch)
     return net, coord_host, coord
 
 
@@ -100,6 +99,27 @@ class TestDirectLink:
         a.links["beta"].send(b"after the replay")
         net.run_for(1_000_000)
         assert got == [b"after the replay"]
+
+    def test_a_retried_m1_gets_the_cached_m2_and_nothing_else(self):
+        net, coord_host, _ = make_world(seed=123)
+        a, _ = spawn(net, coord_host, "alpha")
+        b, host_b = spawn(net, coord_host, "beta")
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        (ls,) = b.sessions.values()  # beta responds
+        m1, m2 = ls.handshake
+        before = (ls.cipher, ls.link, dict(b.links), dict(b._channels), dict(a.links))
+        wire = sniff(net)
+        a.primary.send((host_b.ip, b.primary.local_port), m1)
+        net.run_for(100_000)
+        assert wire == [m1, m2]
+        assert (ls.cipher, ls.link, dict(b.links), dict(b._channels), dict(a.links)) == before
+        got = []
+        b.links["alpha"].on_payload = got.append
+        a.links["beta"].send(b"after the retry")
+        net.run_for(100_000)
+        assert got == [b"after the retry"]
 
     def test_easy_pair_direct(self):
         net, coord_host, _ = make_world(seed=102)
@@ -441,6 +461,20 @@ class TestSessionState:
         a._punch_done(ls)(False, None, None, "timeout")
         assert (ls.path, ls.link, ls.peer_ep, ls.relay_requested) == before
         assert before[0] == "relayed" and not a._routes
+
+    def test_second_introduce_for_a_live_session_is_ignored(self):
+        net, coord_host, _ = make_world(seed=122)
+        a, _ = spawn(net, coord_host, "alpha")
+        assert wait(net, lambda: a.ready, 5.0)
+        intro = dict(TestIntroduceParameters.INTRO, role="direct")
+        a._on_control(intro)  # probes an endpoint nobody holds: live for seconds
+        net.run_for(500_000)
+        (ls,) = a.sessions.values()
+        assert not ls.terminal
+        wire = sniff(net)
+        a._on_control(dict(intro, session_id="11" * 8, role="prober"))
+        assert wire == [] and list(a.sessions) == [bytes(8)]
+        assert a._session_by_peer["beta"] is ls and not ls.terminal
 
     def test_deadline_failure_is_final(self):
         net, coord_host, _ = make_world(seed=120)

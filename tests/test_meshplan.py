@@ -285,8 +285,7 @@ class TestRouteLookup:
 def make_world(seed):
     net = Network(seed=seed)
     coord_host = net.add_host("coord")
-    coord = Coordinator(rng=net.rng, now_fn=lambda: net.now_us / 1e6)
-    coord.bind_sim(net, coord_host)
+    Coordinator.sim(net, coord_host)
     return net, coord_host
 
 

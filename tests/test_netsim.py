@@ -50,7 +50,8 @@ class TestVirtualClock:
     def test_events_scheduled_during_run_fire_in_same_run(self):
         clock = VirtualClock()
         fired = []
-        clock.schedule_at(10, lambda: clock.schedule(5, lambda: fired.append("nested")))
+        clock.schedule_at(10, lambda: clock.schedule_at(clock.now_us + 5,
+                                                        lambda: fired.append("nested")))
         clock.run_until(100)
         assert fired == ["nested"]
         assert clock.now_us == 100

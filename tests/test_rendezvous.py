@@ -5,9 +5,11 @@ import base64
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bdmesh import rendezvous
-from bdmesh.netsim import NatProfile, Network
+from bdmesh.netsim import MAX_CONTROL_LINE, NatProfile, Network
 from bdmesh.rendezvous import (
     DEFAULT_PUNCH,
     MAX_RELAY_CHUNK,
@@ -68,8 +70,7 @@ class Client:
 def world(punch=None):
     net = Network(seed=50)
     coord_host = net.add_host("coord")
-    coord = Coordinator(rng=net.rng, punch=punch, now_fn=lambda: net.now_us / 1e6)
-    coord.bind_sim(net, coord_host)
+    coord = Coordinator.sim(net, coord_host, punch=punch)
     return net, coord_host, coord
 
 
@@ -391,3 +392,110 @@ class TestRelay:
         net.run_for(50_000)
         got = b"".join(base64.b64decode(m["payload_b64"]) for m in b.of_type("relay_data"))
         assert got == blob
+
+
+def opened_relay_world():
+    """relay_world with the session open at both ends."""
+    net, coord, a, b, sid = relay_world()
+    a.send(type="relay_open", session_id=sid)
+    b.send(type="relay_open", session_id=sid)
+    net.run_for(20_000)
+    assert a.of_type("relay_opened")
+    return net, coord, a, b, sid
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("payload", [{}, {"payload_b64": 7}, {"payload_b64": None},
+                                         {"payload_b64": "\u00e9"}])
+    def test_relay_data_without_a_base64_string_is_bad_message(self, payload):
+        net, coord, a, b, sid = opened_relay_world()
+        a.send(type="relay_data", session_id=sid, **payload)
+        net.run_for(20_000)
+        assert a.last_error() == "bad-message"
+        assert b.of_type("relay_data") == [] and coord.sessions[sid].relayed_bytes == 0
+
+    def test_non_ascii_pubkey_is_bad_message(self):
+        net, coord_host, coord = world()
+        client = Client(net, net.add_host("a"), coord_host)
+        register(net, client, "a", "\u00e9" * 44)
+        assert client.last_error() == "bad-message" and "a" not in coord.nodes
+
+    def test_error_details_do_not_echo_the_client(self):
+        net, coord_host, _ = world()
+        client = Client(net, net.add_host("a"), coord_host)
+        lines = []
+        net.on_wire = lambda kind, src, dst, line: lines.append(line)
+        register(net, client, "a", KEY_A)
+        echo = "\\" * 3000  # each backslash doubles in a repr, then again in JSON
+        client.send(type=echo)
+        client.send(type="introduce_request", peer=echo)
+        net.run_for(20_000)
+        errors = client.of_type("error")
+        assert [e["error"] for e in errors] == ["unknown-type", "no-such-node"]
+        assert all("\\" not in e["detail"] for e in errors)
+        assert max(len(line) for line in lines) <= MAX_CONTROL_LINE
+
+    def test_an_overlong_udp_endpoint_is_not_kept(self):
+        # Sent on in the peer's introduce, it would overflow that line.
+        net, coord_host, coord = world()
+        a = Client(net, net.add_host("ha"), coord_host)
+        b = Client(net, net.add_host("hb"), coord_host)
+        register(net, a, "a", KEY_A, nat_class="easy",
+                 udp_endpoint={"ip": "\\" * 4000, "port": 1})
+        register(net, b, "b", KEY_B, nat_class="easy")
+        assert coord.nodes["a"].udp_endpoint is None
+        b.send(type="introduce_request", peer="a")
+        net.run_for(20_000)
+        assert b.of_type("introduce")[0]["peer_endpoint"] == {"ip": "10.0.0.2", "port": 61000}
+
+
+# The fields each client type reads, each with a well-formed value.
+# "$sid" stands for the open relay session's id.
+CLIENT_FIELDS = {
+    "register": {"node": "a", "pubkey_b64": KEY_A, "nat_class": "hard",
+                 "udp_endpoint": {"ip": "198.18.5.1", "port": 1111}},
+    "ping": {"nonce": 1},
+    "introduce_request": {"node": "a", "peer": "b"},
+    "relay_open": {"session_id": "$sid"},
+    "relay_data": {"session_id": "$sid", "payload_b64": b64(b"x")},
+}
+
+# A character repeated to at most 8000 bytes of JSON: long enough to
+# overflow a reply that echoed it twice escaped.
+long_text = st.builds(lambda ch, n: ch * (n // (len(json.dumps(ch)) - 2)),
+                      st.sampled_from(["\\", '"', "\x00", "\u00e9", "a"]),
+                      st.integers(0, 8000))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | long_text,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def client_messages(draw):
+    """A known client type or any JSON value as the type; each field the
+    type reads is left out, well-formed or any JSON value."""
+    kind = draw(st.sampled_from(sorted(CLIENT_FIELDS)) | long_text | json_values)
+    msg = {"type": kind}
+    fields = CLIENT_FIELDS.get(kind, {}) if isinstance(kind, str) else {}
+    for name, good in fields.items():
+        how = draw(st.sampled_from(("absent", "good", "any")))
+        if how != "absent":
+            msg[name] = good if how == "good" else draw(long_text | json_values)
+    return msg
+
+
+class TestCoordinatorFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(client_messages(), min_size=1, max_size=3))
+    def test_handle_is_total_and_replies_fit_a_line(self, msgs):
+        net, coord, a, b, sid = opened_relay_world()
+        lines = []
+        net.on_wire = lambda kind, src, dst, line: lines.append(line)
+        for msg in msgs:
+            msg = {k: sid if v == "$sid" else v for k, v in msg.items()}
+            assume(len(json.dumps(msg, separators=(",", ":"))) < MAX_CONTROL_LINE)
+            a.send(**msg)
+            net.run_for(20_000)  # raises whatever escapes Coordinator.handle
+        assert lines and max(len(line) for line in lines) <= MAX_CONTROL_LINE

@@ -56,7 +56,6 @@ class TestPunchConfig:
         assert cfg.open_ports == 256
         assert cfg.probe_rate == 100.0
         assert cfg.max_duration_s == 20.0
-        assert cfg.refresh_interval_s == 15.0
         assert cfg.probe_budget == 2000
         assert cfg.space.size == 64511
 
@@ -326,7 +325,7 @@ class TestBirthdayPunch:
     def test_opener_sends_exactly_b_when_no_refresh_due(self):
         net, _, nat_easy, opener_host, prober_host = birthday_world(32, self.SPACE)
         cfg = PunchConfig(open_ports=100, probe_rate=1000, max_duration_s=2.0,
-                          space=self.SPACE, refresh_interval_s=15.0)
+                          space=self.SPACE)
         results, opener, prober = run_birthday(net, nat_easy, opener_host, prober_host, cfg)
         assert opener.probes_sent == 100
 
@@ -341,14 +340,15 @@ class TestBirthdayPunch:
                                   for _ in range(32)]
         assert rng.getstate() == twin.getstate()
 
-    def test_refresh_keeps_mappings_alive(self):
+    def test_refresh_keeps_mappings_alive(self, monkeypatch):
+        monkeypatch.setattr(traversal, "REFRESH_INTERVAL_S", 0.4)
         net, nat_hard, nat_easy, opener_host, prober_host = birthday_world(
             33, self.SPACE, ttl_s=0.8)
         results = {}
         prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
         prober_host.bind(lambda *x: None, 7000)
         cfg = PunchConfig(open_ports=50, probe_rate=1, max_duration_s=3.0,
-                          space=self.SPACE, refresh_interval_s=0.4)
+                          space=self.SPACE)
         opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
                                 lambda *a: results.setdefault("opener", a), net.rng)
         opener.start()
