@@ -150,8 +150,8 @@ class _Mapping:
     remotes: set[Endpoint] | frozenset
 
 
-# The remotes of every mapping on a NAT whose filtering never reads them:
-# one shared empty set rather than one allocation per mapping.
+# The remotes of every mapping on a NAT that keeps none (see Nat's
+# _track_remotes): one shared empty set rather than one per mapping.
 _UNTRACKED: frozenset = frozenset()
 
 
@@ -168,8 +168,10 @@ class Nat:
         self._per_destination = profile.mapping is MappingMode.ENDPOINT_DEPENDENT
         self._filtering = profile.filtering
         # Endpoint-independent filtering never reads a mapping's remotes,
-        # so they are kept only for the other two modes.
-        self._track_remotes = profile.filtering is not FilteringMode.ENDPOINT_INDEPENDENT
+        # and under endpoint-dependent mapping a mapping's one remote is the
+        # destination in its key, so a set is kept only where neither holds.
+        self._track_remotes = not (self._per_destination or profile.filtering
+                                   is FilteringMode.ENDPOINT_INDEPENDENT)
         self._random_alloc = profile.port_alloc is PortAlloc.UNIFORM_RANDOM
         space = profile.alloc_space
         self._alloc_lo = space.lo
@@ -252,11 +254,14 @@ class Nat:
         if f is FilteringMode.ENDPOINT_INDEPENDENT:
             return m.internal, "ok"
         if f is FilteringMode.ADDRESS_DEPENDENT:
+            ip = src[0]
             for peer in self._by_internal.get(m.internal, ()):
-                if peer.expires_us > now_us and any(r[0] == src[0] for r in peer.remotes):
+                if peer.expires_us > now_us and (
+                        (peer.key[1][0] == ip) if self._per_destination
+                        else any(r[0] == ip for r in peer.remotes)):
                     return m.internal, "ok"
             return None, "filtered"
-        if src in m.remotes:
+        if (m.key[1] == src) if self._per_destination else (src in m.remotes):
             return m.internal, "ok"
         return None, "filtered"
 

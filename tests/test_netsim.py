@@ -232,21 +232,27 @@ class TestNatFiltering:
         assert nat.inbound((peer.ip, 5002), new_port, now) == (internal, "ok")
         assert nat.inbound((stranger.ip, 5001), new_port, now) == (None, "filtered")
 
-    @pytest.mark.parametrize("filtering,kept", [
-        (FilteringMode.ENDPOINT_INDEPENDENT, 0),
-        (FilteringMode.ADDRESS_DEPENDENT, 1000),
-        (FilteringMode.ADDRESS_AND_PORT_DEPENDENT, 1000),
+    # Under endpoint-dependent mapping each destination gets a mapping of
+    # its own, whose key names its one remote: no mode keeps a set there.
+    @pytest.mark.parametrize("filtering,mapping,kept", [
+        (FilteringMode.ENDPOINT_INDEPENDENT, MappingMode.ENDPOINT_INDEPENDENT, 0),
+        (FilteringMode.ADDRESS_DEPENDENT, MappingMode.ENDPOINT_INDEPENDENT, 1000),
+        (FilteringMode.ADDRESS_AND_PORT_DEPENDENT, MappingMode.ENDPOINT_INDEPENDENT, 1000),
+        (FilteringMode.ENDPOINT_INDEPENDENT, MappingMode.ENDPOINT_DEPENDENT, 0),
+        (FilteringMode.ADDRESS_DEPENDENT, MappingMode.ENDPOINT_DEPENDENT, 0),
+        (FilteringMode.ADDRESS_AND_PORT_DEPENDENT, MappingMode.ENDPOINT_DEPENDENT, 0),
     ])
-    def test_remotes_kept_only_where_filtering_reads_them(self, filtering, kept):
+    def test_remotes_kept_only_where_filtering_reads_them(self, filtering, mapping, kept):
         net = Network(seed=5)
-        nat = net.add_nat(NatProfile("n1", filtering=filtering))
+        nat = net.add_nat(NatProfile("n1", mapping=mapping, filtering=filtering))
         sock = net.add_host("inside", nat=nat).bind(lambda *a: None, 7000)
         peer = net.add_host("peer")
         for port in range(1000):
             sock.send((peer.ip, 5000 + port), b"x")
         net.run_for(5_000)
-        (mapping,) = nat._by_ext.values()
-        assert len(mapping.remotes) == kept
+        mappings = list(nat._by_ext.values())
+        assert len(mappings) == (1000 if mapping is MappingMode.ENDPOINT_DEPENDENT else 1)
+        assert sum(len(m.remotes) for m in mappings) == kept
 
 
 class TestDatagramPath:
