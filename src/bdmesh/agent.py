@@ -6,9 +6,11 @@ the verdict and the externally observed endpoint.  After that the
 agent answers introductions (its own requests and its peers') by
 running one traversal session per peer:
 
-    role direct   symmetric probe exchange at the peer's endpoint
-    role opener   birthday punch, pinhole side (we are the hard one)
-    role prober   birthday punch, probing side
+    role direct   symmetric probe exchange at the peer's endpoint (also
+                  a hard side facing a public peer, whose path ends at
+                  the source of the ack or confirm that finished it)
+    role opener   birthday punch, pinhole side (we are hard, the peer easy)
+    role prober   birthday punch, probing side (we are easy, the peer hard)
     role relay    no punch; both ends open a relay session instead
 
 A failed punch falls back to the relay.  Once a path exists, links

@@ -7,8 +7,9 @@ relay_open, relay_data.  Coordinator-to-client types: registered
 (carrying the channel's observed endpoint), pong, introduce,
 relay_opened, relay_data, error.  Unknown types draw an error reply
 and leave the connection open; no error detail echoes the client's
-input.  A registration lapses REGISTRATION_TTL_S after the last
-register or ping.
+input.  A ping carries an integer nonce in [0, 2**32), which its pong
+echoes; any other nonce draws bad-message.  A registration lapses
+REGISTRATION_TTL_S after the last register or well-formed ping.
 
 The coordinator also answers observe datagrams on two UDP observer
 ports; two vantage ports are what a node needs to classify its NAT
@@ -21,16 +22,25 @@ roles from the two NAT classes and sends both sides an introduce
 carrying the session id, the peer's endpoint, identity key, NAT class,
 the role, and shared punch parameters:
 
-    peer \\ self   public      easy        hard        udp_blocked/unknown
-    public        direct      direct      prober      relay
+    self \\ peer   public      easy        hard        udp_blocked/unknown
+    public        direct      direct      direct      relay
     easy          direct      direct      prober      relay
-    hard          opener      opener      relay       relay
+    hard          direct      opener      relay       relay
     blocked/unk   relay       relay       relay       relay
 
 Both sides relay: hard-hard has no cheap traversal (both ends would
 need huge port fans), and a blocked or unclassified side cannot punch.
-Exactly one hard side runs the birthday punch: the hard side opens,
-the other side probes.
+A hard side facing an easy one runs the birthday punch: the hard side
+opens, the easy side probes (an easy NAT may filter, and the
+classifier cannot tell).  A hard side facing a public one needs no
+traversal: its direct punch probes the public endpoint from its one
+socket, which opens a single mapping, and the public side learns that
+mapping from the source of the probe it acks, as an ICE agent learns a
+peer-reflexive candidate (RFC 8445 section 7.3.1.3).  This assumes a
+host classified public accepts unsolicited UDP; one behind a
+default-deny stateful firewall looks the same to the two observers,
+and with a hard peer its link falls back to the relay when the direct
+punch times out.
 
 Relay sessions forward opaque relay_data payloads (base64, at most
 1024 raw bytes per line) between the two participants once both sent
@@ -83,9 +93,9 @@ def assign_roles(class_a: str, class_b: str) -> tuple[str, str]:
     b_hard = class_b == "hard"
     if a_hard and b_hard:
         return "relay", "relay"
-    if a_hard:
+    if a_hard and class_b == "easy":
         return "opener", "prober"
-    if b_hard:
+    if b_hard and class_a == "easy":
         return "prober", "opener"
     return "direct", "direct"
 
@@ -235,10 +245,14 @@ class Coordinator:
                       "observed": format_endpoint(record.observed)})
 
     def _on_ping(self, channel, msg) -> None:
+        nonce = msg.get("nonce")
+        if type(nonce) is not int or not 0 <= nonce < 1 << 32:
+            self._error(channel, "bad-message", "nonce must be an integer in [0, 2**32)")
+            return
         record = self._registered_node(channel)
         if record is not None:
             record.expires_s = self.now_fn() + REGISTRATION_TTL_S
-        channel.send({"type": "pong", "nonce": msg.get("nonce")})
+        channel.send({"type": "pong", "nonce": nonce})
 
     def _on_introduce_request(self, channel, msg) -> None:
         requester = self._registered_node(channel)

@@ -1,9 +1,13 @@
 """Hole-punch state machines.
 
-Peers in the easy cases (public or endpoint-independent NAT on at
-least one side... but both sides reachable) run a symmetric direct
-punch: both fire short probe bursts at each other's observed endpoint
-until a three-way probe/ack/confirm completes.
+Peers that need no birthday punch run a symmetric direct punch: each
+sends one probe every DIRECT_INTERVAL_S at the other's registered
+endpoint until a three-way probe/ack/confirm completes, and keeps the
+source of the ack or confirm that finished it as the peer's endpoint.
+That covers two public or easy (endpoint-independent mapping) peers,
+and a hard peer facing a public one: the hard side's probe opens one
+mapping toward the public endpoint, the public side acks it at its
+source, and so learns the hard side's mapping toward it.
 
 The interesting case is one side behind a hard NAT (endpoint-dependent
 mapping, exact-endpoint filtering).  Its observed port is useless: a

@@ -253,6 +253,48 @@ class TestBirthdayLink:
         assert a.links["beta"].path == "direct"
 
 
+class TestHardPublicLink:
+    """A hard side facing a public peer needs no birthday punch: both run
+    the direct punch, the hard side's probe from its primary socket opens
+    one mapping toward the public endpoint, and the public side keeps the
+    source of that mapping as the hard side's endpoint."""
+
+    @staticmethod
+    def link_up(seed, link=None):
+        net, coord_host, _ = make_world(seed=seed)
+        a, host_a = spawn(net, coord_host, "alpha", NatProfile.hard("na"), link=link)
+        b, host_b = spawn(net, coord_host, "beta")
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        assert (a.nat_class, b.nat_class) == ("hard", "public")
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        (hard,), (public,) = a.sessions.values(), b.sessions.values()
+        assert (hard.role, public.role) == ("direct", "direct")
+        assert a.links["beta"].path == b.links["alpha"].path == "direct"
+        # The hard host never opened a socket beyond its primary.
+        assert list(host_a.sockets.values()) == [a.primary] and hard.sock is a.primary
+        toward_b = host_a.nat._by_key[((host_a.ip, a.primary.local_port),
+                                       (host_b.ip, b.primary.local_port))]
+        assert public.peer_ep == (host_a.nat.public_ip, toward_b.ext_port)
+        assert public.peer_ep != a.observed  # the registered udp_endpoint
+        got = []
+        a.links["beta"].on_payload = got.append
+        b.links["alpha"].send(b"to the hard side's mapping")
+        net.run_for(1_000_000)
+        assert got == [b"to the hard side's mapping"]
+        return hard, public
+
+    def test_one_round_trip_from_the_primary_socket(self):
+        hard, public = self.link_up(seed=105)
+        assert hard.machine.probes_sent <= 3 and public.machine.probes_sent <= 3
+
+    def test_a_lossy_hard_uplink_still_links_directly(self):
+        # The direct punch resends every DIRECT_INTERVAL_S until acked; at
+        # this seed the hard side's first probe is lost.
+        hard, _ = self.link_up(seed=129, link=LinkPolicy(loss=0.3))
+        assert hard.machine.probes_sent > 1
+
+
 class TestRelayLink:
     def test_hard_hard_pair_is_relayed(self):
         net, coord_host, coord = make_world(seed=106)

@@ -3,6 +3,7 @@ role assignment, and the relay path."""
 
 import base64
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,10 +34,12 @@ class TestRoleTable:
                     assert roles == ("relay", "relay"), (a, b)
                 elif a == b == "hard":
                     assert roles == ("relay", "relay")
-                elif a == "hard":
+                elif (a, b) == ("hard", "easy"):
                     assert roles == ("opener", "prober"), (a, b)
-                elif b == "hard":
+                elif (a, b) == ("easy", "hard"):
                     assert roles == ("prober", "opener"), (a, b)
+                elif "hard" in (a, b):  # a public peer needs no birthday punch
+                    assert roles == ("direct", "direct"), (a, b)
                 else:
                     assert a in reachable and b in reachable
                     assert roles == ("direct", "direct"), (a, b)
@@ -271,6 +274,8 @@ class TestIntroduce:
         (("hard", "hard"), ("relay", "relay")),
         (("public", "udp_blocked"), ("relay", "relay")),
         (("easy", "unknown"), ("relay", "relay")),
+        (("hard", "public"), ("direct", "direct")),
+        (("public", "hard"), ("direct", "direct")),
     ])
     def test_role_matrix_applied(self, pair_classes, want):
         net, coord_host, _ = world()
@@ -434,6 +439,37 @@ class TestMalformedInput:
         assert [e["error"] for e in errors] == ["unknown-type", "no-such-node"]
         assert all("\\" not in e["detail"] for e in errors)
         assert max(len(line) for line in lines) <= MAX_CONTROL_LINE
+
+    @pytest.mark.parametrize("nonce", [0, (1 << 32) - 1])
+    def test_a_ping_echoes_its_integer_nonce(self, nonce):
+        net, coord_host, _ = world()
+        client = Client(net, net.add_host("a"), coord_host)
+        client.send(type="ping", nonce=nonce)
+        net.run_for(20_000)
+        assert client.of_type("pong") == [{"type": "pong", "nonce": nonce}]
+
+    @pytest.mark.parametrize("extra", [{}, {"nonce": None}, {"nonce": -1}, {"nonce": 1 << 32},
+                                       {"nonce": True}, {"nonce": 7.0}, {"nonce": "7"},
+                                       {"nonce": [7]}])
+    def test_a_ping_with_any_other_nonce_is_bad_message(self, extra):
+        net, coord_host, _ = world()
+        client = Client(net, net.add_host("a"), coord_host)
+        client.send(type="ping", **extra)
+        net.run_for(20_000)
+        assert client.last_error() == "bad-message" and client.of_type("pong") == []
+
+    def test_a_ping_reply_fits_a_line_as_the_asyncio_backend_writes_it(self):
+        # The asyncio backend reads this ping as raw UTF-8 that fits a line,
+        # but writes every reply with \u escapes: a pong echoing the nonce
+        # would be three times as long, past MAX_CONTROL_LINE.
+        msg = {"type": "ping", "nonce": "\u00e9" * 4000}
+        assert len(json.dumps(msg, ensure_ascii=False).encode()) < MAX_CONTROL_LINE
+        sent = []
+        channel = SimpleNamespace(send=sent.append, peer_observed=("198.18.0.9", 4000))
+        Coordinator().handle(channel, msg)
+        (reply,) = sent
+        assert reply["error"] == "bad-message"
+        assert len(json.dumps(reply, separators=(",", ":"))) <= MAX_CONTROL_LINE
 
     def test_an_overlong_udp_endpoint_is_not_kept(self):
         # Sent on in the peer's introduce, it would overflow that line.

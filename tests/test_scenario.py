@@ -213,7 +213,7 @@ class TestDeterminism:
     GOLDEN_TRACE_HASHES = {
         "fullmesh5.json": "c55b301b32f66284c6d34dd8958a68fd2112c71cdccbd6b7c40df02b20aafa79",
         "site2site.json": "1c424add5b32f934e3350bc1697786181628a8b318e5cdbc809d75674a0885c0",
-        "blocked.json": "8d453cfd5eed0c14d0592d129f0ed6a21189597d84051fce574a7f735123ebe1",
+        "blocked.json": "1ad20d78877f38e896770e74ed3b41907e76bea46298ec4ef93f751ae7a371ab",
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_HASHES))
@@ -258,9 +258,10 @@ POINT_TO_SITE_DOC = {
     "experiment": {"seed": 31},
 }
 
-# A site_mesh with one gateway behind a hard NAT on a 30 % lossy link: two
-# links are punched by the birthday opener, and verification must resend
-# what the link loses.
+# A site_mesh with one gateway behind a hard NAT on a 30 % lossy link: its
+# link to the easy gateway is punched by the birthday opener, its link to
+# the public one by the direct punch, and verification must resend what
+# the link loses.
 SITE_MESH_LOSSY_DOC = {
     "hosts": [{"id": "g1", "kind": "gateway", "nat": "n1"},
               {"id": "g2", "kind": "gateway", "nat": "hard"},
@@ -293,16 +294,24 @@ class TestReportDigests:
             "d0c4113c350f51a7314bc8c6eaf7316484bc15175f4e4b4a09aebe58265a43a8"),
         "blocked.json": (
             lambda: bundled_scenario_path("blocked.json"),
-            "9f5c0afa7b1b995bd6a8262a7eba3224e61d7e96bcb46e5d25081d7a33905efe"),
+            "94a42bbe7190de9cf2a566a3f2c96c3558ddc886f51fc5eed95fba6dca3d5ba0"),
         "point_to_site": (
             lambda: copy.deepcopy(POINT_TO_SITE_DOC),
             "fba857b803241b8a760694eeada071a103e4d9bc9876e724a148f89eebe57703"),
         "site_mesh_lossy": (
             lambda: copy.deepcopy(SITE_MESH_LOSSY_DOC),
-            "ca93ce85223c2705777aec54dc542c2677cccb8e4b90654c3e47654f3967f525"),
+            "1d7f5b166a6ee83eff134e3d9e966c92c7b833045da762c1791135942e0dd7b2"),
         "three_trials": (
             lambda: minimal_doc(experiment={"trials": 3, "seed": 77}),
             "6a48ba01e8bed85a74000a5fffffb521a7ec05f3b65e89c51b94164b0ee8c745"),
+        # Agent-level birthday punches (hard opener, easy prober), with a
+        # filtering prober and with a full-cone one.
+        "birthday_filtering": (
+            lambda: two_birthday_links_doc(1, "address_and_port_dependent"),
+            "c46d7c575eacd4f4a5d9024b665559c086e5ad7ad8324b4accf671e13884218c"),
+        "birthday_full_cone": (
+            lambda: two_birthday_links_doc(1, "endpoint_independent"),
+            "79fbf08230c405328f01595f46f61ebbb0f9a5feaa84dccbf65c3d6b3ad9dba2"),
     }
 
     @pytest.mark.parametrize("name", list(REPORTS))
@@ -362,8 +371,9 @@ class TestWorldLifetime:
 class TestOpenerOutOfPorts:
     def test_openers_that_run_out_of_ports_fall_back_to_the_relay(self):
         # One hard host opens 4096 pinholes toward each of its nine peers,
-        # more than its 31000 ephemeral ports: the sessions that find no
-        # ports left finish "no-sockets" and their links are relayed.
+        # all behind easy NATs, more than its 31000 ephemeral ports: the
+        # sessions that find no ports left finish "no-sockets" and their
+        # links are relayed.
         tools = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
         sys.path.insert(0, tools)
         try:
@@ -371,11 +381,18 @@ class TestOpenerOutOfPorts:
         finally:
             sys.path.remove(tools)
         doc = mesh_doc(10, 1, 1)
+        for host in doc["hosts"]:
+            if "nat" not in host:  # public: a hard host would punch it directly
+                host["nat"] = f"nat-{host['id']}"
+                doc["nats"].append({"id": host["nat"], "mapping": "endpoint_independent",
+                                    "filtering": "endpoint_independent"})
+        (hard,) = [h["id"] for h in doc["hosts"] if h["nat"] in
+                   {n["id"] for n in doc["nats"] if n["mapping"] == "endpoint_dependent"}]
         doc["experiment"]["punch"] = {"open_ports": 4096}
         rep = run_scenario(doc, seed=1)
         assert rep["ok"] and rep["connected"]
         assert len(rep["links"]) == 45 and all(l["up"] for l in rep["links"])
-        assert any(l["path"] == "relayed" for l in rep["links"])
+        assert any(l["path"] == "relayed" and hard in (l["a"], l["b"]) for l in rep["links"])
 
 
 def pending_world_objects():

@@ -11,11 +11,12 @@ fresh process started in a checkout with PYTHONPATH=src, so its peak
 RSS is that scenario's alone (plus the interpreter and the imports).
 Parent and change alternate, and which side runs first alternates from
 repeat to repeat.  A run records the CPU time of run_scenario, the
-process's peak RSS and the report's digest; both sides must produce
-the same report.  The runs, the medians per side and their ratio go
-under "mesh_scale" and the label "seed <seed>, repeats <repeats>" in
---out, next to whatever else the file holds, along with the CPU count,
-the Python version and the command.  Exits 1 when a run
+process's peak RSS and the report's digest.  Each row's "ok" says
+that every run's report was ok, and "same_report" that both sides
+produced the same report.  The runs, the medians per side and their
+ratio go under "mesh_scale" and the label "seed <seed>, repeats
+<repeats>" in --out, next to whatever else the file holds, along with
+the CPU count, the Python version and the command.  Exits 1 when a run
 fails, a report is not ok, or the two sides' reports differ.
 """
 
@@ -101,10 +102,10 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
                 for side in order:
                     runs[side].append(run_once(sides[side], doc))
-            digests = {run["report_sha256"] for rs in runs.values() for run in rs}
-            ok = len(digests) == 1 and all(run["ok"] for rs in runs.values() for run in rs)
-            bad |= not ok
-            row = {"nodes": n, "hard": hard, "same_report": len(digests) == 1, "ok": ok}
+            same = len({run["report_sha256"] for rs in runs.values() for run in rs}) == 1
+            ok = all(run["ok"] for rs in runs.values() for run in rs)
+            bad |= not (ok and same)
+            row = {"nodes": n, "hard": hard, "same_report": same, "ok": ok}
             for key in ("cpu_s", "peak_rss_mb"):
                 med = {side: statistics.median(run[key] for run in rs) for side, rs in runs.items()}
                 row[key] = {**med, "ratio": med["change"] / med["parent"],
@@ -112,7 +113,7 @@ def main(argv=None) -> int:
             rows.append(row)
             print(f"N={n} hard={hard}: cpu_s {row['cpu_s']['parent']:.3f} -> "
                   f"{row['cpu_s']['change']:.3f}  peak_rss_mb {row['peak_rss_mb']['parent']:.1f}"
-                  f" -> {row['peak_rss_mb']['change']:.1f}  ok={ok}")
+                  f" -> {row['peak_rss_mb']['change']:.1f}  ok={ok} same_report={same}")
 
     doc = open_record(args.out, "tools/bench_mesh_scale.py", argv)
     label = f"seed {args.seed}, repeats {args.repeats}"
