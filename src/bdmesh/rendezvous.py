@@ -35,8 +35,9 @@ opens, the easy side probes (an easy NAT may filter, and the
 classifier cannot tell).  A hard side facing a public one needs no
 traversal: its direct punch probes the public endpoint from its one
 socket, which opens a single mapping, and the public side learns that
-mapping from the source of the probe it acks, as an ICE agent learns a
-peer-reflexive candidate (RFC 8445 section 7.3.1.3).  This assumes a
+mapping from the source of the probe it acks and probes it there, as
+an ICE agent learns a peer-reflexive candidate (RFC 8445 section
+7.3.1.3).  This assumes a
 host classified public accepts unsolicited UDP; one behind a
 default-deny stateful firewall looks the same to the two observers,
 and with a hard peer its link falls back to the relay when the direct

@@ -4,10 +4,11 @@ Peers that need no birthday punch run a symmetric direct punch: each
 sends one probe every DIRECT_INTERVAL_S at the other's registered
 endpoint until a three-way probe/ack/confirm completes, and keeps the
 source of the ack or confirm that finished it as the peer's endpoint.
-That covers two public or easy (endpoint-independent mapping) peers,
-and a hard peer facing a public one: the hard side's probe opens one
-mapping toward the public endpoint, the public side acks it at its
-source, and so learns the hard side's mapping toward it.
+A probe from another source moves its probes to that source.  That
+covers two public or easy (endpoint-independent mapping) peers, and a
+hard peer facing a public one: the hard side's probe opens one mapping
+toward the public endpoint, the public side acks it at its source,
+probes it there, and so learns the hard side's mapping toward it.
 
 The interesting case is one side behind a hard NAT (endpoint-dependent
 mapping, exact-endpoint filtering).  Its observed port is useless: a
@@ -272,7 +273,15 @@ class _Punch:
 
 
 class DirectPunch(_Punch):
-    """Symmetric probe exchange toward a known peer endpoint."""
+    """Symmetric probe exchange toward a known peer endpoint.
+
+    A PROBE of the session from another source moves the probes there:
+    the peer reaches us from that source, so its NAT lets an answer in
+    (a peer-reflexive candidate, RFC 8445 section 7.3.1.3).  Facing a
+    hard peer, whose NAT filters probes at its registered endpoint, this
+    is how the public side still finishes when every CONFIRM is lost:
+    the peer acks its probes even after it has finished.
+    """
 
     def __init__(self, transport, sock, session_id: bytes, peer: Endpoint,
                  cfg: PunchConfig, on_done, rng: random.Random):
@@ -299,6 +308,8 @@ class DirectPunch(_Punch):
         kind, _, nonce = parsed
         if kind == KIND_PROBE:
             self._sock.send(src, pack_probe(KIND_PROBE_ACK, self._session_id, nonce))
+            if not self.done:
+                self._peer = src  # where the peer is reachable: probe it there
             return
         if self.done:
             return

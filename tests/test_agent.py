@@ -260,10 +260,19 @@ class TestHardPublicLink:
     source of that mapping as the hard side's endpoint."""
 
     @staticmethod
-    def link_up(seed, link=None):
+    def link_up(seed, link=None, drop_hard_confirms=False):
         net, coord_host, _ = make_world(seed=seed)
         a, host_a = spawn(net, coord_host, "alpha", NatProfile.hard("na"), link=link)
         b, host_b = spawn(net, coord_host, "beta")
+        if drop_hard_confirms:
+            send = net._send_from
+
+            def lossy(host, src_port, dst, payload):
+                parsed = traversal.parse_probe(payload)
+                if host is host_a and parsed is not None and parsed[0] == traversal.KIND_CONFIRM:
+                    return  # lost on the wire
+                send(host, src_port, dst, payload)
+            net._send_from = lossy
         assert wait(net, lambda: a.ready and b.ready, 5.0)
         assert (a.nat_class, b.nat_class) == ("hard", "public")
         a.connect("beta")
@@ -293,6 +302,13 @@ class TestHardPublicLink:
         # this seed the hard side's first probe is lost.
         hard, _ = self.link_up(seed=129, link=LinkPolicy(loss=0.3))
         assert hard.machine.probes_sent > 1
+
+    def test_every_confirm_of_the_hard_side_lost(self):
+        # The hard NAT filters the public side's probes at the registered
+        # endpoint, so the public side finishes only by probing the source
+        # of the probe it acked, which the hard side acks in turn.
+        hard, public = self.link_up(seed=105, drop_hard_confirms=True)
+        assert hard.machine.probes_sent <= 3 and public.machine.probes_sent <= 3
 
 
 class TestRelayLink:
