@@ -15,8 +15,12 @@ sides produced:
   --seed 7 --workers 1`, and of the same with `--loss 0.1 -B 64`.
 
 Prints one line per kind with its line count and whether the sides
-agree, then every line that differs.  Exits 1 on any difference; a
-scenario process that fails stops the tool with its stderr.
+agree, then every line that differs.  A scenario line also carries a
+short digest of each top-level report field, so a differing report is
+printed as the fields that differ (say `trace_hash` only), and a last
+line sums those fields over every differing report.  Exits 1 on any
+difference; a scenario process that fails stops the tool with its
+stderr.
 """
 
 from __future__ import annotations
@@ -44,16 +48,19 @@ TRAVERSAL_RUNS = (
 )
 
 # Runs [name, doc or null for a bundled scenario, seed] items read from
-# stdin; prints one "name seed digest" line per item.
+# stdin; prints one "name seed digest field=digest..." line per item,
+# with a 12-hex digest of each top-level report field.
 CHILD = """
 import hashlib, json, sys
 from bdmesh.scenario import bundled_scenario_path, load_scenario, run_scenario
+def sha(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 for name, doc, seed in json.load(sys.stdin):
     if doc is None:
         doc = load_scenario(bundled_scenario_path(name))
     report = run_scenario(doc, seed=seed)
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    print(name, seed, digest, flush=True)
+    fields = " ".join(f"{k}={sha(v)[:12]}" for k, v in sorted(report.items()))
+    print(name, seed, sha(report), fields, flush=True)
 """
 
 
@@ -76,6 +83,13 @@ def mesh_items() -> list:
             for i, (_, doc, _, sim_seed) in enumerate(Mesh(seed).ops)]
 
 
+def fields_that_differ(parent: str, change: str) -> list[str]:
+    """The report fields whose digests differ between two scenario lines."""
+    p = dict(f.split("=", 1) for f in parent.split()[3:])
+    c = dict(f.split("=", 1) for f in change.split()[3:])
+    return sorted(k for k in p.keys() | c.keys() if p.get(k) != c.get(k))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -96,15 +110,26 @@ def main(argv=None) -> int:
             outputs[kind].append([f"exit {done.returncode}", *done.stdout.splitlines()])
 
     differ = False
+    report_fields: dict[str, int] = {}
     for kind, (parent, change) in outputs.items():
         same = parent == change
         differ |= not same
         print(f"{kind}: {len(parent)} lines, {'same' if same else 'DIFFERENT'}")
         for p, c in zip(parent, change):
-            if p != c:
+            if p == c:
+                continue
+            fields = fields_that_differ(p, c) if kind in kinds else []
+            if fields:
+                print(f"  {' '.join(p.split()[:2])}: differs in {', '.join(fields)}")
+                for field in fields:
+                    report_fields[field] = report_fields.get(field, 0) + 1
+            else:
                 print(f"  parent: {p}\n  change: {c}")
         if len(parent) != len(change):
             print(f"  parent has {len(parent)} lines, change {len(change)}")
+    if report_fields:
+        print("report fields that differ: " + ", ".join(
+            f"{field} in {n}" for field, n in sorted(report_fields.items())))
     return 1 if differ else 0
 
 
