@@ -18,7 +18,10 @@ configured for encryption run the identity-pinned handshake (the
 lexicographically smaller node id initiates) and all payload rides
 sealed frames; unencrypted links use plain length-prefixed frames.
 Either way the result is an OverlayLink that sends and receives
-payload chunks of at most 1024 bytes end to end.
+payload chunks of at most 1024 bytes end to end.  Each handshake
+message and frame is one datagram, the same bytes on either path: sent
+from the path's socket, or as one relay_data line whose payload goes
+to the session unchanged.
 
 A session's state is its LinkSession's own fields.  path is None
 until a punch or the relay finds one, then "direct" or "relayed";
@@ -45,7 +48,7 @@ from typing import Callable, Optional
 
 from .errors import HandshakeError, InvalidParametersError, ProtocolError, ReplayError
 from .netsim import Endpoint, HostTransport, Network, format_endpoint, parse_endpoint
-from .rendezvous import DEFAULT_CONTROL_PORT, DEFAULT_OBSERVER_PORTS, MAX_RELAY_CHUNK, ROLES
+from .rendezvous import DEFAULT_CONTROL_PORT, DEFAULT_OBSERVER_PORTS, ROLES
 from .securelink import (
     FrameCipher,
     HandshakeInitiator,
@@ -87,8 +90,10 @@ class OverlayLink:
         self.bytes_received = 0
 
     def send(self, payload: bytes) -> None:
+        ls = self._session
         for i in range(0, len(payload), LINK_CHUNK) or (0,):
-            self._session.send_chunk(payload[i:i + LINK_CHUNK])
+            chunk = payload[i:i + LINK_CHUNK]
+            ls.send_body(ls.cipher.seal(chunk) if ls.encrypted else frame_plain(chunk))
         self.bytes_sent += len(payload)
 
     def _deliver(self, chunk: bytes) -> None:
@@ -120,8 +125,6 @@ class LinkSession:
     # has answered, so a retried M1 gets the same M2.
     handshake: object = None
     handshake_tries: int = 0
-    relay_requested: bool = False
-    _rx_buf: bytes = b""                # relay stream bytes not yet framed
     deadline: object = None
 
     @property
@@ -129,55 +132,25 @@ class LinkSession:
         """A path was found or the session gave up; either is final."""
         return self.path is not None or self.failure is not None
 
-    # -- sending ------------------------------------------------------
-
-    def send_chunk(self, chunk: bytes) -> None:
-        if self.link is None:
-            raise ProtocolError(f"link to {self.peer_id} is not up")
-        if self.encrypted:
-            self.send_body(self.cipher.seal(chunk))
-        else:  # a plain datagram carries its own length prefix
-            self.send_body(frame_plain(chunk) if self.path == "direct" else chunk)
-
     def send_body(self, body: bytes) -> None:
-        """One datagram on the direct path, one length-prefixed record
-        on the relay stream."""
+        """One datagram: on the direct path, or in one relay_data line."""
         if self.path == "direct":
             self.sock.send(self.peer_ep, body)
             return
-        data = frame_plain(body)
-        for i in range(0, len(data), MAX_RELAY_CHUNK):
-            self.agent.channel.send({
-                "type": "relay_data",
-                "session_id": self.session_id.hex(),
-                "payload_b64": base64.b64encode(data[i:i + MAX_RELAY_CHUNK]).decode(),
-            })
-
-    # -- receiving ------------------------------------------------------
-
-    def feed_stream(self, data: bytes) -> None:
-        self._rx_buf += data
-        while len(self._rx_buf) >= 2:
-            n = int.from_bytes(self._rx_buf[:2], "big")
-            if len(self._rx_buf) < 2 + n:
-                break
-            body = self._rx_buf[2:2 + n]
-            self._rx_buf = self._rx_buf[2 + n:]
-            self.on_body(body)
+        self.agent.channel.send({"type": "relay_data", "session_id": self.session_id.hex(),
+                                 "payload_b64": base64.b64encode(body).decode()})
 
     def on_body(self, body: bytes) -> None:
         """A handshake message (encrypted links only), a sealed frame or
-        a plain frame; anything that does not parse is dropped."""
+        a plain frame, whichever path it came by; anything that does not
+        parse is dropped."""
         if self.encrypted and is_handshake(body):
             self.agent._on_handshake_body(self, body)
             return
         if self.link is None:
             return
         try:
-            if self.encrypted:
-                body = self.cipher.open(body)
-            elif self.path == "direct":
-                body = split_plain(body)
+            body = self.cipher.open(body) if self.encrypted else split_plain(body)
         except (ProtocolError, ReplayError):
             return
         self.link._deliver(body)
@@ -325,8 +298,8 @@ class NodeAgent:
         if peer_id in self.relay_only_peers:
             role = "relay"  # plan said this link never punches
         old = self._session_by_peer.get(peer_id)
-        if old is not None and not old.terminal:
-            return  # one live session per peer
+        if session_id in self.sessions or (old is not None and not old.terminal):
+            return  # one session per id, one live session per peer
         try:
             cfg = PunchConfig.from_params(punch)
         except (InvalidParametersError, ValueError, TypeError, OverflowError) as exc:
@@ -373,9 +346,6 @@ class NodeAgent:
         return done
 
     def _request_relay(self, ls: LinkSession) -> None:
-        if ls.relay_requested or ls.terminal:
-            return
-        ls.relay_requested = True
         self.channel.send({"type": "relay_open", "session_id": ls.session_id.hex()})
 
     def _on_relay_opened(self, msg: dict) -> None:
@@ -392,7 +362,7 @@ class NodeAgent:
             data = base64.b64decode(msg.get("payload_b64", ""))
         except (ValueError, TypeError):
             return
-        ls.feed_stream(data)
+        ls.on_body(data)
 
     def _session_by_sid_hex(self, sid) -> Optional[LinkSession]:
         if not isinstance(sid, str):
@@ -403,8 +373,6 @@ class NodeAgent:
             return None
 
     def _session_deadline(self, ls: LinkSession) -> None:
-        if ls.link is not None:
-            return
         if not ls.terminal:
             ls.failure = "deadline"
         self._emit("session_failed", peer=ls.peer_id,

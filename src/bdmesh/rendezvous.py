@@ -43,9 +43,11 @@ default-deny stateful firewall looks the same to the two observers,
 and with a hard peer its link falls back to the relay when the direct
 punch times out.
 
-Relay sessions forward opaque relay_data payloads (base64, at most
-1024 raw bytes per line) between the two participants once both sent
-relay_open.  relay_data before opening yields no-such-session; a
+Relay sessions forward opaque relay_data payloads between the two
+participants once both sent relay_open.  One line carries one link
+datagram, the same bytes the direct path would send, base64-encoded
+and at most MAX_DATAGRAM (1200) raw bytes, as a TURN Data indication
+carries one UDP datagram (RFC 8656 section 11).  relay_data before opening yields no-such-session; a
 vanished counterpart yields peer-gone.
 """
 
@@ -58,14 +60,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .netsim import Endpoint, Host, Network, format_endpoint, parse_endpoint
+from .netsim import MAX_DATAGRAM, Endpoint, Host, Network, format_endpoint, parse_endpoint
 from .traversal import DEFAULT_PUNCH
 
 NAT_CLASSES = ("public", "easy", "hard", "udp_blocked", "unknown")
 ROLES = ("direct", "opener", "prober", "relay")
 
 MAX_NODE_ID = 64
-MAX_RELAY_CHUNK = 1024
 DEFAULT_CONTROL_PORT = 4500
 DEFAULT_OBSERVER_PORTS = (3478, 3479)
 REGISTRATION_TTL_S = 60.0
@@ -73,7 +74,6 @@ REGISTRATION_TTL_S = 60.0
 __all__ = [
     "NAT_CLASSES",
     "ROLES",
-    "MAX_RELAY_CHUNK",
     "DEFAULT_CONTROL_PORT",
     "DEFAULT_OBSERVER_PORTS",
     "REGISTRATION_TTL_S",
@@ -324,9 +324,9 @@ class Coordinator:
         except (ValueError, TypeError):
             self._error(channel, "bad-message", "payload_b64 must be valid base64")
             return
-        if len(payload) > MAX_RELAY_CHUNK:
+        if len(payload) > MAX_DATAGRAM:
             self._error(channel, "bad-message",
-                        f"relay payload of {len(payload)} bytes exceeds {MAX_RELAY_CHUNK}")
+                        f"relay payload of {len(payload)} bytes exceeds {MAX_DATAGRAM}")
             return
         other = self.nodes.get(session.other(record.node_id))
         if other is None or other.node_id not in session.opened or not self._alive(other):

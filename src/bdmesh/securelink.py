@@ -20,7 +20,9 @@ counters: duplicates inside the window and frames older than the
 window are both rejected, with the two cases kept distinct.
 
 Unencrypted links use a trivial framing instead: a 2-byte big-endian
-length prefix followed by the payload.
+length prefix followed by the payload.  A link's framing does not
+depend on its path: the relay carries each frame or handshake message
+as the one datagram the direct path would send.
 """
 
 from __future__ import annotations

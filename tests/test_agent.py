@@ -5,11 +5,24 @@ import base64
 import hashlib
 import json
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from bdmesh import traversal
-from bdmesh.agent import NodeAgent
-from bdmesh.netsim import LinkPolicy, NatProfile, Network
-from bdmesh.rendezvous import Coordinator
-from bdmesh.securelink import MSG_INIT, MSG_REPLY, HandshakeInitiator, frame_plain, is_handshake
+from bdmesh.agent import LINK_CHUNK, NodeAgent
+from bdmesh.netsim import MAX_DATAGRAM, LinkPolicy, NatProfile, Network
+from bdmesh.rendezvous import ROLES, Coordinator
+from bdmesh.securelink import (
+    FRAME_HEADER_LEN,
+    FRAME_TAG_LEN,
+    HANDSHAKE_MAGIC,
+    HANDSHAKE_VERSION,
+    MSG_INIT,
+    MSG_REPLY,
+    HandshakeInitiator,
+    frame_plain,
+    is_handshake,
+)
 
 
 def make_world(seed=100, punch=None, trace=False):
@@ -370,6 +383,46 @@ class TestRelayLink:
         got = b"".join(chunks)
         assert hashlib.sha256(got).hexdigest() == hashlib.sha256(blob).hexdigest()
 
+    def test_a_bogus_relay_record_does_not_wedge_the_link(self):
+        # A relay line carries one datagram, so a body whose first two bytes
+        # read as a length no later body can satisfy is dropped on its own.
+        net, coord_host, _ = make_world(seed=106)
+        a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        b, _ = spawn(net, coord_host, "beta", NatProfile.hard("nb"))
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        (ls,) = b.sessions.values()
+        b._on_control({"type": "relay_data", "session_id": ls.session_id.hex(),
+                       "payload_b64": base64.b64encode(b"\xff\xff").decode()})
+        got = []
+        b.links["alpha"].on_payload = got.append
+        a.links["beta"].send(b"after the bogus record")
+        net.run_for(1_000_000)
+        assert got == [b"after the bogus record"]
+
+    def test_a_sealed_chunk_is_one_relay_line_per_hop(self):
+        net, coord_host, _ = make_world(seed=106)
+        a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        b, _ = spawn(net, coord_host, "beta", NatProfile.hard("nb"))
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        a.connect("beta")
+        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        lines = []
+        net.on_wire = lambda kind, src, dst, line: lines.append(json.loads(line))
+        got = []
+        b.links["alpha"].on_payload = got.append
+        a.links["beta"].send(bytes(LINK_CHUNK))
+        net.run_for(1_000_000)
+        assert got == [bytes(LINK_CHUNK)]
+        relayed = [m for m in lines if m["type"] == "relay_data"]
+        assert len(relayed) == 2  # alpha -> coordinator -> beta
+        assert len(base64.b64decode(relayed[0]["payload_b64"])) == (
+            LINK_CHUNK + FRAME_HEADER_LEN + FRAME_TAG_LEN)
+
+    def test_the_largest_body_fits_a_datagram(self):
+        assert LINK_CHUNK + FRAME_HEADER_LEN + FRAME_TAG_LEN <= MAX_DATAGRAM
+
 
 class TestAgentEdges:
     def test_identity_conflict_is_fatal(self):
@@ -514,11 +567,12 @@ class TestSessionState:
         a.connect("beta")
         assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
         (ls,) = a.sessions.values()
-        before = (ls.path, ls.link, ls.peer_ep, ls.relay_requested)
+        before = (ls.path, ls.link, ls.peer_ep)
+        wire = sniff(net)
         a._punch_done(ls)(True, a.primary, ("10.9.9.9", 9), "direct")
         a._punch_done(ls)(False, None, None, "timeout")
-        assert (ls.path, ls.link, ls.peer_ep, ls.relay_requested) == before
-        assert before[0] == "relayed" and not a._routes
+        assert (ls.path, ls.link, ls.peer_ep) == before
+        assert before[0] == "relayed" and not a._routes and wire == []  # no relay_open
 
     def test_second_introduce_for_a_live_session_is_ignored(self):
         net, coord_host, _ = make_world(seed=122)
@@ -548,3 +602,174 @@ class TestSessionState:
         a._on_control({"type": "relay_opened", "session_id": intro["session_id"]})
         a._punch_done(ls)(True, a.primary, ("10.9.9.9", 9), "direct")
         assert (ls.path, ls.link) == (None, None) and not a.links
+
+
+# -- fuzzing the agent's entry points ------------------------------------
+
+PENDING_KEY = base64.b64encode(bytes(range(32))).decode()
+STRANGER = ("198.51.100.7", 4242)
+
+
+def fuzz_world():
+    """Agent "m" with a relayed link to "r", a direct link to "d" (both
+    encrypted) and two relayed sessions still in their handshake: m
+    initiates toward "n" and answers "a", whom nobody runs."""
+    net, coord_host, _ = make_world(seed=130)
+    m, _ = spawn(net, coord_host, "m")
+    r, _ = spawn(net, coord_host, "r")
+    d, _ = spawn(net, coord_host, "d")
+    m.relay_only_peers.add("r")
+    r.relay_only_peers.add("m")
+    assert wait(net, lambda: m.ready and r.ready and d.ready, 5.0)
+    m.connect("r")
+    m.connect("d")
+    assert wait(net, lambda: linked(m, r, "m", "r")() and linked(m, d, "m", "d")(), 10.0)
+    assert (m.links["r"].path, m.links["d"].path) == ("relayed", "direct")
+    for sid, peer in (("01" * 8, "n"), ("02" * 8, "a")):
+        m._on_control(dict(TestIntroduceParameters.INTRO, session_id=sid, peer=peer,
+                           peer_pubkey_b64=PENDING_KEY))
+        m._on_control({"type": "relay_opened", "session_id": sid})
+    return net, m, {"r": r, "d": d}
+
+
+class Live:
+    """An id of m's session with a peer, filled in once the world exists:
+    its session id ("sid") or its channel id ("channel")."""
+
+    def __init__(self, what, peer):
+        self.what, self.peer = what, peer
+
+    def __repr__(self):
+        return f"Live({self.what!r}, {self.peer!r})"
+
+
+def body_bytes(sessions, body):
+    """A drawn body: bytes, a Live id, or a tuple of parts."""
+    if isinstance(body, tuple):
+        return b"".join(body_bytes(sessions, part) for part in body)
+    if isinstance(body, Live):
+        ls = sessions[body.peer]
+        return ls.session_id if body.what == "sid" else ls.cipher.channel_id
+    return body
+
+
+def field_value(sessions, name, value):
+    """A drawn control field: a Live session id goes as hex, a drawn body
+    as base64, any other JSON value as it is."""
+    if isinstance(value, Live):
+        return sessions[value.peer].session_id.hex()
+    if name == "payload_b64" and isinstance(value, (bytes, tuple)):
+        return base64.b64encode(body_bytes(sessions, value)).decode()
+    return value
+
+
+def bogus_handshake(msg_type):
+    """A handshake message of the right length from an unknown identity."""
+    return HANDSHAKE_MAGIC + bytes([HANDSHAKE_VERSION, msg_type, 1]) + bytes(128)
+
+
+def relay_record(peer, body):
+    return "control", {"type": "relay_data", "session_id": Live("sid", peer),
+                       "payload_b64": body}
+
+
+live_sids = st.sampled_from(["r", "d", "n", "a"]).map(lambda p: Live("sid", p))
+# Live session ids, random ones and strings that are not hex at all.
+session_ids = (live_sids | st.binary(min_size=8, max_size=8).map(bytes.hex)
+               | st.text(max_size=16))
+fuzz_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids,
+                                                              max_size=3),
+    max_leaves=6)
+# Bodies that reach each reader: handshake messages of the right length
+# or not, sealed frames under a live channel id, plain frames whose length
+# prefix overruns them, probes of live sessions, broken JSON and anything
+# at all.
+bodies = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=16).map(lambda b: b"{" + b),
+    st.builds(lambda t, rest: bogus_handshake(t)[:7] + rest,
+              st.sampled_from([MSG_INIT, MSG_REPLY, 9]),
+              st.binary(min_size=128, max_size=128) | st.binary(max_size=8)),
+    st.tuples(st.sampled_from(["r", "d"]).map(lambda p: Live("channel", p)),
+              st.binary(max_size=48)),
+    st.builds(lambda n, rest: n.to_bytes(2, "big") + rest, st.integers(0, 0xFFFF),
+              st.binary(max_size=8)),
+    st.tuples(st.integers(0, 4).map(lambda kind: traversal.PROBE_MAGIC + bytes([1, kind])),
+              live_sids | st.binary(min_size=8, max_size=8),
+              st.binary(min_size=8, max_size=8)),
+)
+# Each control type the agent reads, with a well-formed value per field.
+AGENT_FIELDS = {
+    "introduce": {"session_id": session_ids,
+                  "peer": st.sampled_from(["r", "d", "n", "a", "x"]),
+                  "peer_endpoint": st.just({"ip": "10.9.9.9", "port": 9}),
+                  "peer_pubkey_b64": st.just(PENDING_KEY),
+                  "role": st.sampled_from(ROLES),
+                  "punch": st.sampled_from([{}, {"max_seconds": 1.0}])},
+    "relay_opened": {"session_id": session_ids},
+    "relay_data": {"session_id": session_ids, "payload_b64": bodies},
+    "registered": {},
+    "error": {"error": st.sampled_from(["identity-conflict", "peer-gone"]),
+              "detail": st.text(max_size=20)},
+}
+
+
+@st.composite
+def agent_inputs(draw):
+    """A control line, or a datagram from the direct link's route, from a
+    stranger or from an observer.  A control line is well-formed but for
+    up to two of the fields the agent reads, each left out or any JSON
+    value."""
+    kind = draw(st.sampled_from(["route", "stranger", "observed", "non-dict",
+                                 *sorted(AGENT_FIELDS)]))
+    if kind in ("route", "stranger"):
+        return kind, draw(bodies)
+    if kind == "observed":
+        obj = {"type": "observed", "token": draw(fuzz_json),
+               "endpoint": draw(st.just({"ip": "10.0.0.9", "port": 9}) | fuzz_json)}
+        return kind, json.dumps(obj).encode()
+    if kind == "non-dict":
+        return "control", draw(fuzz_json.filter(lambda v: not isinstance(v, dict)))
+    fields = AGENT_FIELDS[kind]
+    spoilt = draw(st.sets(st.sampled_from(sorted(fields)), max_size=2)) if fields else ()
+    msg = {"type": kind}
+    for name, good in fields.items():
+        if name not in spoilt:
+            msg[name] = draw(good)
+        elif draw(st.booleans()):
+            msg[name] = draw(fuzz_json)
+    return "control", msg
+
+
+class TestAgentFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(agent_inputs(), min_size=1, max_size=3))
+    # A record whose length prefix overruns it, and a bogus M2 and M1 for
+    # the sessions still in their handshake.
+    @example([relay_record("r", b"\xff\xff")])
+    @example([relay_record("n", bogus_handshake(MSG_REPLY))])
+    @example([relay_record("a", bogus_handshake(MSG_INIT))])
+    def test_control_and_datagrams_are_total_and_links_survive(self, inputs):
+        net, m, peers = fuzz_world()
+        links, sessions = dict(m.links), dict(m._session_by_peer)
+        direct = sessions["d"]
+        for kind, value in inputs:
+            if kind == "control":
+                if isinstance(value, dict):
+                    value = {k: field_value(sessions, k, v) for k, v in value.items()}
+                m._on_control(value)
+            else:
+                src = {"route": direct.peer_ep, "stranger": STRANGER,
+                       "observed": m.observers[0]}[kind]
+                m._on_datagram(body_bytes(sessions, value), src,
+                               direct.sock if kind == "route" else m.primary)
+        for peer_id, peer in peers.items():
+            got, back = [], []
+            peer.links["m"].on_payload = got.append
+            links[peer_id].on_payload = back.append
+            links[peer_id].send(b"to " + peer_id.encode())
+            peer.links["m"].send(b"from " + peer_id.encode())
+            net.run_for(1_000_000)
+            assert (got, back) == ([b"to " + peer_id.encode()], [b"from " + peer_id.encode()])

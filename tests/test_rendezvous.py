@@ -10,10 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdmesh import rendezvous
-from bdmesh.netsim import MAX_CONTROL_LINE, NatProfile, Network
+from bdmesh.netsim import MAX_CONTROL_LINE, MAX_DATAGRAM, NatProfile, Network
 from bdmesh.rendezvous import (
     DEFAULT_PUNCH,
-    MAX_RELAY_CHUNK,
     Coordinator,
     assign_roles,
 )
@@ -366,13 +365,18 @@ class TestRelay:
         a.send(type="relay_open", session_id=sid)
         b.send(type="relay_open", session_id=sid)
         net.run_for(20_000)
+        a.send(type="relay_data", session_id=sid, payload_b64=b64(b"y" * MAX_DATAGRAM))
+        net.run_for(20_000)
+        assert a.of_type("error") == []  # one datagram of the largest size fits
+        assert base64.b64decode(b.of_type("relay_data")[0]["payload_b64"]) == b"y" * MAX_DATAGRAM
         a.send(type="relay_data", session_id=sid,
-               payload_b64=b64(b"x" * (MAX_RELAY_CHUNK + 1)))
+               payload_b64=b64(b"x" * (MAX_DATAGRAM + 1)))
         net.run_for(20_000)
         assert a.last_error() == "bad-message"
         a.send(type="relay_data", session_id=sid, payload_b64="!!!")
         net.run_for(20_000)
         assert len(a.of_type("error")) == 2
+        assert len(b.of_type("relay_data")) == 1
 
     def test_counterpart_disconnect_is_peer_gone(self):
         net, coord, a, b, sid = relay_world()
@@ -391,9 +395,9 @@ class TestRelay:
         b.send(type="relay_open", session_id=sid)
         net.run_for(20_000)
         blob = bytes(range(256)) * 16  # 4096 bytes
-        for i in range(0, len(blob), MAX_RELAY_CHUNK):
+        for i in range(0, len(blob), MAX_DATAGRAM):
             a.send(type="relay_data", session_id=sid,
-                   payload_b64=b64(blob[i:i + MAX_RELAY_CHUNK]))
+                   payload_b64=b64(blob[i:i + MAX_DATAGRAM]))
         net.run_for(50_000)
         got = b"".join(base64.b64decode(m["payload_b64"]) for m in b.of_type("relay_data"))
         assert got == blob

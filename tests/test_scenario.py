@@ -213,7 +213,7 @@ class TestDeterminism:
     GOLDEN_TRACE_HASHES = {
         "fullmesh5.json": "c55b301b32f66284c6d34dd8958a68fd2112c71cdccbd6b7c40df02b20aafa79",
         "site2site.json": "1c424add5b32f934e3350bc1697786181628a8b318e5cdbc809d75674a0885c0",
-        "blocked.json": "1ad20d78877f38e896770e74ed3b41907e76bea46298ec4ef93f751ae7a371ab",
+        "blocked.json": "ca13b4cf288f13edc9cee592ecd42f0312d533f5a33f4494e9add178f417eee1",
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_HASHES))
@@ -294,10 +294,10 @@ class TestReportDigests:
             "d0c4113c350f51a7314bc8c6eaf7316484bc15175f4e4b4a09aebe58265a43a8"),
         "blocked.json": (
             lambda: bundled_scenario_path("blocked.json"),
-            "94a42bbe7190de9cf2a566a3f2c96c3558ddc886f51fc5eed95fba6dca3d5ba0"),
+            "de4a4bddc738b81c6ba5bc1b439294a5ba159ffa6673a88c0eccdd7510db55b0"),
         "point_to_site": (
             lambda: copy.deepcopy(POINT_TO_SITE_DOC),
-            "fba857b803241b8a760694eeada071a103e4d9bc9876e724a148f89eebe57703"),
+            "02382112bd3801b6f968e14eba17c207fe0b7c9795e7931a151a545fb9a028a9"),
         "site_mesh_lossy": (
             lambda: copy.deepcopy(SITE_MESH_LOSSY_DOC),
             "1d7f5b166a6ee83eff134e3d9e966c92c7b833045da762c1791135942e0dd7b2"),
@@ -438,10 +438,16 @@ class TestRealizationStatistics:
         sigma3 = 3 * (expect * (1 - expect) / trials) ** 0.5
         assert abs(emp - expect) <= sigma3, (emp, expect, sigma3)
         # A prober that filters never sends a triggered check, so every
-        # trial is the one a sweep-only prober gives (pinned before the
-        # triggered check existed).
+        # trial is the one a sweep-only prober gives.  The rows without
+        # their trace hashes were pinned while relayed link bodies still
+        # carried a relay-only length prefix; only the trace bytes of the
+        # relayed links moved since.
         assert rep["aggregate"]["rows_digest"] == (
-            "16374763852d5e2d9e8e209d4324e116b5a2cec2526e78dec5edb4bce264e156")
+            "6d4463a7b3e75f8b2195b3a19592a9d474d339a4632f44e3703d5b2e4f2ab04c")
+        assert hashlib.sha256("\n".join(
+            json.dumps({k: v for k, v in row.items() if k != "trace_hash"}, sort_keys=True)
+            for row in rep["rows"]).encode()).hexdigest() == (
+            "7d961da01fe418dd2f11bf5dfb40a208aaf30c947600144b28e3da45e532a4df")
 
     def test_full_cone_probers_link_every_trial_directly(self):
         # Easy NATs that filter nothing deliver the opener's probes, and
