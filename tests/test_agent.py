@@ -408,13 +408,14 @@ class TestRelayLink:
         assert wait(net, lambda: a.ready and b.ready, 5.0)
         a.connect("beta")
         assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
-        lines = []
-        net.on_wire = lambda kind, src, dst, line: lines.append(json.loads(line))
+        wire = []
+        net.on_wire = lambda kind, src, dst, payload: wire.append((kind, payload))
         got = []
         b.links["alpha"].on_payload = got.append
         a.links["beta"].send(bytes(LINK_CHUNK))
         net.run_for(1_000_000)
         assert got == [bytes(LINK_CHUNK)]
+        lines = [json.loads(payload) for kind, payload in wire if kind == "ctrl"]
         relayed = [m for m in lines if m["type"] == "relay_data"]
         assert len(relayed) == 2  # alpha -> coordinator -> beta
         assert len(base64.b64decode(relayed[0]["payload_b64"])) == (

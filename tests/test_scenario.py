@@ -439,9 +439,8 @@ class TestRealizationStatistics:
         assert abs(emp - expect) <= sigma3, (emp, expect, sigma3)
         # A prober that filters never sends a triggered check, so every
         # trial is the one a sweep-only prober gives.  The rows without
-        # their trace hashes were pinned while relayed link bodies still
-        # carried a relay-only length prefix; only the trace bytes of the
-        # relayed links moved since.
+        # their trace hashes pin the punch outcomes alone, which a change
+        # to the bytes of relayed links does not move.
         assert rep["aggregate"]["rows_digest"] == (
             "6d4463a7b3e75f8b2195b3a19592a9d474d339a4632f44e3703d5b2e4f2ab04c")
         assert hashlib.sha256("\n".join(
