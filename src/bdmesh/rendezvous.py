@@ -47,8 +47,9 @@ Relay sessions forward opaque relay_data payloads between the two
 participants once both sent relay_open.  One line carries one link
 datagram, the same bytes the direct path would send, base64-encoded
 and at most MAX_DATAGRAM (1200) raw bytes, as a TURN Data indication
-carries one UDP datagram (RFC 8656 section 11).  relay_data before opening yields no-such-session; a
-vanished counterpart yields peer-gone.
+carries one UDP datagram (RFC 8656 section 11).  relay_data before
+opening yields no-such-session; a vanished counterpart yields
+peer-gone.
 """
 
 from __future__ import annotations

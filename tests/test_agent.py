@@ -324,6 +324,17 @@ class TestHardPublicLink:
         assert hard.machine.probes_sent <= 3 and public.machine.probes_sent <= 3
 
 
+def relayed_pair():
+    """Two hard NATs, so alpha and beta link over the relay."""
+    net, coord_host, _ = make_world(seed=106)
+    a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+    b, _ = spawn(net, coord_host, "beta", NatProfile.hard("nb"))
+    assert wait(net, lambda: a.ready and b.ready, 5.0)
+    a.connect("beta")
+    assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+    return net, a, b
+
+
 class TestRelayLink:
     def test_hard_hard_pair_is_relayed(self):
         net, coord_host, coord = make_world(seed=106)
@@ -386,12 +397,7 @@ class TestRelayLink:
     def test_a_bogus_relay_record_does_not_wedge_the_link(self):
         # A relay line carries one datagram, so a body whose first two bytes
         # read as a length no later body can satisfy is dropped on its own.
-        net, coord_host, _ = make_world(seed=106)
-        a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
-        b, _ = spawn(net, coord_host, "beta", NatProfile.hard("nb"))
-        assert wait(net, lambda: a.ready and b.ready, 5.0)
-        a.connect("beta")
-        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        net, a, b = relayed_pair()
         (ls,) = b.sessions.values()
         b._on_control({"type": "relay_data", "session_id": ls.session_id.hex(),
                        "payload_b64": base64.b64encode(b"\xff\xff").decode()})
@@ -402,12 +408,7 @@ class TestRelayLink:
         assert got == [b"after the bogus record"]
 
     def test_a_sealed_chunk_is_one_relay_line_per_hop(self):
-        net, coord_host, _ = make_world(seed=106)
-        a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
-        b, _ = spawn(net, coord_host, "beta", NatProfile.hard("nb"))
-        assert wait(net, lambda: a.ready and b.ready, 5.0)
-        a.connect("beta")
-        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        net, a, b = relayed_pair()
         wire = []
         net.on_wire = lambda kind, src, dst, payload: wire.append((kind, payload))
         got = []
