@@ -350,14 +350,25 @@ class TraceLog:
     """Append-only event trace kept as its stable content hash: SHA-256 over
     one line per entry, json.dumps of {t_us, kind, src, dst, info} with
     sorted keys and no spaces, fed as each entry is added.  The lines
-    themselves are not kept."""
+    themselves are not kept.  Each address's quoted text is made once
+    and kept: a run sends to and from the same few addresses many times,
+    and a port, an integer, needs no escaping."""
 
     def __init__(self) -> None:
         self._sha = hashlib.sha256()
+        # address -> _quote(f"{address}:") without its closing quote
+        self._quoted: dict[str, str] = {}
 
     def add(self, t_us: int, kind: str, src: Endpoint, dst: Endpoint, info: str) -> None:
-        line = (f'{{"dst":{_quote(f"{dst[0]}:{dst[1]}")},"info":{_quote(info)},'
-                f'"kind":{_quote(kind)},"src":{_quote(f"{src[0]}:{src[1]}")},"t_us":{t_us}}}\n')
+        quoted = self._quoted
+        q_dst = quoted.get(dst[0])
+        if q_dst is None:
+            q_dst = quoted[dst[0]] = _quote(f"{dst[0]}:")[:-1]
+        q_src = quoted.get(src[0])
+        if q_src is None:
+            q_src = quoted[src[0]] = _quote(f"{src[0]}:")[:-1]
+        line = (f'{{"dst":{q_dst}{dst[1]}","info":{_quote(info)},'
+                f'"kind":{_quote(kind)},"src":{q_src}{src[1]}","t_us":{t_us}}}\n')
         self._sha.update(line.encode())
 
     def digest(self) -> str:
