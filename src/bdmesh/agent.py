@@ -7,8 +7,9 @@ agent answers introductions (its own requests and its peers') by
 running one traversal session per peer:
 
     role direct   symmetric probe exchange at the peer's endpoint (also
-                  a hard side facing a public peer, whose path ends at
-                  the source of the ack or confirm that finished it)
+                  a hard side facing a public or cone peer, whose path
+                  ends at the source of the ack or confirm that finished
+                  it)
     role opener   birthday punch, pinhole side (we are hard, the peer easy)
     role prober   birthday punch, probing side (we are easy, the peer hard)
     role relay    no punch; both ends open a relay session instead
@@ -162,7 +163,7 @@ class NodeAgent:
     transport must offer call_later(delay_us, fn) -> timer,
     open_socket(handler, port=0) -> socket, open_sockets(handler, n)
     -> n sockets on ephemeral ports, send_burst(socks, dst, payloads)
-    (payloads[i] from socks[i] to dst, in order) and .rng; a socket
+    (payloads[i] from socks[i] to dst, in order), .rng and .now_us; a socket
     offers send(dst, payload), close(), local_port and a writable
     handler; channel must offer send(dict) with writable on_line.  Both
     the simulator and the asyncio backend satisfy these.

@@ -18,7 +18,8 @@ NAT behavior is split along two axes:
   sent to the source IP; address_and_port_dependent requires a prior
   send to the exact source endpoint.
 
-An "easy" NAT is endpoint-independent on both axes; a "hard" NAT is
+An "easy" NAT is endpoint-independent on both axes (the classifier
+calls it cone, as it does not filter by port); a "hard" NAT is
 endpoint-dependent mapping with address-and-port-dependent filtering.
 Mappings expire after an idle TTL (default 30 s) and are refreshed by
 any matching outbound packet; expiry is evaluated lazily on access.
@@ -466,6 +467,10 @@ class HostTransport:
     @property
     def rng(self) -> random.Random:
         return self.host.net.rng
+
+    @property
+    def now_us(self) -> int:
+        return self.host.net.clock.now_us
 
     def call_later(self, delay_us: int, fn: Callable[[], None]) -> Timer:
         return self.host.net.clock.call_later(delay_us, fn)

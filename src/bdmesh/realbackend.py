@@ -100,6 +100,10 @@ class AsyncioTransport:
         self._loop = loop
         self.rng = random.SystemRandom()
 
+    @property
+    def now_us(self) -> int:
+        return int(self._loop.time() * 1_000_000)
+
     def call_later(self, delay_us: int, fn: Callable[[], None]) -> asyncio.TimerHandle:
         return self._loop.call_later(delay_us / 1e6, fn)
 
@@ -193,7 +197,6 @@ class CoordinatorServer:
         self.observer_ports = tuple(observer_ports)
         self.core = Coordinator()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._observers: list[AsyncioUdpSocket] = []
         self._connections: dict[asyncio.Task, TcpLineChannel] = {}
 
     async def start(self) -> None:
@@ -201,7 +204,7 @@ class CoordinatorServer:
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port, limit=MAX_CONTROL_LINE * 2)
         for oport in self.observer_ports:
-            self._observers.append(
+            self.core.observers.append(
                 AsyncioUdpSocket(loop, self.core.on_observe, oport, self.host))
         log.info("coordinator on %s:%d (observers %s)",
                  self.host, self.port, ",".join(map(str, self.observer_ports)))
@@ -221,7 +224,7 @@ class CoordinatorServer:
         an error per connection)."""
         if self._server is not None:
             self._server.close()
-        for sock in self._observers:
+        for sock in self.core.observers:
             sock.close()
         connections = list(self._connections.items())
         for _, channel in connections:

@@ -14,34 +14,34 @@ REGISTRATION_TTL_S after the last register or well-formed ping.
 The coordinator also answers observe datagrams on two UDP observer
 ports; two vantage ports are what a node needs to classify its NAT
 (see traversal.NatClassifier).  An observe carries an integer token in
-[0, 2**63), the only kind the classifier sends; any other request is
-dropped, so a reply never reflects content the sender chose.
+[0, 2**63) and may carry "change_port": true, which the other observer
+port answers (RFC 5780 section 4.4); it is padded with trailing spaces
+to at least the length of the reply it draws, so an observer never
+sends more than it received.  Any other request, a shorter one
+included, is dropped, so a reply never reflects content the sender
+chose.
 
 An introduce_request names a registered peer.  The coordinator picks
 roles from the two NAT classes and sends both sides an introduce
 carrying the session id, the peer's endpoint, identity key, NAT class,
 the role, and shared punch parameters:
 
-    self \\ peer   public      easy        hard        udp_blocked/unknown
-    public        direct      direct      direct      relay
-    easy          direct      direct      prober      relay
-    hard          direct      opener      relay       relay
-    blocked/unk   relay       relay       relay       relay
+    self \\ peer   public/cone  easy        hard        udp_blocked/unknown
+    public/cone   direct       direct      direct      relay
+    easy          direct       direct      prober      relay
+    hard          direct       opener      relay       relay
+    blocked/unk   relay        relay       relay       relay
 
 Both sides relay: hard-hard has no cheap traversal (both ends would
 need huge port fans), and a blocked or unclassified side cannot punch.
 A hard side facing an easy one runs the birthday punch: the hard side
-opens, the easy side probes (an easy NAT may filter, and the
-classifier cannot tell).  A hard side facing a public one needs no
-traversal: its direct punch probes the public endpoint from its one
-socket, which opens a single mapping, and the public side learns that
-mapping from the source of the probe it acks and probes it there, as
-an ICE agent learns a peer-reflexive candidate (RFC 8445 section
-7.3.1.3).  This assumes a
-host classified public accepts unsolicited UDP; one behind a
-default-deny stateful firewall looks the same to the two observers,
-and with a hard peer its link falls back to the relay when the direct
-punch times out.
+opens, the easy side probes, because an easy NAT may filter by port
+(the classifier saw no change-port answer).  A hard side facing a
+public or cone one needs no traversal: nothing there filters by port,
+so its direct punch probes the peer's endpoint from its one socket,
+which opens a single mapping, and the peer learns that mapping from
+the source of the probe it acks and probes it there, as an ICE agent
+learns a peer-reflexive candidate (RFC 8445 section 7.3.1.3).
 
 Relay sessions forward opaque relay_data payloads between the two
 participants once both sent relay_open.  One line carries one link
@@ -64,7 +64,7 @@ from typing import Callable, Optional
 from .netsim import MAX_DATAGRAM, Endpoint, Host, Network, format_endpoint, parse_endpoint
 from .traversal import DEFAULT_PUNCH
 
-NAT_CLASSES = ("public", "easy", "hard", "udp_blocked", "unknown")
+NAT_CLASSES = ("public", "cone", "easy", "hard", "udp_blocked", "unknown")
 ROLES = ("direct", "opener", "prober", "relay")
 
 MAX_NODE_ID = 64
@@ -141,6 +141,7 @@ class Coordinator:
         self.rng = rng or random.SystemRandom()
         self.punch = dict(DEFAULT_PUNCH, **(punch or {}))
         self.now_fn = now_fn
+        self.observers: list = []  # the two observer sockets, bound by the backend
         self.nodes: dict[str, NodeRecord] = {}
         self.sessions: dict[str, RelaySession] = {}
         self._node_by_channel: dict[int, str] = {}
@@ -165,13 +166,14 @@ class Coordinator:
         and reading its clock: the control port and both observers."""
         coord = cls(rng=net.rng, punch=punch, now_fn=lambda: net.now_us / 1e6)
         host.listen_channel(DEFAULT_CONTROL_PORT, coord.attach)
-        for port in DEFAULT_OBSERVER_PORTS:
-            host.bind(coord.on_observe, port)
+        coord.observers = [host.bind(coord.on_observe, port) for port in DEFAULT_OBSERVER_PORTS]
         return coord
 
     def on_observe(self, payload: bytes, src: Endpoint, sock) -> None:
         """UDP observer socket handler: reflect the source endpoint back
-        to it; anything but a well-formed observe request is dropped."""
+        to it, from the other observer socket for a change_port request;
+        anything but a well-formed observe request at least as long as
+        its reply is dropped."""
         try:
             obj = json.loads(payload)
         except (ValueError, RecursionError):
@@ -179,10 +181,20 @@ class Coordinator:
         if not isinstance(obj, dict) or obj.get("type") != "observe":
             return
         token = obj.get("token")
-        if type(token) is not int or not 0 <= token < 1 << 63:
+        change_port = obj.get("change_port", False)
+        if (type(token) is not int or not 0 <= token < 1 << 63
+                or type(change_port) is not bool):
             return
-        reply = {"type": "observed", "token": token, "endpoint": format_endpoint(src)}
-        sock.send(src, json.dumps(reply, separators=(",", ":")).encode())
+        reply = json.dumps({"type": "observed", "token": token,
+                            "endpoint": format_endpoint(src)}, separators=(",", ":")).encode()
+        if len(reply) > len(payload):
+            return
+        if change_port:
+            others = [o for o in self.observers if o is not sock]
+            if len(others) != 1:
+                return
+            sock = others[0]
+        sock.send(src, reply)
 
     # -- message handling -------------------------------------------------
 

@@ -5,10 +5,11 @@ sends one probe every DIRECT_INTERVAL_S at the other's registered
 endpoint until a three-way probe/ack/confirm completes, and keeps the
 source of the ack or confirm that finished it as the peer's endpoint.
 A probe from another source moves its probes to that source.  That
-covers two public or easy (endpoint-independent mapping) peers, and a
-hard peer facing a public one: the hard side's probe opens one mapping
-toward the public endpoint, the public side acks it at its source,
-probes it there, and so learns the hard side's mapping toward it.
+covers two public, cone or easy (endpoint-independent mapping) peers,
+and a hard peer facing a public or cone one, which does not filter by
+port: the hard side's probe opens one mapping toward the peer's
+endpoint, the peer acks it at its source, probes it there, and so
+learns the hard side's mapping toward it.
 
 The interesting case is one side behind a hard NAT (endpoint-dependent
 mapping, exact-endpoint filtering).  Its observed port is useless: a
@@ -34,11 +35,12 @@ ignored.  The opener ignores PROBE_ACK, so establishment is driven by
 prober probes finding pinholes.  When the prober's own NAT filters
 unsolicited datagrams (the case the collision law describes), the
 opener's probes reach it only from ports it has already swept, and it
-ignores them.  A prober that is public or behind a NAT that does not
-filter hears the opener's probes from unswept pinholes; like an ICE
-triggered check (RFC 8445 section 7.3.1.4) it answers the first one
-with an ordinary indexed PROBE straight back to that pinhole, so the
-link comes up in one round trip instead of a sweep.  The opener also
+ignores them.  A prober that does not filter after all (classed easy
+because its change-port answer was lost) hears the opener's probes
+from unswept pinholes; like an ICE triggered check (RFC 8445 section
+7.3.1.4) it answers the first one with an ordinary indexed PROBE
+straight back to that pinhole, so the link comes up in one round trip
+instead of a sweep.  The opener also
 treats a non-probe datagram on a punched socket as an implicit
 confirm, which covers a lost CONFIRM followed by data, but only from
 an endpoint whose PROBE it acked on that socket, so a stray datagram
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import InvalidParametersError, PortsExhaustedError
-from .netsim import Endpoint, parse_endpoint
+from .netsim import MAX_IP_TEXT, Endpoint, parse_endpoint
 from .probability import PortSpace, iter_ports, probe_count
 
 PROBE_MAGIC = b"BDHP"
@@ -76,6 +78,10 @@ CONFIRM_SPACING_S = 0.05
 CLASSIFY_TRIES = 3  # NatClassifier rounds of observe datagrams, and their spacing
 CLASSIFY_RETRY_S = 0.5
 REFRESH_INTERVAL_S = 15.0  # opener re-sends its probes: half the common 30 s mapping TTL
+# The longest observed reply: the largest token and the longest address.
+OBSERVE_LEN = len(json.dumps({"type": "observed", "token": (1 << 63) - 1,
+                              "endpoint": {"ip": "x" * MAX_IP_TEXT, "port": 65535}},
+                             separators=(",", ":")))
 
 __all__ = [
     "PROBE_MAGIC",
@@ -87,6 +93,7 @@ __all__ = [
     "parse_probe",
     "PunchConfig",
     "DEFAULT_PUNCH",
+    "OBSERVE_LEN",
     "NatClassifier",
     "DirectPunch",
     "BirthdayOpener",
@@ -162,11 +169,24 @@ DEFAULT_PUNCH = {name: getattr(PunchConfig, f) for name, f in _PARAM_FIELDS.item
 class NatClassifier:
     """Learns the local NAT class by asking two observers what they see.
 
-    Both observers answering with the socket's own local endpoint
-    means no translation (public).  Identical answers that differ from
-    the local endpoint mean one stable mapping (easy).  Divergent
-    answers mean per-destination mappings (hard).  One answer is
-    inconclusive (unknown); none means UDP goes nowhere (udp_blocked).
+    Each round sends an observe from the socket to both observers.  The
+    first round also sends one observe flagged change_port from a fresh
+    probe socket to the first observer alone; the coordinator answers it
+    from the second observer, a port that socket never contacted, so the
+    answer gets in only if nothing filters by port (RFC 5780 section
+    4.4).  The probe socket must be fresh: the socket also sends to the
+    second observer, which would let that answer through any filter.
+
+    Both observers answering with the socket's own local endpoint and
+    the change-port answer arriving means no translation and no filter
+    (public).  Identical answers that differ from the local endpoint
+    mean one stable mapping; with the change-port answer it does not
+    filter by port (cone), and without one within a round trip after
+    them it may (easy; so is an address behind a default-deny
+    firewall).  Divergent answers mean per-destination mappings (hard),
+    decided at once.  One answer is inconclusive (unknown); none means
+    UDP goes nowhere (udp_blocked).  Every request is padded to
+    OBSERVE_LEN, the longest reply it can draw.
     """
 
     def __init__(self, transport, sock, local: Endpoint, observers: list[Endpoint],
@@ -179,25 +199,46 @@ class NatClassifier:
         self._local = local
         self._observers = observers
         self._on_done = on_done
-        self._tokens = [rng.getrandbits(63) for _ in observers]
-        self._answers: list[Optional[Endpoint]] = [None, None]
+        # One token per observer, then the change-port request's.
+        self._tokens = [rng.getrandbits(63) for _ in range(3)]
+        self._answers: list[Optional[Endpoint]] = [None, None, None]
+        self._probe = None
         self._round = 0
+        self._sent_us = 0
         self._timer = None
+        self._waiting = False
         self._done = False
 
     def start(self) -> None:
+        self._probe = self._transport.open_socket(self._on_probe_datagram)
+        self._probe.send(self._observers[0], self._request(2))
         self._send_round()
+
+    def _request(self, i: int) -> bytes:
+        msg = {"type": "observe", "token": self._tokens[i]}
+        if i == 2:  # the change-port request
+            msg["change_port"] = True
+        return json.dumps(msg, separators=(",", ":")).encode().ljust(OBSERVE_LEN)
 
     def _send_round(self) -> None:
         self._round += 1
+        self._sent_us = self._transport.now_us
         for i, obs in enumerate(self._observers):
             if self._answers[i] is None:
-                line = json.dumps({"type": "observe", "token": self._tokens[i]},
-                                  separators=(",", ":")).encode()
-                self._sock.send(obs, line)
+                self._sock.send(obs, self._request(i))
         self._timer = self._transport.call_later(
             int(CLASSIFY_RETRY_S * 1_000_000),
             self._send_round if self._round < CLASSIFY_TRIES else self._finish)
+
+    def _on_probe_datagram(self, data: bytes, src: Endpoint, sock) -> None:
+        if src != self._observers[1]:
+            return  # the one port this socket never contacted
+        try:
+            obj = json.loads(data)
+        except (ValueError, RecursionError):
+            return
+        if isinstance(obj, dict) and obj.get("type") == "observed":
+            self.on_observed(obj)
 
     def on_observed(self, obj: dict) -> None:
         """Feed a parsed {"type": "observed", ...} reply."""
@@ -210,24 +251,38 @@ class NatClassifier:
         for i, want in enumerate(self._tokens):
             if token == want and self._answers[i] is None:
                 self._answers[i] = ep
-        if all(a is not None for a in self._answers):
+        a, b, change_port = self._answers
+        if a is None or b is None:
+            return
+        if a != b or change_port is not None:
             self._finish()
+        elif not self._waiting:
+            # One more round trip, as the last round took, for the change-port answer.
+            self._waiting = True
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer = self._transport.call_later(
+                max(1, self._transport.now_us - self._sent_us), self._finish)
 
     def _finish(self) -> None:
         self._done = True
         if self._timer is not None:
             self._timer.cancel()
-        a, b = self._answers
+        if self._probe is not None:
+            self._probe.close()
+        a, b, change_port = self._answers
         if a is None and b is None:
             verdict, observed = "udp_blocked", None
         elif a is None or b is None:
             verdict, observed = "unknown", a or b
-        elif a == b == self._local:
-            verdict, observed = "public", a
-        elif a == b:
-            verdict, observed = "easy", a
-        else:
+        elif a != b:
             verdict, observed = "hard", a
+        elif change_port is None:
+            verdict, observed = "easy", a
+        elif a == self._local:
+            verdict, observed = "public", a
+        else:
+            verdict, observed = "cone", a
         self._on_done(verdict, observed)
 
 

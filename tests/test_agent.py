@@ -5,12 +5,13 @@ import base64
 import hashlib
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdmesh import traversal
 from bdmesh.agent import LINK_CHUNK, NodeAgent
-from bdmesh.netsim import MAX_DATAGRAM, LinkPolicy, NatProfile, Network
+from bdmesh.netsim import MAX_DATAGRAM, FilteringMode, LinkPolicy, NatProfile, Network
 from bdmesh.rendezvous import ROLES, Coordinator
 from bdmesh.securelink import (
     FRAME_HEADER_LEN,
@@ -23,6 +24,9 @@ from bdmesh.securelink import (
     frame_plain,
     is_handshake,
 )
+
+
+APDF = FilteringMode.ADDRESS_AND_PORT_DEPENDENT
 
 
 def make_world(seed=100, punch=None, trace=False):
@@ -139,7 +143,7 @@ class TestDirectLink:
         a, _ = spawn(net, coord_host, "alpha", NatProfile.easy("na"))
         b, _ = spawn(net, coord_host, "beta", NatProfile.easy("nb"))
         assert wait(net, lambda: a.ready and b.ready, 5.0)
-        assert a.nat_class == "easy" and b.nat_class == "easy"
+        assert a.nat_class == "cone" and b.nat_class == "cone"  # no filter at all
         a.connect("beta")
         assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
         assert a.links["beta"].path == "direct"
@@ -239,7 +243,8 @@ class TestBirthdayLink:
         events = []
         a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"),
                      on_event=events.append)
-        b, _ = spawn(net, coord_host, "beta", NatProfile.easy("nb"),
+        # An easy NAT that filters by port: the peer the birthday law describes.
+        b, _ = spawn(net, coord_host, "beta", NatProfile("nb", filtering=APDF),
                      on_event=events.append)
         assert wait(net, lambda: a.ready and b.ready, 5.0)
         assert a.nat_class == "hard" and b.nat_class == "easy"
@@ -267,60 +272,74 @@ class TestBirthdayLink:
 
 
 class TestHardPublicLink:
-    """A hard side facing a public peer needs no birthday punch: both run
-    the direct punch, the hard side's probe from its primary socket opens
-    one mapping toward the public endpoint, and the public side keeps the
-    source of that mapping as the hard side's endpoint."""
+    """A hard side facing a public or cone peer needs no birthday punch:
+    both run the direct punch, the hard side's probe from its primary
+    socket opens one mapping toward the peer's endpoint, and the peer
+    keeps the source of that mapping as the hard side's endpoint."""
 
     @staticmethod
-    def link_up(seed, link=None, drop_hard_confirms=False):
+    def link_up(seed, link=None, lost=None, peer_nat=None):
+        """lost(kind, number) says whether the hard side's number-th
+        punch datagram of that kind (counted from 1) is lost on the wire;
+        peer_nat puts the peer behind a NAT, one that must read cone."""
         net, coord_host, _ = make_world(seed=seed)
         a, host_a = spawn(net, coord_host, "alpha", NatProfile.hard("na"), link=link)
-        b, host_b = spawn(net, coord_host, "beta")
-        if drop_hard_confirms:
+        b, host_b = spawn(net, coord_host, "beta", peer_nat)
+        if lost is not None:
             send = net._send_from
+            sent = {}
 
             def lossy(host, src_port, dst, payload):
                 parsed = traversal.parse_probe(payload)
-                if host is host_a and parsed is not None and parsed[0] == traversal.KIND_CONFIRM:
-                    return  # lost on the wire
+                if host is host_a and parsed is not None:
+                    kind = parsed[0]
+                    sent[kind] = sent.get(kind, 0) + 1
+                    if lost(kind, sent[kind]):
+                        return
                 send(host, src_port, dst, payload)
             net._send_from = lossy
         assert wait(net, lambda: a.ready and b.ready, 5.0)
-        assert (a.nat_class, b.nat_class) == ("hard", "public")
+        assert (a.nat_class, b.nat_class) == ("hard", "public" if peer_nat is None else "cone")
         a.connect("beta")
         assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
-        (hard,), (public,) = a.sessions.values(), b.sessions.values()
-        assert (hard.role, public.role) == ("direct", "direct")
+        (hard,), (peer,) = a.sessions.values(), b.sessions.values()
+        assert (hard.role, peer.role) == ("direct", "direct")
         assert a.links["beta"].path == b.links["alpha"].path == "direct"
         # The hard host never opened a socket beyond its primary.
         assert list(host_a.sockets.values()) == [a.primary] and hard.sock is a.primary
-        toward_b = host_a.nat._by_key[((host_a.ip, a.primary.local_port),
-                                       (host_b.ip, b.primary.local_port))]
-        assert public.peer_ep == (host_a.nat.public_ip, toward_b.ext_port)
-        assert public.peer_ep != a.observed  # the registered udp_endpoint
+        toward_b = host_a.nat._by_key[((host_a.ip, a.primary.local_port), b.observed)]
+        assert peer.peer_ep == (host_a.nat.public_ip, toward_b.ext_port)
+        assert peer.peer_ep != a.observed  # the registered udp_endpoint
         got = []
         a.links["beta"].on_payload = got.append
         b.links["alpha"].send(b"to the hard side's mapping")
         net.run_for(1_000_000)
         assert got == [b"to the hard side's mapping"]
-        return hard, public
+        return hard, peer
 
     def test_one_round_trip_from_the_primary_socket(self):
         hard, public = self.link_up(seed=105)
         assert hard.machine.probes_sent <= 3 and public.machine.probes_sent <= 3
 
+    @pytest.mark.parametrize("filtering", [FilteringMode.ENDPOINT_INDEPENDENT,
+                                           FilteringMode.ADDRESS_DEPENDENT])
+    def test_a_cone_peer_links_in_one_round_trip(self, filtering):
+        # Neither NAT filters the other's probes by port: no birthday burst.
+        hard, cone = self.link_up(seed=131, peer_nat=NatProfile("nb", filtering=filtering))
+        assert hard.machine.probes_sent <= 3 and cone.machine.probes_sent <= 3
+
     def test_a_lossy_hard_uplink_still_links_directly(self):
-        # The direct punch resends every DIRECT_INTERVAL_S until acked; at
-        # this seed the hard side's first probe is lost.
-        hard, _ = self.link_up(seed=129, link=LinkPolicy(loss=0.3))
+        # The direct punch resends every DIRECT_INTERVAL_S until acked; the
+        # hard side's first probe is lost, and 30 % of the rest.
+        hard, _ = self.link_up(seed=129, link=LinkPolicy(loss=0.3),
+                               lost=lambda kind, n: kind == traversal.KIND_PROBE and n == 1)
         assert hard.machine.probes_sent > 1
 
     def test_every_confirm_of_the_hard_side_lost(self):
         # The hard NAT filters the public side's probes at the registered
         # endpoint, so the public side finishes only by probing the source
         # of the probe it acked, which the hard side acks in turn.
-        hard, public = self.link_up(seed=105, drop_hard_confirms=True)
+        hard, public = self.link_up(seed=105, lost=lambda kind, n: kind == traversal.KIND_CONFIRM)
         assert hard.machine.probes_sent <= 3 and public.machine.probes_sent <= 3
 
 

@@ -26,8 +26,8 @@ from bdmesh.realbackend import (
 )
 from bdmesh.rendezvous import Coordinator
 from bdmesh.securelink import Identity
-from bdmesh.traversal import (KIND_CONFIRM, KIND_PROBE, KIND_PROBE_ACK, BirthdayOpener,
-                              PunchConfig, pack_probe, parse_probe)
+from bdmesh.traversal import (KIND_CONFIRM, KIND_PROBE, KIND_PROBE_ACK, OBSERVE_LEN,
+                              BirthdayOpener, PunchConfig, pack_probe, parse_probe)
 
 
 def free_ports(n: int) -> list[int]:
@@ -248,8 +248,9 @@ class TestBackendContract:
                 channels = (net.connect_channel(host, coord_host, 4500),
                             TcpLineChannel(reader, writer))
                 for transport in transports:
-                    assert self.lacks(transport, self.TRANSPORT, ("rng",)) == [], transport
+                    assert self.lacks(transport, self.TRANSPORT, ("rng", "now_us")) == [], transport
                     assert isinstance(transport.rng, random.Random)
+                    assert isinstance(transport.now_us, int)
                 for sock in sockets:
                     assert self.lacks(sock, self.SOCKET, ("local_port",), ("handler",)) == [], sock
                     assert isinstance(sock.local_port, int)
@@ -337,6 +338,40 @@ class TestHelpers:
         assert _load_identity(None).public_bytes != _load_identity(None).public_bytes
 
 
+class TestObserversOnLoopback:
+    def test_replies_fit_their_requests_and_change_port_uses_the_other_port(self):
+        async def scenario():
+            port, o1, o2 = free_ports(3)
+            server = CoordinatorServer("127.0.0.1", port, (o1, o2))
+            await server.start()
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.setblocking(False)
+            sock.bind(("127.0.0.1", 0))
+            got = []
+            loop = asyncio.get_running_loop()
+            loop.add_reader(sock.fileno(), lambda: got.append(sock.recvfrom(2048)))
+            try:
+                for token, extra in ((1, {}), (2, {"change_port": True})):
+                    line = json.dumps({"type": "observe", "token": token, **extra}).encode()
+                    sock.sendto(line, ("127.0.0.1", o1))  # unpadded: draws nothing
+                    sock.sendto(line.ljust(OBSERVE_LEN), ("127.0.0.1", o1))
+                await until(lambda: len(got) == 2)
+                await asyncio.sleep(0.1)
+                assert len(got) == 2
+                by_token = {json.loads(data)["token"]: (data, src) for data, src in got}
+                assert by_token[1][1] == ("127.0.0.1", o1)
+                assert by_token[2][1] == ("127.0.0.1", o2)
+                assert all(len(data) <= OBSERVE_LEN for data, _ in got)
+                assert json.loads(by_token[1][0])["endpoint"] == {
+                    "ip": "127.0.0.1", "port": sock.getsockname()[1]}
+            finally:
+                loop.remove_reader(sock.fileno())
+                sock.close()
+                await server.close()
+
+        run(scenario())
+
+
 class TestLoopbackMesh:
     def test_two_nodes_direct_encrypted_echo(self):
         async def scenario():
@@ -350,7 +385,7 @@ class TestLoopbackMesh:
                 assert await a.start() == 0
                 assert await b.start() == 0
                 assert await a.wait_ready(10.0) and await b.wait_ready(10.0)
-                assert a.agent.nat_class == "public"
+                assert a.agent.nat_class == b.agent.nat_class == "public"
                 assert await a.link_all(timeout_s=20.0)
                 link = a.agent.links["bob"]
                 assert link.path == "direct" and link.encrypted

@@ -16,6 +16,7 @@ from bdmesh.rendezvous import (
     Coordinator,
     assign_roles,
 )
+from bdmesh.traversal import OBSERVE_LEN
 
 KEY_A = base64.b64encode(bytes(range(32))).decode()
 KEY_B = base64.b64encode(bytes(range(1, 33))).decode()
@@ -24,8 +25,8 @@ KEY_C = base64.b64encode(bytes(range(2, 34))).decode()
 
 class TestRoleTable:
     def test_full_matrix(self):
-        classes = ("public", "easy", "hard", "udp_blocked", "unknown")
-        reachable = {"public", "easy"}
+        classes = ("public", "cone", "easy", "hard", "udp_blocked", "unknown")
+        reachable = {"public", "cone", "easy"}
         for a in classes:
             for b in classes:
                 roles = assign_roles(a, b)
@@ -37,14 +38,14 @@ class TestRoleTable:
                     assert roles == ("opener", "prober"), (a, b)
                 elif (a, b) == ("easy", "hard"):
                     assert roles == ("prober", "opener"), (a, b)
-                elif "hard" in (a, b):  # a public peer needs no birthday punch
+                elif "hard" in (a, b):  # a public or cone peer needs no birthday punch
                     assert roles == ("direct", "direct"), (a, b)
                 else:
                     assert a in reachable and b in reachable
                     assert roles == ("direct", "direct"), (a, b)
 
     def test_symmetry(self):
-        classes = ("public", "easy", "hard", "udp_blocked", "unknown")
+        classes = ("public", "cone", "easy", "hard", "udp_blocked", "unknown")
         for a in classes:
             for b in classes:
                 ra, rb = assign_roles(a, b)
@@ -186,33 +187,77 @@ class TestRegistration:
         assert a.of_type("introduce")
 
 
+def observe(token, **extra) -> bytes:
+    """An observe request padded as the classifier pads it."""
+    return json.dumps({"type": "observe", "token": token, **extra}).encode().ljust(OBSERVE_LEN)
+
+
 class TestObservation:
     def test_udp_observer_reflects_source(self):
         net, coord_host, coord = world()
         host = net.add_host("a")
         got = []
-        sock = host.bind(lambda data, src, s: got.append(data), 7000)
-        sock.send((coord_host.ip, 3478), b'{"type":"observe","token":9}')
-        sock.send((coord_host.ip, 3479), b"not json at all")
+        sock = host.bind(lambda data, src, s: got.append((data, src)), 7000)
+        sock.send((coord_host.ip, 3478), observe(9))
+        sock.send((coord_host.ip, 3479), b"not json at all".ljust(OBSERVE_LEN))
         net.run_for(20_000)
         assert len(got) == 1
-        reply = json.loads(got[0])
-        assert reply == {"type": "observed", "token": 9,
-                         "endpoint": {"ip": host.ip, "port": 7000}}
+        reply, src = got[0]
+        assert json.loads(reply) == {"type": "observed", "token": 9,
+                                     "endpoint": {"ip": host.ip, "port": 7000}}
+        assert src == (coord_host.ip, 3478)
+
+    def test_change_port_is_answered_from_the_other_port(self):
+        net, coord_host, _ = world()
+        got = []
+        sock = net.add_host("a").bind(lambda data, src, s: got.append((json.loads(data), src)))
+        sock.send((coord_host.ip, 3478), observe(1, change_port=True))
+        sock.send((coord_host.ip, 3479), observe(2, change_port=True))
+        sock.send((coord_host.ip, 3479), observe(3, change_port=False))
+        for flag in (1, 0, "yes", None, [True]):
+            sock.send((coord_host.ip, 3478), observe(4, change_port=flag))
+        net.run_for(20_000)
+        assert [(r["token"], src[1]) for r, src in got] == [(1, 3479), (2, 3478), (3, 3479)]
+
+    @pytest.mark.parametrize("extra", [{}, {"change_port": True}])
+    def test_no_reply_is_longer_than_its_request(self, extra):
+        net, coord_host, _ = world()
+        got = []
+        sock = net.add_host("a").bind(lambda data, src, s: got.append(data), 7000)
+        for token in (0, 9, (1 << 63) - 1):
+            sock.send((coord_host.ip, 3478), observe(token, **extra))
+        net.run_for(20_000)
+        assert len(got) == 3 and all(len(reply) <= OBSERVE_LEN for reply in got)
+
+    @pytest.mark.parametrize("extra", [{}, {"change_port": True}])
+    def test_a_request_shorter_than_its_reply_draws_nothing(self, extra):
+        net, coord_host, _ = world()
+        host = net.add_host("a")
+        got = []
+        sock = host.bind(lambda data, src, s: got.append(data), 7000)
+        request = json.dumps({"type": "observe", "token": 9, **extra}).encode()
+        reply_len = len(json.dumps({"type": "observed", "token": 9,
+                                    "endpoint": {"ip": host.ip, "port": 7000}},
+                                   separators=(",", ":")))
+        for size in (len(request), reply_len - 1):  # unpadded, then one byte short
+            sock.send((coord_host.ip, 3478), request.ljust(size))
+        net.run_for(20_000)
+        assert got == []
+        sock.send((coord_host.ip, 3478), request.ljust(reply_len))
+        net.run_for(20_000)
+        assert [len(reply) for reply in got] == [reply_len]
 
     def test_only_a_classifier_token_is_echoed(self):
         net, coord_host, _ = world()
         got = []
         sock = net.add_host("a").bind(lambda data, src, s: got.append(data), 7000)
         for token in ("x" * 1024, {"a": [1, {"b": 2}]}, True, -1, 1 << 63, 1.0, None):
-            sock.send((coord_host.ip, 3478),
-                      json.dumps({"type": "observe", "token": token}).encode())
-        sock.send((coord_host.ip, 3478), b'{"type":"observe"}')
+            sock.send((coord_host.ip, 3478), observe(token))
+        sock.send((coord_host.ip, 3478), b'{"type":"observe"}'.ljust(OBSERVE_LEN))
         net.run_for(20_000)
         assert got == []
         for token in (9, 0, (1 << 63) - 1):
-            sock.send((coord_host.ip, 3479),
-                      json.dumps({"type": "observe", "token": token}).encode())
+            sock.send((coord_host.ip, 3479), observe(token))
         net.run_for(20_000)
         assert [json.loads(g)["token"] for g in got] == [9, 0, (1 << 63) - 1]
 
@@ -221,7 +266,7 @@ class TestObservation:
         got = []
         sock = net.add_host("a").bind(lambda data, src, s: got.append(data), 7000)
         sock.send((coord_host.ip, 3478), b"[" * 1200)
-        sock.send((coord_host.ip, 3478), b'{"type":"observe","token":9}')
+        sock.send((coord_host.ip, 3478), observe(9))
         net.run_for(20_000)
         assert len(got) == 1
 
@@ -275,6 +320,9 @@ class TestIntroduce:
         (("easy", "unknown"), ("relay", "relay")),
         (("hard", "public"), ("direct", "direct")),
         (("public", "hard"), ("direct", "direct")),
+        (("hard", "cone"), ("direct", "direct")),
+        (("cone", "hard"), ("direct", "direct")),
+        (("cone", "easy"), ("direct", "direct")),
     ])
     def test_role_matrix_applied(self, pair_classes, want):
         net, coord_host, _ = world()

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from bdmesh import traversal
 from bdmesh.errors import InvalidParametersError
-from bdmesh.netsim import (FilteringMode, HostTransport, LinkPolicy, MappingMode, NatProfile,
-                           Network)
+from bdmesh.netsim import (FilteringMode, Host, HostTransport, LinkPolicy, MappingMode,
+                           NatProfile, Network)
 from bdmesh.probability import PortSpace, schedule_ports
 from bdmesh.traversal import (
     DEFAULT_PUNCH,
@@ -86,9 +86,10 @@ class TestPunchConfig:
             PunchConfig(open_ports=200, space=PortSpace(1, 100))
 
 
-def add_observer(net, host, port):
-    """Minimal endpoint reflector: answers observe datagrams with the
-    source endpoint it saw."""
+def add_observers(host, ports=(3478, 3479)):
+    """Minimal endpoint reflectors: each answers an observe datagram with
+    the source endpoint it saw, a change_port one from the other port."""
+    socks = []
 
     def handler(payload, src, sock):
         try:
@@ -98,70 +99,106 @@ def add_observer(net, host, port):
         if obj.get("type") == "observe":
             reply = {"type": "observed", "token": obj.get("token"),
                      "endpoint": {"ip": src[0], "port": src[1]}}
+            if obj.get("change_port"):
+                others = [s for s in socks if s is not sock]
+                if not others:
+                    return
+                sock = others[0]
             sock.send(src, json.dumps(reply, separators=(",", ":")).encode())
 
-    return host.bind(handler, port)
+    socks.extend(host.bind(handler, port) for port in ports)
+    return [(host.ip, port) for port in ports]
 
 
 def classify(net, host, observers):
+    """The classifier's (verdict, observed, when it came), run from a
+    socket of its own.  The probe socket the classifier opens is closed
+    by then."""
     result = []
     transport = HostTransport(host)
     sock = host.bind(lambda data, src, s: cl.on_observed(json.loads(data))
                      if data[:1] == b"{" else None)
     cl = NatClassifier(transport, sock, (host.ip, sock.port), observers,
-                       lambda verdict, observed: result.append((verdict, observed)),
+                       lambda verdict, observed: result.append((verdict, observed, net.now_us)),
                        rng=net.rng)
     cl.start()
+    assert len(host.sockets) == 2  # the primary and the change-port probe
     net.run_for(10_000_000)
-    return result[0]
+    assert list(host.sockets.values()) == [sock]
+    (got,) = result
+    return got
+
+
+# The test world's round trip to its observers: 1 ms each way.
+RTT_US = 2000
 
 
 class TestNatClassifier:
     @staticmethod
     def world():
         net = Network(seed=20)
-        obs_host = net.add_host("obs")
-        add_observer(net, obs_host, 3478)
-        add_observer(net, obs_host, 3479)
-        observers = [(obs_host.ip, 3478), (obs_host.ip, 3479)]
-        return net, observers
+        return net, add_observers(net.add_host("obs"))
+
+    def behind(self, mapping, filtering):
+        net, observers = self.world()
+        nat = net.add_nat(NatProfile("n", mapping=mapping, filtering=filtering))
+        verdict, observed, t_us = classify(net, net.add_host("h", nat=nat), observers)
+        assert observed[0] == nat.public_ip
+        return verdict, t_us
 
     def test_public(self):
         net, observers = self.world()
         host = net.add_host("h")
-        verdict, observed = classify(net, host, observers)
+        verdict, observed, t_us = classify(net, host, observers)
         assert verdict == "public"
         assert observed[0] == host.ip
+        assert t_us == RTT_US
+
+    @pytest.mark.parametrize("filtering", [FilteringMode.ENDPOINT_INDEPENDENT,
+                                           FilteringMode.ADDRESS_DEPENDENT])
+    def test_cone(self, filtering):
+        # The change-port answer comes from a port the probe socket never
+        # contacted: a NAT that does not filter by port lets it in.
+        assert self.behind(MappingMode.ENDPOINT_INDEPENDENT, filtering) == ("cone", RTT_US)
 
     def test_easy(self):
-        net, observers = self.world()
-        nat = net.add_nat(NatProfile.easy("n"))
-        host = net.add_host("h", nat=nat)
-        verdict, observed = classify(net, host, observers)
-        assert verdict == "easy"
-        assert observed[0] == nat.public_ip
+        # Filtering by port drops the change-port answer; the verdict waits
+        # one more round trip after the two mapping answers.
+        assert self.behind(MappingMode.ENDPOINT_INDEPENDENT,
+                           FilteringMode.ADDRESS_AND_PORT_DEPENDENT) == ("easy", 2 * RTT_US)
 
     def test_hard(self):
+        # Divergent mappings decide at once, without the change-port wait.
+        assert self.behind(MappingMode.ENDPOINT_DEPENDENT,
+                           FilteringMode.ADDRESS_AND_PORT_DEPENDENT) == ("hard", RTT_US)
+
+    def test_lost_change_port_answer_is_easy(self):
+        # A public address whose change-port answer never comes, as behind
+        # a default-deny firewall, is easy: it takes the birthday punch.
         net, observers = self.world()
-        nat = net.add_nat(NatProfile.hard("n"))
-        host = net.add_host("h", nat=nat)
-        verdict, observed = classify(net, host, observers)
-        assert verdict == "hard"
-        assert observed[0] == nat.public_ip
+        host = net.add_host("h")
+        primary = (host.ip, Host.EPHEMERAL_LO)  # classify binds it first, then the probe
+        send = net._send_from
+
+        def lossy(src_host, src_port, dst, payload):
+            if (src_host.ip, src_port) != observers[1] or dst == primary:
+                send(src_host, src_port, dst, payload)
+        net._send_from = lossy
+        assert classify(net, host, observers) == ("easy", primary, 2 * RTT_US)
 
     def test_udp_blocked(self):
         net, observers = self.world()
         host = net.add_host("h", link=LinkPolicy(udp_blocked=True))
-        verdict, observed = classify(net, host, observers)
+        verdict, observed, _ = classify(net, host, observers)
         assert verdict == "udp_blocked"
         assert observed is None
 
     def test_single_answer_is_unknown(self):
         net = Network(seed=21)
         obs_host = net.add_host("obs")
-        add_observer(net, obs_host, 3478)  # 3479 never bound
+        add_observers(obs_host, (3478,))  # 3479 never bound
         host = net.add_host("h")
-        verdict, _ = classify(net, host, [(obs_host.ip, 3478), (obs_host.ip, 3479)])
+        verdict, _, _ = classify(net, host, [(obs_host.ip, 3478), (obs_host.ip, 3479)])
         assert verdict == "unknown"
 
     def test_malformed_observed_replies_are_dropped(self):
@@ -188,7 +225,7 @@ class TestNatClassifier:
         monkeypatch.setattr(traversal, "CLASSIFY_TRIES", 10)
         net, observers = self.world()
         host = net.add_host("h", link=LinkPolicy(loss=0.6))
-        verdict, _ = classify(net, host, observers)
+        verdict, _, _ = classify(net, host, observers)
         assert verdict == "public"
 
 

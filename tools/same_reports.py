@@ -8,6 +8,8 @@ sides produced:
 
 - the bundled scenarios at seeds 1, 2, 3 and 7 (the digest of each
   report, as perfbench's report_digest computes it);
+- LOSSY_DOC, a mixed-NAT mesh whose every uplink loses 10 % of its
+  datagrams, at the same seeds (again the report digest);
 - the 72 documents of the benchmark's mesh workload at seeds 1 and 2,
   built by perfbench/workloads.py (imported read-only) and run at the
   workload's own simulation seeds (again the report digest);
@@ -17,10 +19,12 @@ sides produced:
 Prints one line per kind with its line count and whether the sides
 agree, then every line that differs.  A scenario line also carries a
 short digest of each top-level report field, so a differing report is
-printed as the fields that differ (say `trace_hash` only), and a last
-line sums those fields over every differing report.  Exits 1 on any
-difference; a scenario process that fails stops the tool with its
-stderr.
+printed as the fields that differ (say `trace_hash` only), and of its
+links' (a, b, up, path), so it also says whether any link came up
+otherwise or moved path.  A last line sums those fields over every
+differing report, and counts the differing reports whose links moved.
+Exits 1 on any difference; a scenario process that fails stops the
+tool with its stderr.
 """
 
 from __future__ import annotations
@@ -40,6 +44,22 @@ from workloads import Mesh  # noqa: E402
 
 BUNDLED = ("blocked.json", "fullmesh5.json", "site2site.json")
 BUNDLED_SEEDS = (1, 2, 3, 7)
+# Every kind of pair on lossy uplinks: a public host, one behind a NAT
+# that filters nothing, one behind a NAT that filters by port and two
+# behind hard NATs, in a full mesh.
+LOSSY_DOC = {
+    "hosts": [{"id": "pub"}, {"id": "cone", "nat": "nc"}, {"id": "easy", "nat": "ne"},
+              {"id": "hard1", "nat": "nh1"}, {"id": "hard2", "nat": "nh2"}],
+    "nats": [{"id": "nc", "filtering": "endpoint_independent"},
+             {"id": "ne", "filtering": "address_and_port_dependent"},
+             {"id": "nh1", "mapping": "endpoint_dependent",
+              "filtering": "address_and_port_dependent"},
+             {"id": "nh2", "mapping": "endpoint_dependent",
+              "filtering": "address_and_port_dependent"}],
+    "links": [{"host": h, "loss": 0.1} for h in ("pub", "cone", "easy", "hard1", "hard2")],
+    "scheme": {"G": 0, "P": 1, "theta": 1},
+    "experiment": {"trials": 1},
+}
 MESH_SEEDS = (1, 2)
 TRAVERSAL_RUNS = (
     ("simulate traversal", ["--trials", "300", "--seed", "7", "--workers", "1"]),
@@ -48,8 +68,9 @@ TRAVERSAL_RUNS = (
 )
 
 # Runs [name, doc or null for a bundled scenario, seed] items read from
-# stdin; prints one "name seed digest field=digest..." line per item,
-# with a 12-hex digest of each top-level report field.
+# stdin; prints one "name seed digest paths field=digest..." line per
+# item: paths is a 12-hex digest of the links' (a, b, up, path), then
+# comes one of each top-level report field.
 CHILD = """
 import hashlib, json, sys
 from bdmesh.scenario import bundled_scenario_path, load_scenario, run_scenario
@@ -59,8 +80,9 @@ for name, doc, seed in json.load(sys.stdin):
     if doc is None:
         doc = load_scenario(bundled_scenario_path(name))
     report = run_scenario(doc, seed=seed)
+    paths = sha([[l["a"], l["b"], l["up"], l["path"]] for l in report.get("links", [])])
     fields = " ".join(f"{k}={sha(v)[:12]}" for k, v in sorted(report.items()))
-    print(name, seed, sha(report), fields, flush=True)
+    print(name, seed, sha(report), paths[:12], fields, flush=True)
 """
 
 
@@ -85,8 +107,8 @@ def mesh_items() -> list:
 
 def fields_that_differ(parent: str, change: str) -> list[str]:
     """The report fields whose digests differ between two scenario lines."""
-    p = dict(f.split("=", 1) for f in parent.split()[3:])
-    c = dict(f.split("=", 1) for f in change.split()[3:])
+    p = dict(f.split("=", 1) for f in parent.split()[4:])
+    c = dict(f.split("=", 1) for f in change.split()[4:])
     return sorted(k for k in p.keys() | c.keys() if p.get(k) != c.get(k))
 
 
@@ -99,6 +121,7 @@ def main(argv=None) -> int:
 
     kinds = {
         "bundled scenarios": [[name, None, seed] for name in BUNDLED for seed in BUNDLED_SEEDS],
+        "lossy document": [["lossy", LOSSY_DOC, seed] for seed in BUNDLED_SEEDS],
         "mesh workload documents": mesh_items(),
     }
     outputs = {kind: [scenario_lines(side, items) for side in sides]
@@ -111,6 +134,7 @@ def main(argv=None) -> int:
 
     differ = False
     report_fields: dict[str, int] = {}
+    moved = 0
     for kind, (parent, change) in outputs.items():
         same = parent == change
         differ |= not same
@@ -120,7 +144,10 @@ def main(argv=None) -> int:
                 continue
             fields = fields_that_differ(p, c) if kind in kinds else []
             if fields:
-                print(f"  {' '.join(p.split()[:2])}: differs in {', '.join(fields)}")
+                paths_same = p.split()[3] == c.split()[3]
+                moved += not paths_same
+                print(f"  {' '.join(p.split()[:2])}: differs in {', '.join(fields)}; "
+                      f"links (a, b, up, path) {'same' if paths_same else 'DIFFERENT'}")
                 for field in fields:
                     report_fields[field] = report_fields.get(field, 0) + 1
             else:
@@ -130,6 +157,7 @@ def main(argv=None) -> int:
     if report_fields:
         print("report fields that differ: " + ", ".join(
             f"{field} in {n}" for field, n in sorted(report_fields.items())))
+        print(f"reports whose links (a, b, up, path) differ: {moved}")
     return 1 if differ else 0
 
 
