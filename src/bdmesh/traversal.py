@@ -262,7 +262,7 @@ class NatClassifier:
             if self._timer is not None:
                 self._timer.cancel()
             self._timer = self._transport.call_later(
-                max(1, self._transport.now_us - self._sent_us), self._finish)
+                self._transport.now_us - self._sent_us, self._finish)
 
     def _finish(self) -> None:
         self._done = True
