@@ -126,6 +126,7 @@ class LinkSession:
     # has answered, so a retried M1 gets the same M2.
     handshake: object = None
     handshake_tries: int = 0
+    m1_retry: object = None             # initiator: the timer of its next M1
     deadline: object = None
 
     @property
@@ -391,14 +392,12 @@ class NodeAgent:
         # The responder waits for M1.
 
     def _send_m1(self, ls: LinkSession) -> None:
-        if ls.link is not None:
-            return
         if ls.handshake_tries >= HANDSHAKE_TRIES:
             return  # the session deadline will report the failure
         ls.handshake_tries += 1
         ls.send_body(ls.handshake.message1())
-        self.transport.call_later(int(HANDSHAKE_RETRY_S * 1_000_000),
-                                  lambda: self._send_m1(ls))
+        ls.m1_retry = self.transport.call_later(int(HANDSHAKE_RETRY_S * 1_000_000),
+                                                lambda: self._send_m1(ls))
 
     def _on_handshake_body(self, ls: LinkSession, body: bytes) -> None:
         if ls.initiator:
@@ -433,6 +432,8 @@ class NodeAgent:
         ls.link = OverlayLink(ls)
         self.links[ls.peer_id] = ls.link
         ls.deadline.cancel()
+        if ls.m1_retry is not None:
+            ls.m1_retry.cancel()
         self._emit("link_up", peer=ls.peer_id, path=ls.path,
                    encrypted=ls.encrypted,
                    probes=ls.machine.probes_sent if ls.machine is not None else 0)

@@ -2,8 +2,9 @@
 
 The coordinator core and the node agent are written against small
 transport ducks; this module implements those ducks with one asyncio
-loop, a TCP JSON-lines control connection, and non-blocking UDP
-sockets driven by add_reader.  Nothing protocol-level lives here.
+loop, a TCP JSON-lines control protocol that handles each line in the
+loop turn that reads it, and non-blocking UDP sockets driven by
+add_reader.  Nothing protocol-level lives here.
 
 Everything runs on the loop thread, so the synchronous callback style
 the state machines use is safe as is.
@@ -34,6 +35,8 @@ CONNECT_ATTEMPTS = 3
 CONNECT_RETRY_S = 1.0
 INTRODUCE_RETRY_S = 0.5
 INTRODUCE_ATTEMPTS = 20
+# Unsent control bytes a channel may hold before it gives up on its peer.
+MAX_WRITE_BACKLOG = 64 * MAX_CONTROL_LINE
 
 __all__ = [
     "AsyncioTransport", "AsyncioUdpSocket", "TcpLineChannel",
@@ -128,61 +131,69 @@ class AsyncioTransport:
             sock.send(dst, payload)
 
 
-class TcpLineChannel:
-    """One JSON-lines control connection over a TCP stream.
+class TcpLineChannel(asyncio.Protocol):
+    """One JSON-lines control connection, either end, as an asyncio
+    protocol: each complete line of a chunk goes to on_line in the loop
+    turn that read it.  A line over MAX_CONTROL_LINE, or one that does
+    not parse, is dropped; a partial line past 2 * MAX_CONTROL_LINE, or
+    a write backlog past MAX_WRITE_BACKLOG, closes the channel."""
 
-    Works for both directions: the coordinator wraps accepted
-    connections, the node wraps its outbound one.  Reading happens in
-    an owner-supplied task via drain_lines().
-    """
-
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
-        peername = writer.get_extra_info("peername") or ("0.0.0.0", 0)
-        self.peer_observed = (peername[0], peername[1])
+    def __init__(self) -> None:
+        self._transport: Optional[asyncio.Transport] = None
+        self._partial = b""
+        self.peer_observed = ("0.0.0.0", 0)
         self.on_line: Optional[Callable[[dict], None]] = None
         self.on_close: Optional[Callable[[], None]] = None
         self.closed = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        peername = transport.get_extra_info("peername") or ("0.0.0.0", 0)
+        self.peer_observed = (peername[0], peername[1])
+        if self.closed:  # by a server close between accept and here
+            transport.close()
+
+    def data_received(self, data: bytes) -> None:
+        *lines, self._partial = (self._partial + data).split(b"\n")
+        for line in lines:
+            if self.closed:
+                return
+            if len(line) >= MAX_CONTROL_LINE:  # counting its newline
+                log.warning("dropping oversized control line (%d bytes)", len(line) + 1)
+                continue
+            try:
+                msg = json.loads(line)
+            except (ValueError, RecursionError):
+                log.warning("dropping unparseable control line")
+                continue
+            if self.on_line is not None:
+                self.on_line(msg)
+        if len(self._partial) > 2 * MAX_CONTROL_LINE:
+            log.warning("closing a control connection: partial line too long")
+            self.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.close()
 
     def send(self, msg: dict) -> None:
         if self.closed:
             return
         try:
-            self._writer.write(json.dumps(msg, separators=(",", ":")).encode() + b"\n")
+            self._transport.write(json.dumps(msg, separators=(",", ":")).encode() + b"\n")
         except (ConnectionError, RuntimeError):
             self.close()
-
-    async def drain_lines(self) -> None:
-        """Read lines until EOF, dispatching each parsed object."""
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                if len(line) > MAX_CONTROL_LINE:
-                    log.warning("dropping oversized control line (%d bytes)", len(line))
-                    continue
-                try:
-                    msg = json.loads(line)
-                except (ValueError, RecursionError):
-                    log.warning("dropping unparseable control line")
-                    continue
-                if self.on_line is not None:
-                    self.on_line(msg)
-        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
-            pass  # ValueError: a line overran the stream limit
-        finally:
+            return
+        if self._transport.get_write_buffer_size() > MAX_WRITE_BACKLOG:
+            log.warning("closing a control connection: peer not reading")
+            self._transport.abort()  # close() would wait for the backlog to drain
             self.close()
 
     def close(self) -> None:
         if self.closed:
             return
         self.closed = True
-        try:
-            self._writer.close()
-        except RuntimeError:
-            pass
+        if self._transport is not None:
+            self._transport.close()
         if self.on_close is not None:
             self.on_close()
 
@@ -197,40 +208,33 @@ class CoordinatorServer:
         self.observer_ports = tuple(observer_ports)
         self.core = Coordinator()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: dict[asyncio.Task, TcpLineChannel] = {}
+        # Each live channel, with the core's own on_close for it.
+        self._channels: dict[TcpLineChannel, Callable[[], None]] = {}
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port, limit=MAX_CONTROL_LINE * 2)
+        self._server = await loop.create_server(self._accept, self.host, self.port)
         for oport in self.observer_ports:
             self.core.observers.append(
                 AsyncioUdpSocket(loop, self.core.on_observe, oport, self.host))
         log.info("coordinator on %s:%d (observers %s)",
                  self.host, self.port, ",".join(map(str, self.observer_ports)))
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        channel = TcpLineChannel(reader, writer)
+    def _accept(self) -> TcpLineChannel:
+        channel = TcpLineChannel()
         self.core.attach(channel)
-        task = asyncio.current_task()
-        self._connections[task] = channel
-        task.add_done_callback(self._connections.pop)
-        await channel.drain_lines()
+        self._channels[channel] = channel.on_close
+        channel.on_close = lambda: self._channels.pop(channel)()
+        return channel
 
     async def close(self) -> None:
-        """Stop listening, then close every open connection and wait for
-        its reader to see EOF (cancelling them instead makes asyncio log
-        an error per connection)."""
+        """Stop listening, then close every open connection."""
         if self._server is not None:
             self._server.close()
         for sock in self.core.observers:
             sock.close()
-        connections = list(self._connections.items())
-        for _, channel in connections:
+        for channel in list(self._channels):
             channel.close()
-        await asyncio.gather(*(task for task, _ in connections),
-                             return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -286,7 +290,6 @@ class NodeClient:
         self.exit_code: Optional[int] = None
         self._echoed: set[str] = set()
         self._pinged: set[str] = set()
-        self._reader_task = None
         self._wake = asyncio.Event()
 
     async def start(self) -> int:
@@ -294,8 +297,8 @@ class NodeClient:
         loop = asyncio.get_running_loop()
         for attempt in range(1, CONNECT_ATTEMPTS + 1):
             try:
-                reader, writer = await asyncio.open_connection(
-                    self.coord_host, self.coord_port, limit=MAX_CONTROL_LINE * 2)
+                transport, self.channel = await loop.create_connection(
+                    TcpLineChannel, self.coord_host, self.coord_port)
                 break
             except OSError as e:
                 log.warning("coordinator connect %d/%d failed: %s",
@@ -305,14 +308,11 @@ class NodeClient:
                           f"{self.coord_host}:{self.coord_port}", file=sys.stderr)
                     return EXIT_COORD_UNREACHABLE
                 await asyncio.sleep(CONNECT_RETRY_S)
-        self.channel = TcpLineChannel(reader, writer)
-        transport = AsyncioTransport(loop)
-        coord_ip = writer.get_extra_info("peername")[0]
-        local_ip = (writer.get_extra_info("sockname") or ("0.0.0.0", 0))[0]
-        observers = [(coord_ip, p) for p in self.observer_ports]
+        local_ip = (transport.get_extra_info("sockname") or ("0.0.0.0", 0))[0]
+        observers = [(self.channel.peer_observed[0], p) for p in self.observer_ports]
         try:
             self.agent = NodeAgent(
-                self.node_id, transport, self.channel, local_ip, observers,
+                self.node_id, AsyncioTransport(loop), self.channel, local_ip, observers,
                 identity=self.identity, default_encrypted=self.encrypted,
                 on_event=self._on_event)
             self.agent.start()
@@ -320,7 +320,6 @@ class NodeClient:
             print(f"cannot bind a local socket: {e}", file=sys.stderr)
             return EXIT_BIND_FAILURE
         self.channel.on_close = self._on_channel_closed
-        self._reader_task = asyncio.ensure_future(self.channel.drain_lines())
         return EXIT_OK
 
     def _on_channel_closed(self) -> None:
@@ -393,8 +392,6 @@ class NodeClient:
             pass
 
     async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
         if self.channel is not None:
             self.channel.close()
         if self.agent is not None:

@@ -13,8 +13,9 @@ import time
 
 import pytest
 
-from bdmesh.netsim import HostTransport, Network
+from bdmesh.netsim import MAX_CONTROL_LINE, HostTransport, Network
 from bdmesh.realbackend import (
+    MAX_WRITE_BACKLOG,
     AsyncioTransport,
     AsyncioUdpSocket,
     CoordinatorServer,
@@ -180,18 +181,62 @@ def test_opener_out_of_descriptors_falls_back_to_the_relay():
     assert result["after"] == result["before"]  # every pinhole it opened was closed
 
 
+class FakeTransport:
+    """Just the asyncio.Transport members TcpLineChannel uses.  Nothing
+    written ever drains, as when the peer stops reading."""
+
+    def __init__(self, fail_writes: bool = False):
+        self.fail_writes = fail_writes
+        self.written = b""
+        self.closed = self.aborted = False
+
+    def get_extra_info(self, name, default=None):
+        return ("192.0.2.7", 4321) if name == "peername" else default
+
+    def write(self, data: bytes) -> None:
+        if self.fail_writes:
+            raise ConnectionResetError("peer reset")
+        self.written += data
+
+    def get_write_buffer_size(self) -> int:
+        return len(self.written)
+
+    def close(self) -> None:
+        self.closed = True
+
+    def abort(self) -> None:
+        self.aborted = self.closed = True
+
+
+def fake_channel(**kw):
+    """A channel on a FakeTransport, with every line and close recorded."""
+    channel, transport = TcpLineChannel(), FakeTransport(**kw)
+    channel.connection_made(transport)
+    got, closes = [], []
+    channel.on_line = got.append
+    channel.on_close = lambda: closes.append(1)
+    return channel, transport, got, closes
+
+
+def line_of(length: int) -> bytes:
+    """A JSON line of exactly `length` bytes, its newline included."""
+    head = b'{"type":"ping","pad":"'
+    return head + b"x" * (length - len(head) - 3) + b'"}\n'
+
+
 class TestTcpLineChannel:
     def test_deeply_nested_line_is_dropped_and_the_connection_kept(self):
         async def main():
+            loop = asyncio.get_running_loop()
             got, channels = [], []
 
-            async def accept(reader, writer):
-                channel = TcpLineChannel(reader, writer)
+            def accept():
+                channel = TcpLineChannel()
                 channel.on_line = got.append
                 channels.append(channel)
-                await channel.drain_lines()
+                return channel
 
-            server = await asyncio.start_server(accept, "127.0.0.1", 0)
+            server = await loop.create_server(accept, "127.0.0.1", 0)
             _, writer = await asyncio.open_connection(*server.sockets[0].getsockname())
             try:
                 writer.write(b"[" * 5000 + b"\n" + b'{"type":"ping"}\n')
@@ -205,6 +250,112 @@ class TestTcpLineChannel:
                 await server.wait_closed()
 
         run(main())
+
+
+class TestLineFraming:
+    """data_received, send and close driven by hand on a fake transport:
+    every effect is visible when the call returns."""
+
+    def test_connection_made_sets_the_observed_peer(self):
+        channel, _, _, _ = fake_channel()
+        assert channel.peer_observed == ("192.0.2.7", 4321)
+
+    def test_a_line_split_across_chunks_is_delivered_once_complete(self):
+        channel, _, got, _ = fake_channel()
+        channel.data_received(b'{"type":"pi')
+        assert got == []
+        channel.data_received(b'ng","n":1}\n{"ty')
+        assert got == [{"type": "ping", "n": 1}]
+        channel.data_received(b'pe":"pong"}\n')
+        assert got == [{"type": "ping", "n": 1}, {"type": "pong"}]
+
+    def test_every_line_of_one_chunk_is_delivered_in_order(self):
+        channel, _, got, _ = fake_channel()
+        channel.data_received(b"".join(b'{"n":%d}\n' % n for n in range(50)))
+        assert got == [{"n": n} for n in range(50)]
+
+    def test_an_oversized_line_is_dropped_and_the_next_delivered(self, caplog):
+        channel, transport, got, closes = fake_channel()
+        longest = line_of(MAX_CONTROL_LINE)
+        with caplog.at_level(logging.WARNING, logger="bdmesh.real"):
+            channel.data_received(line_of(MAX_CONTROL_LINE + 1) + longest
+                                  + b'{"type":"ping"}\n')
+        assert got == [json.loads(longest), {"type": "ping"}]
+        assert "oversized" in caplog.text
+        assert not channel.closed and not transport.closed and closes == []
+
+    def test_unparseable_lines_are_dropped_and_the_connection_kept(self):
+        channel, _, got, closes = fake_channel()
+        channel.data_received(b"not json\n\n" + b"[" * 5000 + b'\n{"n":1}\n')
+        assert got == [{"n": 1}]
+        assert not channel.closed and closes == []
+
+    def test_a_partial_line_past_twice_the_limit_closes_the_channel(self):
+        channel, transport, got, closes = fake_channel()
+        channel.data_received(b"x" * MAX_CONTROL_LINE)
+        channel.data_received(b"x" * MAX_CONTROL_LINE)
+        assert not channel.closed  # 2 * MAX_CONTROL_LINE bytes may still end
+        channel.data_received(b"x")
+        assert channel.closed and transport.closed and closes == [1]
+        channel.data_received(b'\n{"n":1}\n')
+        assert got == []
+
+    def test_a_handler_that_closes_stops_the_rest_of_the_chunk(self):
+        channel, _, got, closes = fake_channel()
+        channel.on_line = lambda msg: (got.append(msg), channel.close())
+        channel.data_received(b'{"n":1}\n{"n":2}\n{"n":3}\n')
+        assert got == [{"n": 1}] and closes == [1]
+
+    def test_on_close_fires_once(self):
+        channel, transport, _, closes = fake_channel()
+        channel.close()
+        channel.connection_lost(None)
+        channel.close()
+        assert closes == [1] and transport.closed
+
+    def test_a_channel_closed_before_its_connection_closes_the_transport(self):
+        # A server close can reach a channel its factory made before the
+        # loop ran connection_made.
+        channel, transport, closes = TcpLineChannel(), FakeTransport(), []
+        channel.on_close = lambda: closes.append(1)
+        channel.close()
+        channel.connection_made(transport)
+        assert transport.closed and closes == [1]
+
+    def test_connection_lost_closes_the_channel(self):
+        channel, _, _, closes = fake_channel()
+        channel.connection_lost(ConnectionResetError())
+        assert channel.closed and closes == [1]
+
+    def test_send_writes_one_compact_line_and_nothing_once_closed(self):
+        channel, transport, _, _ = fake_channel()
+        channel.send({"type": "ping", "nonce": 7})
+        assert transport.written == b'{"type":"ping","nonce":7}\n'
+        channel.close()
+        channel.send({"type": "ping"})
+        assert transport.written == b'{"type":"ping","nonce":7}\n'
+
+    def test_send_on_a_broken_transport_closes_the_channel(self):
+        channel, _, _, closes = fake_channel(fail_writes=True)
+        channel.send({"type": "ping"})
+        assert channel.closed and closes == [1]
+
+    def test_a_peer_that_stops_reading_is_cut_off_at_the_backlog_bound(self, caplog):
+        channel, transport, _, closes = fake_channel()
+        line = {"type": "relay_data", "payload_b64": "A" * 1000}
+        sent = 0
+        with caplog.at_level(logging.WARNING, logger="bdmesh.real"):
+            while not channel.closed:
+                assert len(transport.written) <= MAX_WRITE_BACKLOG
+                channel.send(line)
+                sent += 1
+        # Cut off by the first line that took the backlog past the bound.
+        assert sent == MAX_WRITE_BACKLOG // (len(transport.written) // sent) + 1
+        assert transport.aborted and closes == [1]
+        assert "not reading" in caplog.text
+        size = len(transport.written)
+        channel.send(line)
+        assert len(transport.written) == size
 
 
 class TestBackendContract:
@@ -238,15 +389,19 @@ class TestBackendContract:
             host, coord_host = net.add_host("h"), net.add_host("coord")
             coord_host.listen_channel(4500, lambda end: None)
             accepted = []
-            server = await asyncio.start_server(lambda r, w: accepted.append(w),
-                                                "127.0.0.1", 0)
-            reader, writer = await asyncio.open_connection(*server.sockets[0].getsockname())
+
+            def accept():
+                accepted.append(TcpLineChannel())
+                return accepted[-1]
+
+            server = await loop.create_server(accept, "127.0.0.1", 0)
+            _, aio_channel = await loop.create_connection(
+                TcpLineChannel, *server.sockets[0].getsockname())
             aio_sock = AsyncioUdpSocket(loop, lambda *x: None)
             try:
                 transports = (HostTransport(host), AsyncioTransport(loop))
                 sockets = (host.bind(lambda *x: None), aio_sock)
-                channels = (net.connect_channel(host, coord_host, 4500),
-                            TcpLineChannel(reader, writer))
+                channels = (net.connect_channel(host, coord_host, 4500), aio_channel)
                 for transport in transports:
                     assert self.lacks(transport, self.TRANSPORT, ("rng", "now_us")) == [], transport
                     assert isinstance(transport.rng, random.Random)
@@ -260,9 +415,9 @@ class TestBackendContract:
                     assert len(channel.peer_observed) == 2
             finally:
                 aio_sock.close()
-                writer.close()
-                for w in accepted:
-                    w.close()
+                aio_channel.close()
+                for channel in accepted:
+                    channel.close()
                 server.close()
                 await server.wait_closed()
 
@@ -439,7 +594,11 @@ class TestShutdown:
         run(scenario())
 
     def test_server_close_with_client_connected_logs_no_error(self, caplog):
+        handled = []
+
         async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: handled.append(context))
             port, o1, o2 = free_ports(3)
             server = CoordinatorServer("127.0.0.1", port, (o1, o2))
             await server.start()
@@ -448,14 +607,18 @@ class TestShutdown:
                 assert await node.start() == 0
                 assert await node.wait_ready(10.0)
                 await server.close()
+                await until(lambda: node.channel.closed)
+                assert node.exit_code == 6  # the node saw its coordinator go
                 await asyncio.sleep(0.1)
             finally:
                 await node.close()
 
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
+        with caplog.at_level(logging.WARNING):
             run(scenario())
+        assert handled == []
         assert not [r for r in caplog.records
                     if r.name == "asyncio" and r.levelno >= logging.ERROR]
+        assert not [r for r in caplog.records if r.exc_info or r.exc_text]
 
 
 class TestFailureExits:
