@@ -27,15 +27,20 @@ to the session unchanged.
 A session's state is its LinkSession's own fields.  path is None
 until a punch or the relay finds one, then "direct" or "relayed";
 failure is set when the session deadline passes with no path; link is
-set once the link is up.  A session with a path or a failure is
-terminal, and a punch result that arrives after that is ignored.
+set once the link is up, until close.  A session with a path or a
+failure is terminal, and a punch result that arrives after that is
+ignored.
+
+close() stops every timer, machine and socket the agent started and
+its control channel; sessions (with role and path) and links stay
+readable.  A session holds no reference back to its agent.
 
 All datagrams of one agent share its primary socket except opener
 pinholes, which get sockets of their own; the agent takes over the one
 pinhole a birthday punch keeps, inside the punch's callback.  Demux
 order on arrival: probe packets (22-byte "BDHP", by session id); sealed
-frames (by channel id); anything else from a route, which its session
-reads as a handshake message or a frame; observer replies (JSON).
+frames (by channel id); anything else from a route, read as its
+session's handshake message or frame; observer replies (JSON).
 Anything else is dropped silently.
 """
 
@@ -107,7 +112,7 @@ class OverlayLink:
 class LinkSession:
     """Internal state for one peer: traversal, handshake, framing."""
 
-    agent: "NodeAgent"
+    channel: object                     # the agent's control channel, for relay_data
     session_id: bytes
     peer_id: str
     role: str
@@ -139,23 +144,21 @@ class LinkSession:
         if self.path == "direct":
             self.sock.send(self.peer_ep, body)
             return
-        self.agent.channel.send({"type": "relay_data", "session_id": self.session_id.hex(),
-                                 "payload_b64": base64.b64encode(body).decode()})
+        self.channel.send({"type": "relay_data", "session_id": self.session_id.hex(),
+                           "payload_b64": base64.b64encode(body).decode()})
 
-    def on_body(self, body: bytes) -> None:
-        """A handshake message (encrypted links only), a sealed frame or
-        a plain frame, whichever path it came by; anything that does not
-        parse is dropped."""
-        if self.encrypted and is_handshake(body):
-            self.agent._on_handshake_body(self, body)
-            return
-        if self.link is None:
-            return
-        try:
-            body = self.cipher.open(body) if self.encrypted else split_plain(body)
-        except (ProtocolError, ReplayError):
-            return
-        self.link._deliver(body)
+    def close(self) -> None:
+        """Stop the deadline, the M1 retry and the punch machine, close a
+        kept opener pinhole and drop the link, which still holds this
+        session: a send on it meets the closed socket or channel."""
+        for timer in (self.deadline, self.m1_retry):
+            if timer is not None:
+                timer.cancel()
+        if self.machine is not None:
+            self.machine.close()
+        if self.sock is not None and self.role == "opener":
+            self.sock.close()  # every other role's path is the primary socket
+        self.link = None
 
 
 class NodeAgent:
@@ -228,11 +231,17 @@ class NodeAgent:
             int(KEEPALIVE_S * 1_000_000), self._keepalive)
 
     def close(self) -> None:
-        """Stop the keepalive and close the primary socket."""
+        """Stop the keepalive and the classifier; close every session, the
+        primary socket and the control channel."""
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
+        if self._classifier is not None:
+            self._classifier.close()
+        for ls in self.sessions.values():
+            ls.close()
         if self.primary is not None:
             self.primary.close()
+        self.channel.close()
 
     def _register(self) -> None:
         msg = {"type": "register", "node": self.node_id,
@@ -308,7 +317,7 @@ class NodeAgent:
             self._emit("session_failed", peer=peer_id, reason=f"bad punch params: {exc}")
             return
         ls = LinkSession(
-            agent=self, session_id=session_id, peer_id=peer_id, role=role,
+            channel=self.channel, session_id=session_id, peer_id=peer_id, role=role,
             peer_ep=peer_ep, peer_pubkey=peer_pubkey,
             encrypted=self.link_encryption.get(peer_id, self.default_encrypted), cfg=cfg,
         )
@@ -364,7 +373,7 @@ class NodeAgent:
             data = base64.b64decode(msg.get("payload_b64", ""))
         except (ValueError, TypeError):
             return
-        ls.on_body(data)
+        self._on_body(ls, data)
 
     def _session_by_sid_hex(self, sid) -> Optional[LinkSession]:
         if not isinstance(sid, str):
@@ -398,6 +407,21 @@ class NodeAgent:
         ls.send_body(ls.handshake.message1())
         ls.m1_retry = self.transport.call_later(int(HANDSHAKE_RETRY_S * 1_000_000),
                                                 lambda: self._send_m1(ls))
+
+    def _on_body(self, ls: LinkSession, body: bytes) -> None:
+        """A handshake message (encrypted links only), a sealed frame or
+        a plain frame, whichever path it came by; anything that does not
+        parse is dropped."""
+        if ls.encrypted and is_handshake(body):
+            self._on_handshake_body(ls, body)
+            return
+        if ls.link is None:
+            return
+        try:
+            body = ls.cipher.open(body) if ls.encrypted else split_plain(body)
+        except (ProtocolError, ReplayError):
+            return
+        ls.link._deliver(body)
 
     def _on_handshake_body(self, ls: LinkSession, body: bytes) -> None:
         if ls.initiator:
@@ -449,7 +473,7 @@ class NodeAgent:
             return
         ls = self._channels.get(data[:8]) or self._routes.get((id(sock), src))
         if ls is not None:
-            ls.on_body(data)
+            self._on_body(ls, data)
             return
         if data[:1] == b"{":
             try:

@@ -511,25 +511,27 @@ class ChannelEnd:
         line = json.dumps(obj, separators=(",", ":")).encode() + b"\n"
         if len(line) > MAX_CONTROL_LINE:
             raise InvalidParametersError(f"control line of {len(line)} bytes exceeds {MAX_CONTROL_LINE}")
-        if self.closed or self.peer is None or self.peer.closed:
+        if self.closed:
             raise SimulationError("send on closed channel")
-        self.net._channel_send(self, line)
+        if not self.peer.closed:  # else the line is lost, as on a TCP peer that closed
+            self.net._channel_send(self, line)
 
     def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
+        """The peer sees the close one link latency later.  Drops the peer
+        and both callbacks, as SimSocket.close drops its handler."""
         peer = self.peer
-        if peer is not None and not peer.closed:
+        if not self.closed and not peer.closed:
             clock = self.net.clock
             clock.schedule_at(clock.now_us + self.host.link.latency_us, peer._peer_closed)
+        self.closed = True
+        self.peer = self.on_line = self.on_close = None
 
     def _peer_closed(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        if self.on_close is not None:
-            self.on_close()
+        on_close = self.on_close
+        if not self.closed:
+            self.close()  # the peer is closed: nothing to schedule
+            if on_close is not None:
+                on_close()
 
 
 class Network:
@@ -715,11 +717,10 @@ class Network:
 
     def close(self) -> None:
         """End the run: drop pending events (cancelling their timers), every
-        host's sockets and channel listeners, the host, NAT and address
-        tables and each NAT's mappings.  `stats` and the trace digest stay
-        readable.  No cycle then runs through the world's own objects
-        (Host.net, SimSocket.host, handlers and timers bound to protocol
-        machines), so reference counting frees it."""
+        host's sockets and channel listeners, and the host, NAT and address
+        tables.  `stats` and the trace digest stay readable.  With the
+        agents and the coordinator closed first, Host.net was the last
+        cycle through the world, so reference counting frees it."""
         for _, _, fn, _ in self.clock._heap:
             if type(fn) is Timer:
                 fn.cancel()
@@ -729,11 +730,6 @@ class Network:
             for sock in list(host.sockets.values()):
                 sock.close()
             host.channel_listeners.clear()
-        for nat in self.nats.values():
-            nat._by_key.clear()
-            nat._by_ext.clear()
-            if nat._by_internal is not None:
-                nat._by_internal.clear()
         self.hosts.clear()
         self.nats.clear()
         self._by_ip.clear()

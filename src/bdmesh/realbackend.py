@@ -8,6 +8,11 @@ add_reader.  Nothing protocol-level lives here.
 
 Everything runs on the loop thread, so the synchronous callback style
 the state machines use is safe as is.
+
+Shutting down goes through the core: CoordinatorServer.close stops
+listening and calls Coordinator.close, which closes every connection
+and both observers; NodeClient.close calls NodeAgent.close, which
+closes every socket the agent opened and its control channel.
 """
 
 from __future__ import annotations
@@ -208,8 +213,6 @@ class CoordinatorServer:
         self.observer_ports = tuple(observer_ports)
         self.core = Coordinator()
         self._server: Optional[asyncio.AbstractServer] = None
-        # Each live channel, with the core's own on_close for it.
-        self._channels: dict[TcpLineChannel, Callable[[], None]] = {}
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
@@ -223,18 +226,13 @@ class CoordinatorServer:
     def _accept(self) -> TcpLineChannel:
         channel = TcpLineChannel()
         self.core.attach(channel)
-        self._channels[channel] = channel.on_close
-        channel.on_close = lambda: self._channels.pop(channel)()
         return channel
 
     async def close(self) -> None:
-        """Stop listening, then close every open connection."""
+        """Stop listening, then close every connection and both observers."""
         if self._server is not None:
             self._server.close()
-        for sock in self.core.observers:
-            sock.close()
-        for channel in list(self._channels):
-            channel.close()
+        self.core.close()
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -392,10 +390,10 @@ class NodeClient:
             pass
 
     async def close(self) -> None:
-        if self.channel is not None:
-            self.channel.close()
         if self.agent is not None:
             self.agent.close()
+        elif self.channel is not None:
+            self.channel.close()
 
 
 async def _coordinator_main(host: str, port: int,

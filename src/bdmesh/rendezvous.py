@@ -128,11 +128,13 @@ class RelaySession:
 class Coordinator:
     """Transport-agnostic coordinator core.
 
-    Channels are duck-typed: .send(dict), .peer_observed, and writable
-    .on_line / .on_close.  Works over simulated channels and over the
-    asyncio TCP backend alike.  Session ids come from rng, which
-    defaults to the OS generator; Coordinator.sim passes a simulated
-    world's seeded one and reads the world's clock for now_fn.
+    Channels are duck-typed: .send(dict), .close(), .peer_observed, and
+    writable .on_line / .on_close.  Works over simulated channels and
+    over the asyncio TCP backend alike.  Session ids come from rng,
+    which defaults to the OS generator; Coordinator.sim passes a
+    simulated world's seeded one and reads the world's clock for now_fn.
+    close() closes every channel attach() took and both observer
+    sockets: the scenario runner and CoordinatorServer both call it.
     """
 
     def __init__(self, rng: Optional[random.Random] = None,
@@ -144,21 +146,28 @@ class Coordinator:
         self.observers: list = []  # the two observer sockets, bound by the backend
         self.nodes: dict[str, NodeRecord] = {}
         self.sessions: dict[str, RelaySession] = {}
-        self._node_by_channel: dict[int, str] = {}
+        self.channels: dict[object, Optional[str]] = {}  # attached -> its node id, or None
         self.introductions = 0
 
     # -- plumbing -------------------------------------------------------
 
     def attach(self, channel) -> None:
+        self.channels[channel] = None
         channel.on_line = lambda msg: self.handle(channel, msg)
         channel.on_close = lambda: self._detach(channel)
 
     def _detach(self, channel) -> None:
-        node_id = self._node_by_channel.pop(id(channel), None)
-        if node_id is not None:
-            record = self.nodes.get(node_id)
-            if record is not None and record.channel is channel:
-                record.channel = None
+        record = self.nodes.get(self.channels.pop(channel, None))
+        if record is not None and record.channel is channel:
+            record.channel = None
+
+    def close(self) -> None:
+        """Close every attached channel and both observer sockets.  nodes,
+        sessions and introductions stay readable."""
+        for channel in list(self.channels):
+            channel.close()
+        for sock in self.observers:
+            sock.close()
 
     @classmethod
     def sim(cls, net: Network, host: Host, punch: Optional[dict] = None) -> "Coordinator":
@@ -212,10 +221,7 @@ class Coordinator:
         channel.send({"type": "error", "error": code, "detail": detail})
 
     def _registered_node(self, channel) -> Optional[NodeRecord]:
-        node_id = self._node_by_channel.get(id(channel))
-        if node_id is None:
-            return None
-        return self.nodes.get(node_id)
+        return self.nodes.get(self.channels.get(channel))
 
     def _alive(self, record: Optional[NodeRecord]) -> bool:
         return (record is not None and record.channel is not None
@@ -226,7 +232,7 @@ class Coordinator:
         if not isinstance(node_id, str) or not (0 < len(node_id) <= MAX_NODE_ID):
             self._error(channel, "bad-message", f"node must be a 1..{MAX_NODE_ID} char string")
             return
-        bound = self._node_by_channel.get(id(channel))
+        bound = self.channels.get(channel)
         if bound is not None and bound != node_id:
             # One channel speaks for one node: its record holds the channel.
             self._error(channel, "bad-message", "channel is registered as another node")
@@ -254,7 +260,7 @@ class Coordinator:
             record.nat_class = nat_class
         record.udp_endpoint = parse_endpoint(msg.get("udp_endpoint"))
         self.nodes[node_id] = record
-        self._node_by_channel[id(channel)] = node_id
+        self.channels[channel] = node_id
         channel.send({"type": "registered", "node": node_id,
                       "observed": format_endpoint(record.observed)})
 

@@ -310,6 +310,8 @@ def _verify_overlay(world: ScenarioWorld, outcome: RealizationReport) -> dict:
             send_unanswered()
     finally:
         net.on_wire = prev_on_wire
+        for me, peer in directed:
+            agents[me].links[peer].on_payload = None
 
     payloads_ok = all(got_hash.get(p) == expected_hash[p] for p in directed)
     pings_ok = all(p in got_pong for p in directed)
@@ -335,6 +337,9 @@ def _run_single(doc: dict, seed: int) -> dict:
     report.update(mode="single", seed=seed, checks=checks,
                   ok=bool(outcome.connected and checks["all_ok"]),
                   stats=dict(world.net.stats), trace_hash=world.net.trace.digest())
+    for agent in world.agents.values():
+        agent.close()
+    world.coord.close()
     world.net.close()
     return report
 

@@ -264,12 +264,18 @@ class NatClassifier:
             self._timer = self._transport.call_later(
                 self._transport.now_us - self._sent_us, self._finish)
 
-    def _finish(self) -> None:
+    def close(self) -> None:
+        """Cancel the timer, close the probe socket, report no verdict."""
         self._done = True
         if self._timer is not None:
             self._timer.cancel()
         if self._probe is not None:
             self._probe.close()
+        self._on_done = None
+
+    def _finish(self) -> None:
+        on_done = self._on_done
+        self.close()
         a, b, change_port = self._answers
         if a is None and b is None:
             verdict, observed = "udp_blocked", None
@@ -283,17 +289,17 @@ class NatClassifier:
             verdict, observed = "public", a
         else:
             verdict, observed = "cone", a
-        self._on_done(verdict, observed)
+        on_done(verdict, observed)
 
 
 class _Punch:
     """Lifecycle shared by the punch machines.
 
     A machine reports once, through on_done(ok, sock, peer, why):
-    _finish marks it done, cancels its repeating timer and its
-    deadline, then calls on_done.  Datagrams for the session on the
-    agent's shared socket reach on_datagram; the opener's pinholes have
-    a handler of their own.
+    _finish closes it, then calls on_done; close marks it done, cancels
+    its repeating timer and its deadline, and drops on_done.  Datagrams
+    for the session on the agent's shared socket reach on_datagram; the
+    opener's pinholes have a handler of their own.
     """
 
     def __init__(self, transport, sock, session_id: bytes, cfg: PunchConfig, on_done):
@@ -318,13 +324,18 @@ class _Punch:
         if not self.done:
             self._finish(False, self._sock, None, "timeout")
 
-    def _finish(self, ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
+    def close(self) -> None:
         self.done = True
-        self.established_peer = peer
         for t in (self._timer, self._deadline):
             if t is not None:
                 t.cancel()
-        self._on_done(ok, sock, peer, why)
+        self._on_done = None
+
+    def _finish(self, ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
+        on_done = self._on_done
+        self.established_peer = peer
+        self.close()
+        on_done(ok, sock, peer, why)
 
 
 class DirectPunch(_Punch):
@@ -394,7 +405,8 @@ class BirthdayOpener(_Punch):
     arriving on a pinhole is dropped.  On success every other pinhole
     is closed and the kept socket passes to the owner of on_done, which
     may install its own handler there; a datagram that confirmed
-    implicitly is then handed to that handler.
+    implicitly is then handed to that handler.  close in flight closes
+    every pinhole.
     """
 
     def __init__(self, transport, session_id: bytes, prober_endpoint: Endpoint,
@@ -443,11 +455,14 @@ class BirthdayOpener(_Punch):
         elif kind == KIND_CONFIRM and not self.done and (sock, src) in self._acked:
             self._finish(True, sock, src, "birthday")
 
-    def _finish(self, ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
+    def close(self) -> None:
         for pinhole in self._sockets:
-            if pinhole is not sock:
-                pinhole.close()
+            pinhole.close()
         self._sockets = []
+        super().close()
+
+    def _finish(self, ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
+        self._sockets = [pinhole for pinhole in self._sockets if pinhole is not sock]
         super()._finish(ok, sock, peer, why)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bdmesh import traversal
 from bdmesh.agent import LINK_CHUNK, NodeAgent
+from bdmesh.errors import SimulationError
 from bdmesh.netsim import MAX_DATAGRAM, FilteringMode, LinkPolicy, NatProfile, Network
 from bdmesh.rendezvous import ROLES, Coordinator
 from bdmesh.securelink import (
@@ -623,6 +624,80 @@ class TestSessionState:
         a._on_control({"type": "relay_opened", "session_id": intro["session_id"]})
         a._punch_done(ls)(True, a.primary, ("10.9.9.9", 9), "direct")
         assert (ls.path, ls.link) == (None, None) and not a.links
+
+
+class TestClose:
+    """NodeAgent.close in flight: after 60 s more of virtual time the
+    node has sent nothing, no control line of its channel crossed the
+    wire, its host holds no socket and its channel is closed.  What it
+    reports (sessions with role and path, links) stays."""
+
+    @staticmethod
+    def close_and_idle(net, agent, host):
+        mine = agent.channel.local
+        lines = []
+        net.on_wire = lambda kind, src, dst, payload: (
+            kind == "ctrl" and mine in (src, dst) and lines.append(payload))
+        sent = net.stats["sent"]
+        agent.close()
+        net.run_for(60_000_000)
+        assert net.stats["sent"] == sent
+        assert lines == []
+        assert host.sockets == {}
+        assert agent.channel.closed
+
+    def test_an_opener_holding_its_pinholes(self):
+        net, coord_host, _ = make_world(seed=123)
+        a, host = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        assert wait(net, lambda: a.ready, 5.0)
+        # Pinholes toward an endpoint nobody holds: no probe ever lands.
+        a._on_control(dict(TestIntroduceParameters.INTRO, role="opener"))
+        net.run_for(1_000_000)
+        (ls,) = a.sessions.values()
+        assert not ls.terminal and len(host.sockets) == 1 + ls.cfg.open_ports
+        self.close_and_idle(net, a, host)
+        assert ls.role == "opener" and ls.machine.done and ls.failure is None
+
+    def test_a_classifier_waiting_for_its_verdict(self):
+        net, coord_host, coord = make_world(seed=124)
+        for sock in coord.observers:  # observers that never answer
+            sock.close()
+        a, host = spawn(net, coord_host, "alpha")
+        net.run_for(300_000)
+        assert a.nat_class == "unknown" and len(host.sockets) == 2  # primary and probe
+        self.close_and_idle(net, a, host)
+        assert a.nat_class == "unknown" and not a.ready
+
+    def test_a_node_closed_before_the_coordinator_answered(self):
+        # Its register line is still on the wire: the coordinator's answer
+        # is lost with the closed channel, as on TCP.  (Silent observers:
+        # an answer to an observe sent before the close would count.)
+        net, coord_host, coord = make_world(seed=126)
+        for sock in coord.observers:
+            sock.close()
+        a, host = spawn(net, coord_host, "alpha")
+        self.close_and_idle(net, a, host)
+        assert not a.ready and coord.nodes["alpha"].channel is None
+
+    def test_a_direct_and_a_relayed_link_up(self):
+        net, coord_host, _ = make_world(seed=125)
+        a, host = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        b, _ = spawn(net, coord_host, "beta")
+        c, _ = spawn(net, coord_host, "gamma", NatProfile.hard("nc"))
+        assert wait(net, lambda: a.ready and b.ready and c.ready, 5.0)
+        a.connect("beta")
+        a.connect("gamma")
+        assert wait(net, lambda: linked(a, b, "alpha", "beta")() and linked(a, c, "alpha", "gamma")(),
+                    10.0)
+        links = dict(a.links)
+        self.close_and_idle(net, a, host)
+        a.close()  # a second close does nothing
+        assert a.links == links
+        for peer in ("beta", "gamma"):  # on the closed primary socket and channel
+            with pytest.raises(SimulationError):
+                links[peer].send(b"after close")
+        assert sorted((ls.peer_id, ls.role, ls.path) for ls in a.sessions.values()) == [
+            ("beta", "direct", "direct"), ("gamma", "relay", "relayed")]
 
 
 # -- fuzzing the agent's entry points ------------------------------------

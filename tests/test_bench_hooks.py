@@ -88,6 +88,8 @@ def test_relay_fallbacks_counts_punches_that_ended_on_the_relay():
         c.connect("delta")  # relayed by plan: no punch to fall back from
         assert wait(net, lambda: linked(a, b, "alpha", "beta")() and linked(c, d, "gamma", "delta")(),
                     30.0)
+        for x in (a, b, c, d):  # as run_scenario closes them before the tracer harvests
+            x.close()
         t.end_op()
     finally:
         t.uninstall()

@@ -543,6 +543,38 @@ class TestControlChannels:
         with pytest.raises(SimulationError):
             ch.send({"too": "late"})
 
+    def test_close_drops_the_peer_and_both_callbacks(self):
+        # Neither end then holds the other end or its owner's callbacks.
+        net = Network(seed=19)
+        client = net.add_host("c")
+        server = net.add_host("s")
+        ends, closed = [], []
+
+        def acceptor(end):
+            end.on_line = lambda obj: None
+            end.on_close = lambda: closed.append("server")
+            ends.append(end)
+
+        server.listen_channel(4500, acceptor)
+        ch = net.connect_channel(client, server, 4500)
+        ch.on_line = lambda obj: None
+        net.run_for(50_000)
+        ch.close()
+        assert ch.closed and (ch.peer, ch.on_line, ch.on_close) == (None, None, None)
+        (end,) = ends
+        assert not end.closed and end.peer is ch  # it learns one latency later
+        wire = []
+        net.on_wire = lambda *line: wire.append(line)
+        end.send({"late": True})  # lost, as on a TCP peer that closed
+        assert wire == []
+        net.run_for(50_000)
+        assert closed == ["server"]
+        assert end.closed and (end.peer, end.on_line, end.on_close) == (None, None, None)
+        end.close()
+        ch.close()
+        net.run_for(50_000)
+        assert closed == ["server"]
+
     def test_oversize_line_rejected(self):
         net = Network(seed=18)
         client = net.add_host("c")

@@ -593,6 +593,66 @@ class TestShutdown:
 
         run(scenario())
 
+    def test_a_node_closed_before_its_verdict_closes_every_socket(self, monkeypatch):
+        opened = []
+        open_socket = AsyncioTransport.open_socket
+
+        def recording(transport, handler, port=0):
+            sock = open_socket(transport, handler, port)
+            opened.append(sock)
+            return sock
+
+        monkeypatch.setattr(AsyncioTransport, "open_socket", recording)
+
+        async def scenario():
+            port, o1, o2, silent1, silent2 = free_ports(5)
+            server = CoordinatorServer("127.0.0.1", port, (o1, o2))
+            await server.start()
+            # Observer ports nothing listens on: no verdict before 1.5 s.
+            node = NodeClient(f"127.0.0.1:{port}", "solo", observer_ports=(silent1, silent2))
+            try:
+                assert await node.start() == 0
+                await asyncio.sleep(0.1)
+                agent = node.agent
+                classifier = agent._classifier
+                assert agent.nat_class == "unknown"
+                assert opened == [agent.primary, classifier._probe]
+                await node.close()
+                assert all(sock._closed for sock in opened)
+                assert classifier._timer.cancelled() and node.channel.closed
+            finally:
+                await server.close()
+
+        run(scenario())
+
+    def test_server_close_closes_every_connection_and_both_observers(self):
+        async def scenario():
+            port, o1, o2 = free_ports(3)
+            server = CoordinatorServer("127.0.0.1", port, (o1, o2))
+            await server.start()
+            core_closes = []
+            core_close = server.core.close
+            server.core.close = lambda: (core_closes.append(1), core_close())
+            node = NodeClient(f"127.0.0.1:{port}", "solo", observer_ports=(o1, o2))
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)  # never registers
+            try:
+                assert await node.start() == 0
+                assert await node.wait_ready(10.0)
+                await until(lambda: len(server.core.channels) == 2)
+                channels = list(server.core.channels)
+                await server.close()
+                assert core_closes == [1]
+                assert all(channel.closed for channel in channels)
+                assert len(server.core.observers) == 2
+                assert all(sock._closed for sock in server.core.observers)
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                await until(lambda: node.channel.closed)
+            finally:
+                writer.close()
+                await node.close()
+
+        run(scenario())
+
     def test_server_close_with_client_connected_logs_no_error(self, caplog):
         handled = []
 

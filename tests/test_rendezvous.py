@@ -187,6 +187,22 @@ class TestRegistration:
         assert a.of_type("introduce")
 
 
+class TestClose:
+    def test_every_channel_and_both_observers_close(self):
+        net, coord_host, coord = world()
+        a = Client(net, net.add_host("a"), coord_host)
+        quiet = Client(net, net.add_host("q"), coord_host)  # never registers
+        register(net, a, "a", KEY_A)
+        assert list(coord.channels.values()) == ["a", None]
+        ends = list(coord.channels)
+        coord.close()
+        assert all(end.closed and end.on_line is None for end in ends)
+        assert all(sock.closed for sock in coord.observers) and coord_host.sockets == {}
+        net.run_for(50_000)
+        assert a.ch.closed and quiet.ch.closed
+        assert coord.nodes["a"].pubkey == base64.b64decode(KEY_A)  # what it reports stays
+
+
 def observe(token, **extra) -> bytes:
     """An observe request padded as the classifier pads it."""
     return json.dumps({"type": "observe", "token": token, **extra}).encode().ljust(OBSERVE_LEN)

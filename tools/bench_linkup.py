@@ -11,8 +11,9 @@ time of each operation is split by kind: relink_direct and
 relink_relay (introduce to both ends' link_up: the link-up time),
 echo_direct and echo_relayed (a sealed 1 KiB payload out and its
 digest back).  The median and quartiles per kind, with the sample
-count, go under "linkup" and the label "seed <seed>, rounds <rounds>"
-in --out, with the CPU count, the Python version and the command.
+count, go under "linkup" and the label (--label, default "seed <seed>,
+rounds <rounds>") in --out, with the CPU count, the Python version and
+the command, so runs of two checkouts can share one file.
 Exits 1 when an operation fails its check.
 """
 
@@ -34,6 +35,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5, help="measured rounds")
+    parser.add_argument("--label", help="key of these runs under linkup")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
@@ -61,7 +63,8 @@ def main(argv=None) -> int:
         print(f"check: {line}", file=sys.stderr)
 
     doc = open_record(args.out, "tools/bench_linkup.py", argv)
-    doc.setdefault("linkup", {})[f"seed {args.seed}, rounds {args.rounds}"] = {
+    label = args.label or f"seed {args.seed}, rounds {args.rounds}"
+    doc.setdefault("linkup", {})[label] = {
         "unit": "ms", "failed": len(failed), "kinds": kinds}
     write_record(args.out, doc)
     return 1 if failed else 0
