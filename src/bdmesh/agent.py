@@ -38,16 +38,15 @@ readable.  A session holds no reference back to its agent.
 All datagrams of one agent share its primary socket except opener
 pinholes, which get sockets of their own; the agent takes over the one
 pinhole a birthday punch keeps, inside the punch's callback.  Demux
-order on arrival: probe packets (22-byte "BDHP", by session id); sealed
-frames (by channel id); anything else from a route, read as its
-session's handshake message or frame; observer replies (JSON).
-Anything else is dropped silently.
+order on arrival: a probe to its session's machine (by
+traversal.probe_session_id); a sealed frame by its channel id, and
+anything else from a route (socket, source), to that session as a
+handshake message or frame.  Anything unrouted goes to the classifier.
 """
 
 from __future__ import annotations
 
 import base64
-import json
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -56,6 +55,7 @@ from .errors import HandshakeError, InvalidParametersError, ProtocolError, Repla
 from .netsim import Endpoint, HostTransport, Network, format_endpoint, parse_endpoint
 from .rendezvous import DEFAULT_CONTROL_PORT, DEFAULT_OBSERVER_PORTS, ROLES
 from .securelink import (
+    CHANNEL_ID_LEN,
     FrameCipher,
     HandshakeInitiator,
     HandshakeResponder,
@@ -65,13 +65,12 @@ from .securelink import (
     split_plain,
 )
 from .traversal import (
-    PROBE_LEN,
-    PROBE_MAGIC,
     BirthdayOpener,
     BirthdayProber,
     DirectPunch,
     NatClassifier,
     PunchConfig,
+    probe_session_id,
 )
 
 LINK_CHUNK = 1024
@@ -200,7 +199,7 @@ class NodeAgent:
         self.links: dict[str, OverlayLink] = {}
         self.sessions: dict[bytes, LinkSession] = {}
         self._session_by_peer: dict[str, LinkSession] = {}
-        self._routes: dict[tuple[int, Endpoint], LinkSession] = {}
+        self._routes: dict[tuple[object, Endpoint], LinkSession] = {}
         self._channels: dict[bytes, LinkSession] = {}
         self._registered_count = 0
 
@@ -328,18 +327,17 @@ class NodeAgent:
         ls.deadline = self.transport.call_later(deadline_us, lambda: self._session_deadline(ls))
         if role == "direct":
             ls.machine = DirectPunch(self.transport, self.primary, session_id, peer_ep,
-                                     cfg, self._punch_done(ls), self.rng)
-            ls.machine.start()
+                                     self._punch_done(ls), self.rng)
         elif role == "opener":
             ls.machine = BirthdayOpener(self.transport, session_id, peer_ep, cfg,
                                         self._punch_done(ls), self.rng)
-            ls.machine.start()
         elif role == "prober":
             ls.machine = BirthdayProber(self.transport, self.primary, session_id,
                                         peer_ep[0], cfg, self._punch_done(ls), self.rng)
-            ls.machine.start()
         else:
             self._request_relay(ls)
+            return
+        ls.machine.start()
 
     def _punch_done(self, ls: LinkSession):
         def done(ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
@@ -352,7 +350,7 @@ class NodeAgent:
             ls.peer_ep = peer
             if sock is not self.primary:
                 sock.handler = self._on_datagram  # take over an opener pinhole
-            self._routes[(id(sock), peer)] = ls
+            self._routes[(sock, peer)] = ls
             self._path_found(ls, "direct")
         return done
 
@@ -465,20 +463,14 @@ class NodeAgent:
     # -- datagram demux ---------------------------------------------------
 
     def _on_datagram(self, data: bytes, src: Endpoint, sock) -> None:
-        if len(data) == PROBE_LEN and data.startswith(PROBE_MAGIC):
-            # By the session id field; the machine parses (and drops) the rest.
-            ls = self.sessions.get(data[6:14])
+        session_id = probe_session_id(data)
+        if session_id is not None:
+            ls = self.sessions.get(session_id)
             if ls is not None and ls.machine is not None:
-                ls.machine.on_datagram(data, src)
+                ls.machine.on_datagram(data, src, sock)
             return
-        ls = self._channels.get(data[:8]) or self._routes.get((id(sock), src))
+        ls = self._channels.get(data[:CHANNEL_ID_LEN]) or self._routes.get((sock, src))
         if ls is not None:
             self._on_body(ls, data)
             return
-        if data[:1] == b"{":
-            try:
-                obj = json.loads(data)
-            except (ValueError, RecursionError):
-                return
-            if obj.get("type") == "observed":
-                self._classifier.on_observed(obj)
+        self._classifier.on_datagram(data, src, sock)

@@ -152,14 +152,22 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 def cmd_coord(args: argparse.Namespace) -> int:
     from .realbackend import run_coordinator_cli
 
+    for flag, port in (("--port", args.port), ("--observer-port", args.observer_port),
+                       ("--observer-port2", args.observer_port2)):
+        if not 0 < port < 65536:
+            raise InvalidParametersError(f"{flag} must be a port in 1-65535, got {port}")
     return run_coordinator_cli(host=args.host, port=args.port,
                                observer_ports=(args.observer_port,
                                                args.observer_port2))
 
 
 def cmd_node(args: argparse.Namespace) -> int:
-    from .realbackend import run_node_cli
+    from .realbackend import _parse_hostport, run_node_cli
 
+    try:
+        _parse_hostport(args.coord)
+    except ValueError as e:
+        raise InvalidParametersError(f"--coord: {e}") from None
     return run_node_cli(coord=args.coord, node_id=args.id, key_path=args.key,
                         connect=args.connect or [], once=args.once,
                         plain=args.plain)

@@ -109,7 +109,7 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
                                 lambda ok, sock, peer, why: None, rng=net.rng)
         prober = BirthdayProber(transport_p, prober_sock, session_id,
                                 hard_nat.public_ip, cfg, prober_done, rng=net.rng)
-        prober_sock.handler = lambda data, src, sock: prober.on_datagram(data, src)
+        prober_sock.handler = prober.on_datagram
         t0 = net.now_us
         opener.start()
         prober.start()

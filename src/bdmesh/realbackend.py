@@ -260,8 +260,8 @@ def _load_identity(key_path: Optional[str]) -> Identity:
 
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"expected host:port, got {text!r}")
+    if not sep or not host or not port.isdecimal() or not 0 < int(port) < 65536:
+        raise ValueError(f"expected host:port with a port in 1-65535, got {text!r}")
     return host, int(port)
 
 
@@ -401,12 +401,11 @@ async def _coordinator_main(host: str, port: int,
     server = CoordinatorServer(host, port, observer_ports)
     try:
         await server.start()
+        await server.serve_forever()
     except OSError as e:
         print(f"cannot bind {host}:{port} (or an observer port): {e}",
               file=sys.stderr)
         return EXIT_BIND_FAILURE
-    try:
-        await server.serve_forever()
     except asyncio.CancelledError:
         pass
     finally:
@@ -432,10 +431,10 @@ async def _node_main(coord: str, node_id: str, key_path: Optional[str],
         return EXIT_INVALID
     client = NodeClient(coord, node_id, identity=identity, connect=connect,
                         encrypted=not plain)
-    code = await client.start()
-    if code != EXIT_OK:
-        return code
     try:
+        code = await client.start()
+        if code != EXIT_OK:
+            return code
         if not await client.wait_ready():
             return client.exit_code if client.exit_code is not None \
                 else EXIT_COORD_UNREACHABLE

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .netsim import MAX_DATAGRAM, Endpoint, Host, Network, format_endpoint, parse_endpoint
-from .traversal import DEFAULT_PUNCH
+from .traversal import DEFAULT_PUNCH, pack_observed
 
 NAT_CLASSES = ("public", "cone", "easy", "hard", "udp_blocked", "unknown")
 ROLES = ("direct", "opener", "prober", "relay")
@@ -194,8 +194,7 @@ class Coordinator:
         if (type(token) is not int or not 0 <= token < 1 << 63
                 or type(change_port) is not bool):
             return
-        reply = json.dumps({"type": "observed", "token": token,
-                            "endpoint": format_endpoint(src)}, separators=(",", ":")).encode()
+        reply = pack_observed(token, src)
         if len(reply) > len(payload):
             return
         if change_port:

@@ -55,7 +55,8 @@ MSG_INIT = 1
 MSG_REPLY = 2
 SUITE_X25519_ED25519_CHACHA = 0x01
 
-FRAME_HEADER_LEN = 16  # channel_id(8) + counter(8)
+CHANNEL_ID_LEN = 8  # a frame's first bytes: how a receiver finds its link
+FRAME_HEADER_LEN = CHANNEL_ID_LEN + 8  # channel_id + counter(8)
 FRAME_TAG_LEN = 16
 REPLAY_WINDOW = 64
 
@@ -66,6 +67,7 @@ __all__ = [
     "HANDSHAKE_MAGIC",
     "HANDSHAKE_LEN",
     "SUITE_X25519_ED25519_CHACHA",
+    "CHANNEL_ID_LEN",
     "FRAME_HEADER_LEN",
     "FRAME_TAG_LEN",
     "REPLAY_WINDOW",
@@ -244,7 +246,7 @@ class FrameCipher:
         if len(frame) < FRAME_HEADER_LEN + FRAME_TAG_LEN:
             raise ProtocolError(f"frame of {len(frame)} bytes is too short")
         header = frame[:FRAME_HEADER_LEN]
-        if header[:8] != self.channel_id:
+        if header[:CHANNEL_ID_LEN] != self.channel_id:
             raise ProtocolError("frame addressed to a different channel")
         counter = int.from_bytes(header[8:16], "big")
         if counter <= self._highest:

@@ -40,11 +40,14 @@ because its change-port answer was lost) hears the opener's probes
 from unswept pinholes; like an ICE triggered check (RFC 8445 section
 7.3.1.4) it answers the first one with an ordinary indexed PROBE
 straight back to that pinhole, so the link comes up in one round trip
-instead of a sweep.  The opener also
-treats a non-probe datagram on a punched socket as an implicit
-confirm, which covers a lost CONFIRM followed by data, but only from
-an endpoint whose PROBE it acked on that socket, so a stray datagram
-cannot take over a punch.
+instead of a sweep.  The opener also treats a non-probe datagram on a
+punched socket as an implicit confirm, which covers a lost CONFIRM
+followed by data, but only from an endpoint whose PROBE it acked on
+that socket, so a stray datagram cannot take over a punch.
+
+Every machine here, NatClassifier too, takes datagrams through one
+on_datagram(data, src, sock), from its own sockets and from the agent's
+shared socket alike.  Only this module reads probe and observe bytes.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import InvalidParametersError, PortsExhaustedError
-from .netsim import MAX_IP_TEXT, Endpoint, parse_endpoint
+from .netsim import MAX_IP_TEXT, Endpoint, format_endpoint, parse_endpoint
 from .probability import PortSpace, iter_ports, probe_count
 
 PROBE_MAGIC = b"BDHP"
@@ -78,25 +81,11 @@ CONFIRM_SPACING_S = 0.05
 CLASSIFY_TRIES = 3  # NatClassifier rounds of observe datagrams, and their spacing
 CLASSIFY_RETRY_S = 0.5
 REFRESH_INTERVAL_S = 15.0  # opener re-sends its probes: half the common 30 s mapping TTL
-# The longest observed reply: the largest token and the longest address.
-OBSERVE_LEN = len(json.dumps({"type": "observed", "token": (1 << 63) - 1,
-                              "endpoint": {"ip": "x" * MAX_IP_TEXT, "port": 65535}},
-                             separators=(",", ":")))
 
 __all__ = [
-    "PROBE_MAGIC",
-    "PROBE_LEN",
-    "KIND_PROBE",
-    "KIND_PROBE_ACK",
-    "KIND_CONFIRM",
-    "pack_probe",
-    "parse_probe",
-    "PunchConfig",
-    "DEFAULT_PUNCH",
-    "OBSERVE_LEN",
-    "NatClassifier",
-    "DirectPunch",
-    "BirthdayOpener",
+    "PROBE_MAGIC", "PROBE_LEN", "KIND_PROBE", "KIND_PROBE_ACK", "KIND_CONFIRM",
+    "pack_probe", "parse_probe", "probe_session_id", "pack_observed", "OBSERVE_LEN",
+    "PunchConfig", "DEFAULT_PUNCH", "NatClassifier", "DirectPunch", "BirthdayOpener",
     "BirthdayProber",
 ]
 
@@ -113,6 +102,21 @@ def parse_probe(data: bytes) -> Optional[tuple[int, bytes, bytes]]:
     if version != PROBE_VERSION or kind not in (KIND_PROBE, KIND_PROBE_ACK, KIND_CONFIRM):
         return None
     return kind, session_id, nonce
+
+
+def probe_session_id(data: bytes) -> Optional[bytes]:
+    """The session id field of anything shaped like a probe, else None."""
+    return data[6:14] if len(data) == PROBE_LEN and data.startswith(PROBE_MAGIC) else None
+
+
+def pack_observed(token: int, endpoint: Endpoint) -> bytes:
+    """An observer's reply: the source endpoint it saw, under the request's token."""
+    return json.dumps({"type": "observed", "token": token, "endpoint": format_endpoint(endpoint)},
+                      separators=(",", ":")).encode()
+
+
+# The longest observed reply: the largest token and the longest address.
+OBSERVE_LEN = len(pack_observed((1 << 63) - 1, ("x" * MAX_IP_TEXT, 65535)))
 
 
 # Wire name of each punch parameter a coordinator sends -> its PunchConfig field.
@@ -206,11 +210,9 @@ class NatClassifier:
         self._round = 0
         self._sent_us = 0
         self._timer = None
-        self._waiting = False
-        self._done = False
 
     def start(self) -> None:
-        self._probe = self._transport.open_socket(self._on_probe_datagram)
+        self._probe = self._transport.open_socket(self.on_datagram)
         self._probe.send(self._observers[0], self._request(2))
         self._send_round()
 
@@ -230,43 +232,34 @@ class NatClassifier:
             int(CLASSIFY_RETRY_S * 1_000_000),
             self._send_round if self._round < CLASSIFY_TRIES else self._finish)
 
-    def _on_probe_datagram(self, data: bytes, src: Endpoint, sock) -> None:
-        if src != self._observers[1]:
-            return  # the one port this socket never contacted
+    def on_datagram(self, data: bytes, src: Endpoint, sock) -> None:
+        # On the probe socket, only from the one port it never contacted.
+        if self._on_done is None or (sock is self._probe and src != self._observers[1]):
+            return
         try:
             obj = json.loads(data)
         except (ValueError, RecursionError):
             return
-        if isinstance(obj, dict) and obj.get("type") == "observed":
-            self.on_observed(obj)
-
-    def on_observed(self, obj: dict) -> None:
-        """Feed a parsed {"type": "observed", ...} reply."""
-        if self._done:
+        if not isinstance(obj, dict) or obj.get("type") != "observed":
             return
         token = obj.get("token")
+        i = self._tokens.index(token) if token in self._tokens else None
         ep = parse_endpoint(obj.get("endpoint"))
-        if ep is None:
+        if i is None or ep is None or self._answers[i] is not None:
             return
-        for i, want in enumerate(self._tokens):
-            if token == want and self._answers[i] is None:
-                self._answers[i] = ep
+        self._answers[i] = ep
         a, b, change_port = self._answers
         if a is None or b is None:
             return
         if a != b or change_port is not None:
             self._finish()
-        elif not self._waiting:
-            # One more round trip, as the last round took, for the change-port answer.
-            self._waiting = True
-            if self._timer is not None:
-                self._timer.cancel()
+        else:  # it filled the second mapping answer: wait one round trip more
+            self._timer.cancel()
             self._timer = self._transport.call_later(
                 self._transport.now_us - self._sent_us, self._finish)
 
     def close(self) -> None:
         """Cancel the timer, close the probe socket, report no verdict."""
-        self._done = True
         if self._timer is not None:
             self._timer.cancel()
         if self._probe is not None:
@@ -297,16 +290,13 @@ class _Punch:
 
     A machine reports once, through on_done(ok, sock, peer, why):
     _finish closes it, then calls on_done; close marks it done, cancels
-    its repeating timer and its deadline, and drops on_done.  Datagrams
-    for the session on the agent's shared socket reach on_datagram; the
-    opener's pinholes have a handler of their own.
+    its repeating timer and its deadline, and drops on_done.
     """
 
-    def __init__(self, transport, sock, session_id: bytes, cfg: PunchConfig, on_done):
+    def __init__(self, transport, sock, session_id: bytes, on_done):
         self._transport = transport
         self._sock = sock
         self._session_id = session_id
-        self._cfg = cfg
         self._on_done = on_done
         self._timer = None
         self._deadline = None
@@ -316,9 +306,6 @@ class _Punch:
 
     def _start_deadline(self, seconds: float) -> None:
         self._deadline = self._transport.call_later(int(seconds * 1_000_000), self._timeout)
-
-    def on_datagram(self, data: bytes, src: Endpoint) -> None:
-        """A datagram for this session on the agent's shared socket."""
 
     def _timeout(self) -> None:
         if not self.done:
@@ -350,8 +337,8 @@ class DirectPunch(_Punch):
     """
 
     def __init__(self, transport, sock, session_id: bytes, peer: Endpoint,
-                 cfg: PunchConfig, on_done, rng: random.Random):
-        super().__init__(transport, sock, session_id, cfg, on_done)
+                 on_done, rng: random.Random):
+        super().__init__(transport, sock, session_id, on_done)
         self._peer = peer
         self._rng = rng
         self._sent_nonces: set[bytes] = set()
@@ -367,7 +354,7 @@ class DirectPunch(_Punch):
         self.probes_sent += 1
         self._timer = self._transport.call_later(int(DIRECT_INTERVAL_S * 1_000_000), self._tick)
 
-    def on_datagram(self, data: bytes, src: Endpoint) -> None:
+    def on_datagram(self, data: bytes, src: Endpoint, sock) -> None:
         parsed = parse_probe(data)
         if parsed is None or parsed[1] != self._session_id:
             return
@@ -405,13 +392,15 @@ class BirthdayOpener(_Punch):
     arriving on a pinhole is dropped.  On success every other pinhole
     is closed and the kept socket passes to the owner of on_done, which
     may install its own handler there; a datagram that confirmed
-    implicitly is then handed to that handler.  close in flight closes
-    every pinhole.
+    implicitly is then handed to that handler.  The opener reads only
+    its live pinholes, so once done it ignores even the kept one.  close
+    in flight closes every pinhole.
     """
 
     def __init__(self, transport, session_id: bytes, prober_endpoint: Endpoint,
                  cfg: PunchConfig, on_done, rng: random.Random):
-        super().__init__(transport, None, session_id, cfg, on_done)
+        super().__init__(transport, None, session_id, on_done)
+        self._cfg = cfg
         self._prober = prober_endpoint
         self._rng = rng
         self._sockets: list = []
@@ -421,7 +410,7 @@ class BirthdayOpener(_Punch):
     def start(self) -> None:
         n = self._cfg.open_ports
         try:
-            self._sockets = self._transport.open_sockets(self._on_datagram, n)
+            self._sockets = self._transport.open_sockets(self.on_datagram, n)
         except (PortsExhaustedError, OSError):
             self._finish(False, None, None, "no-sockets")
             return
@@ -438,11 +427,13 @@ class BirthdayOpener(_Punch):
         self._timer = self._transport.call_later(
             int(REFRESH_INTERVAL_S * 1_000_000), self._send_all)
 
-    def _on_datagram(self, data: bytes, src: Endpoint, sock) -> None:
+    def on_datagram(self, data: bytes, src: Endpoint, sock) -> None:
+        if sock not in self._sockets:
+            return
         parsed = parse_probe(data)
         if parsed is None:
             # Data from an acked prober means its CONFIRMs were lost.
-            if not self.done and (sock, src) in self._acked:
+            if (sock, src) in self._acked:
                 self._finish(True, sock, src, "birthday")
                 sock.handler(data, src, sock)
             return
@@ -452,7 +443,7 @@ class BirthdayOpener(_Punch):
         if kind == KIND_PROBE:
             sock.send(src, pack_probe(KIND_PROBE_ACK, self._session_id, nonce))
             self._acked.add((sock, src))
-        elif kind == KIND_CONFIRM and not self.done and (sock, src) in self._acked:
+        elif kind == KIND_CONFIRM and (sock, src) in self._acked:
             self._finish(True, sock, src, "birthday")
 
     def close(self) -> None:
@@ -488,7 +479,8 @@ class BirthdayProber(_Punch):
     def __init__(self, transport, sock, session_id: bytes, opener_ip: str,
                  cfg: PunchConfig, on_done, rng: random.Random,
                  schedule_seed: Optional[int] = None):
-        super().__init__(transport, sock, session_id, cfg, on_done)
+        super().__init__(transport, sock, session_id, on_done)
+        self._cfg = cfg
         self._opener_ip = opener_ip
         if schedule_seed is None:
             schedule_seed = rng.getrandbits(63)
@@ -498,6 +490,7 @@ class BirthdayProber(_Punch):
         self._next = 0
         self._swept: set[int] = set()
         self._triggered = False
+        self._confirm = None  # the timer of the next spaced CONFIRM
         self._head = pack_probe(KIND_PROBE, session_id, bytes(8))[:-8]  # all but the nonce
 
     def start(self) -> None:
@@ -516,25 +509,23 @@ class BirthdayProber(_Punch):
         if index + 1 < self._budget:
             self._timer = self._transport.call_later(self._interval_us, self._tick)
 
-    def _triggered_check(self, data: bytes, src: Endpoint) -> None:
-        parsed = parse_probe(data)
-        index = self._next
-        if (parsed is None or parsed[1] != self._session_id or self.done
-                or index >= self._budget or src[1] in self._swept):
-            return
-        self._triggered = True
-        self._next = index + 1
-        self.probes_sent += 1
-        self._sock.send(src, self._head + index.to_bytes(8, "big"))
-
-    def on_datagram(self, data: bytes, src: Endpoint) -> None:
+    def on_datagram(self, data: bytes, src: Endpoint, sock) -> None:
         if len(data) != PROBE_LEN:
             return
         kind = data[5]
         if kind == KIND_PROBE:
             # The opener's PROBEs: only the first from its address can count.
-            if not self._triggered and src[0] == self._opener_ip:
-                self._triggered_check(data, src)
+            if self._triggered or src[0] != self._opener_ip:
+                return
+            parsed = parse_probe(data)
+            index = self._next
+            if (parsed is None or parsed[1] != self._session_id or self.done
+                    or index >= self._budget or src[1] in self._swept):
+                return
+            self._triggered = True
+            self._next = index + 1
+            self.probes_sent += 1
+            self._sock.send(src, self._head + index.to_bytes(8, "big"))
             return
         if kind != KIND_PROBE_ACK:
             return
@@ -550,5 +541,13 @@ class BirthdayProber(_Punch):
     def _send_confirm(self, peer: Endpoint, nonce: bytes, remaining: int) -> None:
         self._sock.send(peer, pack_probe(KIND_CONFIRM, self._session_id, nonce))
         if remaining > 1:
-            self._transport.call_later(int(CONFIRM_SPACING_S * 1_000_000),
-                                       lambda: self._send_confirm(peer, nonce, remaining - 1))
+            self._confirm = self._transport.call_later(
+                int(CONFIRM_SPACING_S * 1_000_000),
+                lambda: self._send_confirm(peer, nonce, remaining - 1))
+
+    def close(self) -> None:
+        # After the hit, cancel the CONFIRM copies; the hit's own close
+        # (in _finish, not yet done) keeps them.
+        if self.done and self._confirm is not None:
+            self._confirm.cancel()
+        super().close()

@@ -668,6 +668,27 @@ class TestClose:
         self.close_and_idle(net, a, host)
         assert a.nat_class == "unknown" and not a.ready
 
+    def test_a_prober_that_just_hit(self):
+        # Closed right after its hit, the prober still has two spaced
+        # CONFIRM copies pending on the primary socket.
+        net, coord_host, _ = make_world(seed=104)
+        a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        b, host = spawn(net, coord_host, "beta", NatProfile("nb", filtering=APDF))
+        assert wait(net, lambda: a.ready and b.ready, 5.0)
+        b.connect("alpha")
+        prober = lambda: next((ls.machine for ls in b.sessions.values()), None)
+        assert wait(net, lambda: prober() is not None and prober().done, 30.0, step_ms=1)
+        (ls,) = b.sessions.values()
+        assert ls.role == "prober" and ls.path == "direct"
+        # Its peer keeps sending (handshake retries): count beta's datagrams.
+        mine = []
+        net.on_wire = lambda kind, src, dst, payload: (
+            src[0] == host.nat.public_ip and mine.append(payload))
+        b.close()
+        net.run_for(60_000_000)
+        assert mine == []
+        assert host.sockets == {} and b.channel.closed
+
     def test_a_node_closed_before_the_coordinator_answered(self):
         # Its register line is still on the wire: the coordinator's answer
         # is lost with the closed channel, as on TCP.  (Silent observers:

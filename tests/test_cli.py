@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bdmesh import realbackend
 from bdmesh.cli import main
 from bdmesh.scenario import bundled_scenario_path
 
@@ -185,6 +186,37 @@ class TestScenarioCommand:
         assert code == 2
         assert "cannot write" in err
         assert out  # the report still reached stdout
+
+
+class TestServiceAddresses:
+    """A bad coordinator address or port exits 2 with one error naming
+    it, before the service starts (so before any socket opens)."""
+
+    @pytest.mark.parametrize("argv, value", [
+        (["coord", "--port", "99999"], "99999"),
+        (["coord", "--observer-port", "0"], "0"),
+        (["coord", "--observer-port2", "65536"], "65536"),
+        (["node", "--coord", "nocolon", "--id", "a", "--once"], "nocolon"),
+        (["node", "--coord", "127.0.0.1:99999", "--id", "a", "--once"], "127.0.0.1:99999"),
+        (["node", "--coord", "127.0.0.1:http", "--id", "a", "--once"], "127.0.0.1:http"),
+        (["node", "--coord", "127.0.0.1:", "--id", "a", "--once"], "127.0.0.1:"),
+    ])
+    def test_rejected_before_the_service_starts(self, capsys, monkeypatch, argv, value):
+        started = []
+        for name in ("run_coordinator_cli", "run_node_cli"):
+            monkeypatch.setattr(realbackend, name, lambda **kw: started.append(kw) or 0)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, started) == (2, "", [])
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and value in line
+
+    def test_valid_ports_reach_the_service(self, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(realbackend, "run_coordinator_cli",
+                            lambda **kw: started.append(kw) or 0)
+        code, _, _ = run_cli(capsys, "coord", "--port", "1", "--observer-port", "65535")
+        assert code == 0
+        assert started == [{"host": "0.0.0.0", "port": 1, "observer_ports": (65535, 3479)}]
 
 
 class TestTopLevel:

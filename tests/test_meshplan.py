@@ -375,3 +375,41 @@ class TestRealize:
         assert report.dead_links == [("n1", "n2")]
         (outcome,) = report.links
         assert not outcome.up and outcome.path is None and outcome.elapsed_ms is None
+
+
+class TestRealizeEvents:
+    """realize_plan listens to each agent's events through a hook that
+    chains to the agent's own on_event and is removed afterwards."""
+
+    def test_an_agents_own_on_event_sees_every_event_and_is_restored(self):
+        net, coord_host = make_world(207)
+        agents = spawn_agents(net, coord_host, ["n1", "n2"])
+        events = []
+        agents["n1"].on_event = events.append
+        report = realize_plan(net, agents, plan_links(SchemeKind.FULL_MESH, specs("n1", "n2")))
+        assert report.connected
+        assert agents["n1"].on_event == events.append and agents["n2"].on_event is None
+        assert [(e["event"], e.get("peer")) for e in events] == [("ready", None), ("link_up", "n2")]
+
+    def test_a_relay_that_never_opens_is_reported_down_at_the_session_deadline(self):
+        class DeafToRelayOpen(Coordinator):
+            _HANDLERS = dict(Coordinator._HANDLERS, relay_open=lambda self, channel, msg: None)
+
+        net = Network(seed=208)
+        coord_host = net.add_host("coord")
+        DeafToRelayOpen.sim(net, coord_host)
+        agents = spawn_agents(net, coord_host, ["east", "west"])
+        plan = plan_links(SchemeKind.SITE_TO_SITE, [
+            NodeSpec("east", "gateway", ("10.1.0.0/16",)),
+            NodeSpec("west", "gateway", ("10.2.0.0/16",)),
+        ])
+        while not (agents["east"].ready and agents["west"].ready):
+            net.run_for(20_000)
+        t0 = net.now_us
+        report = realize_plan(net, agents, plan, deadline_s=60.0)
+        (outcome,) = report.links
+        assert not outcome.up and not report.connected
+        # The session deadline (punch max_seconds 20 s plus 5 s of grace)
+        # ends the run, well before realize_plan's own 60 s.
+        assert 25_000_000 <= net.now_us - t0 < 26_000_000
+        assert {ls.failure for a in agents.values() for ls in a.sessions.values()} == {"deadline"}

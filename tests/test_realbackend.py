@@ -762,6 +762,17 @@ class TestCliProcesses:
         finally:
             assert stop(coord) == 0
 
+    def test_a_coordinator_that_fails_to_start_closes_what_it_opened(self):
+        # Both observers on one port: the second bind fails once the TCP
+        # listener and the first observer socket are open.
+        port, o1 = free_ports(2)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "bdmesh.cli", "coord", "--host", "127.0.0.1",
+             "--port", str(port), "--observer-port", str(o1), "--observer-port2", str(o1)],
+            env=dict(os.environ, PYTHONPATH="src"), capture_output=True, timeout=60)
+        assert proc.returncode == 5
+        assert b"ResourceWarning" not in proc.stderr, proc.stderr.decode()
+
     def test_node_without_coordinator_exits_6(self):
         (port,) = free_ports(1)
         env = dict(os.environ, PYTHONPATH="src")

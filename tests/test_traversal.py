@@ -116,11 +116,11 @@ def classify(net, host, observers):
     by then."""
     result = []
     transport = HostTransport(host)
-    sock = host.bind(lambda data, src, s: cl.on_observed(json.loads(data))
-                     if data[:1] == b"{" else None)
+    sock = host.bind(lambda *a: None)
     cl = NatClassifier(transport, sock, (host.ip, sock.port), observers,
                        lambda verdict, observed: result.append((verdict, observed, net.now_us)),
                        rng=net.rng)
+    sock.handler = cl.on_datagram
     cl.start()
     assert len(host.sockets) == 2  # the primary and the change-port probe
     net.run_for(10_000_000)
@@ -209,16 +209,21 @@ class TestNatClassifier:
         cl = NatClassifier(HostTransport(host), sock, (host.ip, sock.port), observers,
                            lambda verdict, observed: result.append((verdict, observed)),
                            rng=net.rng)
+        cl.start()  # the replies below are fed by hand; the network never runs
         bad = (None, [], {"port": 5}, {"ip": "198.18.0.1"}, {"ip": 7, "port": 5},
                {"ip": "198.18.0.1", "port": "5"}, {"ip": "198.18.0.1", "port": True},
                {"ip": "198.18.0.1", "port": 70000}, {"ip": "198.18.0.1", "port": -1})
+
+        def observed(token, ep):
+            return json.dumps({"type": "observed", "token": token, "endpoint": ep}).encode()
+
         for token in cl._tokens:
             for ep in bad:
-                cl.on_observed({"type": "observed", "token": token, "endpoint": ep})
+                cl.on_datagram(observed(token, ep), observers[0], sock)
         assert result == []
         for token in cl._tokens:
-            cl.on_observed({"type": "observed", "token": token,
-                            "endpoint": {"ip": host.ip, "port": sock.port}})
+            cl.on_datagram(observed(token, {"ip": host.ip, "port": sock.port}),
+                           observers[0], sock)
         assert result == [("public", (host.ip, sock.port))]
 
     def test_retries_survive_loss(self, monkeypatch):
@@ -229,11 +234,6 @@ class TestNatClassifier:
         assert verdict == "public"
 
 
-def wire(machine):
-    """Socket handler feeding a punch machine."""
-    return lambda data, src, sock: machine.on_datagram(data, src)
-
-
 def stun(nat, host, port, target):
     """Create the host's outbound mapping and return the external endpoint."""
     ext = nat.outbound((host.ip, port), target, 0)
@@ -241,20 +241,19 @@ def stun(nat, host, port, target):
 
 
 class TestDirectPunch:
-    def run_pair(self, net, host_a, host_b, ep_a, ep_b, cfg=None):
-        cfg = cfg or PunchConfig()
+    def run_pair(self, net, host_a, host_b, ep_a, ep_b):
         results = {}
         transport_a, transport_b = HostTransport(host_a), HostTransport(host_b)
         sock_a = host_a.sockets[7000]
         sock_b = host_b.sockets[7000]
-        punch_a = DirectPunch(transport_a, sock_a, b"S" * 8, ep_b, cfg,
+        punch_a = DirectPunch(transport_a, sock_a, b"S" * 8, ep_b,
                               lambda ok, sock, peer, why: results.setdefault("a", (ok, peer, why)),
                               net.rng)
-        punch_b = DirectPunch(transport_b, sock_b, b"S" * 8, ep_a, cfg,
+        punch_b = DirectPunch(transport_b, sock_b, b"S" * 8, ep_a,
                               lambda ok, sock, peer, why: results.setdefault("b", (ok, peer, why)),
                               net.rng)
-        sock_a.handler = wire(punch_a)
-        sock_b.handler = wire(punch_b)
+        sock_a.handler = punch_a.on_datagram
+        sock_b.handler = punch_b.on_datagram
         punch_a.start()
         punch_b.start()
         net.run_for(int(traversal.DIRECT_TIMEOUT_S * 1_000_000) + 1_000_000)
@@ -293,9 +292,8 @@ class TestDirectPunch:
         transport = HostTransport(a)
         results = []
         punch = DirectPunch(transport, a.sockets[7000], b"S" * 8, ("10.77.0.9", 7000),
-                            PunchConfig(),
                             lambda ok, sock, peer, why: results.append((ok, why)), net.rng)
-        a.sockets[7000].handler = wire(punch)
+        a.sockets[7000].handler = punch.on_datagram
         punch.start()
         net.run_for(3_000_000)
         assert results == [(False, "timeout")]
@@ -325,7 +323,7 @@ def run_birthday(net, nat_easy, opener_host, prober_host, cfg, session=b"B" * 8)
                             opener_host.nat.public_ip, cfg,
                             lambda ok, sock, peer, why: results.setdefault("prober", (ok, peer, why)),
                             net.rng, schedule_seed=net.rng.getrandbits(32))
-    prober_sock.handler = wire(prober)
+    prober_sock.handler = prober.on_datagram
     opener.start()
     prober.start()
     net.run_for(int(cfg.max_duration_s * 1_000_000) + 2_000_000)
@@ -403,7 +401,7 @@ class TestBirthdayPunch:
                                 "198.18.0.77", cfg,
                                 lambda ok, sock, peer, why: results.setdefault("prober", (ok, why)),
                                 net.rng)
-        prober_sock.handler = wire(prober)
+        prober_sock.handler = prober.on_datagram
         prober.start()
         net.run_for(5_000_000)
         assert results["prober"] == (False, "timeout")
@@ -441,12 +439,34 @@ class TestBirthdayPunch:
         opener.start()
         net.run_for(100_000)
         pinhole = opener._sockets[2]
-        opener._on_datagram(pack_probe(KIND_PROBE, b"B" * 8, bytes(8)), prober_ep, pinhole)
+        opener.on_datagram(pack_probe(KIND_PROBE, b"B" * 8, bytes(8)), prober_ep, pinhole)
         assert not opener.done
-        opener._on_datagram(b"\x00\x0bhello there", prober_ep, pinhole)
+        opener.on_datagram(b"\x00\x0bhello there", prober_ep, pinhole)
         assert results["o"] == (True, prober_ep)
         assert handed == [(b"\x00\x0bhello there", prober_ep)]
         assert list(opener_host.sockets.values()) == [pinhole]
+
+    def test_the_opener_reads_only_its_live_pinholes(self):
+        # A PROBE of the session on another socket (the agent's shared
+        # one) goes unanswered, and so does one on the kept pinhole once
+        # the opener is done.
+        net, _, nat_easy, opener_host, prober_host = birthday_world(43, self.SPACE)
+        prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
+        cfg = PunchConfig(open_ports=5, probe_rate=100, max_duration_s=2.0, space=self.SPACE)
+        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
+                                lambda *r: None, net.rng)
+        opener.start()
+        shared = opener_host.bind(lambda *x: None)
+        pinhole = opener._sockets[0]
+        probe = pack_probe(KIND_PROBE, b"B" * 8, bytes(8))
+        sent = net.stats["sent"]
+        opener.on_datagram(probe, prober_ep, shared)
+        assert net.stats["sent"] == sent and not opener._acked
+        opener.on_datagram(probe, prober_ep, pinhole)
+        opener.on_datagram(pack_probe(KIND_CONFIRM, b"B" * 8, bytes(8)), prober_ep, pinhole)
+        assert opener.done and net.stats["sent"] == sent + 1
+        opener.on_datagram(probe, prober_ep, pinhole)
+        assert net.stats["sent"] == sent + 1
 
     def test_stray_datagrams_do_not_take_over_a_punch(self):
         # An endpoint-dependent-mapping NAT that filters nothing lets
@@ -483,7 +503,7 @@ class TestBirthdayPunch:
         prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"B" * 8,
                                 nat_hard.public_ip, cfg,
                                 lambda ok, sock, peer, why: results.setdefault("p", ok), net.rng)
-        prober_sock.handler = wire(prober)
+        prober_sock.handler = prober.on_datagram
         prober.start()
         net.run_for(4_000_000)
         assert results == {"o": (True, prober_ep, "birthday"), "p": True}
@@ -496,11 +516,13 @@ class TestBirthdayPunch:
         prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"B" * 8,
                                 "198.18.0.77", cfg,
                                 lambda ok, *a: results.setdefault("p", ok), net.rng)
-        prober.on_datagram(pack_probe(KIND_PROBE, b"B" * 8, b"\x00" * 8), ("10.9.9.9", 1))
-        prober.on_datagram(pack_probe(KIND_PROBE_ACK, b"X" * 8, b"\x00" * 8), ("10.9.9.9", 1))
+        prober.on_datagram(pack_probe(KIND_PROBE, b"B" * 8, b"\x00" * 8), ("10.9.9.9", 1),
+                           prober_sock)
+        prober.on_datagram(pack_probe(KIND_PROBE_ACK, b"X" * 8, b"\x00" * 8), ("10.9.9.9", 1),
+                           prober_sock)
         # An ack for a probe index never sent is ignored too.
         prober.on_datagram(pack_probe(KIND_PROBE_ACK, b"B" * 8, (99).to_bytes(8, "big")),
-                           ("10.9.9.9", 1))
+                           ("10.9.9.9", 1), prober_sock)
         assert not prober.done
 
     @staticmethod
@@ -547,7 +569,7 @@ class TestBirthdayPunch:
                                 nat_hard.public_ip, cfg,
                                 lambda ok, *a: results.setdefault("prober", ok),
                                 net.rng, schedule_seed=4343)
-        prober_sock.handler = wire(prober)
+        prober_sock.handler = prober.on_datagram
         opener.start()
         prober.start()
         net.run_for(4_000_000)
@@ -600,7 +622,7 @@ class TestTriggeredCheck:
                                 nat_hard.public_ip, cfg,
                                 lambda ok, sock, peer, why: done.setdefault(
                                     "prober", (ok, peer, why, net.now_us)), net.rng)
-        prober_sock.handler = wire(prober)
+        prober_sock.handler = prober.on_datagram
         t0 = net.now_us
         opener.start()
         prober.start()
@@ -634,14 +656,15 @@ class TestTriggeredCheck:
         unswept = next(p for p in range(10000, 12000) if p not in swept)
         assert len(swept) == prober.probes_sent == 3
         probe = pack_probe(KIND_PROBE, b"T" * 8, bytes(8))
-        prober.on_datagram(probe, ("198.18.0.78", unswept))                  # another IP
+        sock = prober._sock
+        prober.on_datagram(probe, ("198.18.0.78", unswept), sock)            # another IP
         prober.on_datagram(pack_probe(KIND_PROBE, b"U" * 8, bytes(8)),
-                           ("198.18.0.77", unswept))                         # another session
-        prober.on_datagram(probe, ("198.18.0.77", swept[1]))                 # a swept port
+                           ("198.18.0.77", unswept), sock)                   # another session
+        prober.on_datagram(probe, ("198.18.0.77", swept[1]), sock)           # a swept port
         prober.on_datagram(probe[:4] + b"\x09" + probe[5:],
-                           ("198.18.0.77", unswept))                         # malformed
+                           ("198.18.0.77", unswept), sock)                   # malformed
         assert prober.probes_sent == 3 and len(sent) == 3
-        prober.on_datagram(probe, ("198.18.0.77", unswept))
+        prober.on_datagram(probe, ("198.18.0.77", unswept), sock)
         assert prober.probes_sent == 4
         assert sent[3] == (("198.18.0.77", unswept), (KIND_PROBE, b"T" * 8, (3).to_bytes(8, "big")))
         # The schedule is not advanced: the next sweep probe takes index 4
@@ -657,14 +680,15 @@ class TestTriggeredCheck:
         swept = {dst[1] for dst, _ in sent}
         fresh = [p for p in range(10000, 12000) if p not in swept][:3]
         for port in fresh:
-            prober.on_datagram(probe, ("198.18.0.77", port))
+            prober.on_datagram(probe, ("198.18.0.77", port), prober._sock)
         assert [dst for dst, _ in sent[3:]] == [("198.18.0.77", fresh[0])]
         assert prober.probes_sent == 4
 
     def test_no_answer_once_the_budget_is_spent(self):
         net, prober, sent = self.started_prober(budget_s=0.03)
         assert prober.probes_sent == prober._budget == 3
-        prober.on_datagram(pack_probe(KIND_PROBE, b"T" * 8, bytes(8)), ("198.18.0.77", 1))
+        prober.on_datagram(pack_probe(KIND_PROBE, b"T" * 8, bytes(8)), ("198.18.0.77", 1),
+                           prober._sock)
         assert prober.probes_sent == 3 and len(sent) == 3
 
 
@@ -727,10 +751,10 @@ class TestWireFuzz:
         net, a, b = self.world()
         sock = a.bind(lambda *x: None, 7000)
         punch = DirectPunch(HostTransport(a), sock, FUZZ_SESSION, (b.ip, 7000),
-                            PunchConfig(), lambda *r: None, net.rng)
+                            lambda *r: None, net.rng)
         punch.start()
         for data, src in seq:
-            punch.on_datagram(data, src)
+            punch.on_datagram(data, src, sock)
         net.run_for(10_000)
 
     @given(seq=datagrams)
@@ -738,7 +762,8 @@ class TestWireFuzz:
     def test_prober_decides_as_the_full_parse_does(self, seq):
         net, a, b = self.world()
         results = []
-        prober = BirthdayProber(HostTransport(a), a.bind(lambda *x: None, 7000), FUZZ_SESSION,
+        sock = a.bind(lambda *x: None, 7000)
+        prober = BirthdayProber(HostTransport(a), sock, FUZZ_SESSION,
                                 b.ip, PunchConfig(), lambda ok, *r: results.append(ok), net.rng)
         prober.start()
         net.run_for(50_000)  # probes 0..5 sent
@@ -748,7 +773,7 @@ class TestWireFuzz:
             accepts = (not prober.done and parsed is not None and parsed[1] == FUZZ_SESSION
                        and parsed[0] == KIND_PROBE_ACK
                        and int.from_bytes(parsed[2], "big") < sent)
-            prober.on_datagram(data, src)
+            prober.on_datagram(data, src, sock)
             assert prober.done == (accepts or bool(results))
         assert results in ([], [True])
 
@@ -765,7 +790,8 @@ class TestWireFuzz:
         probes_to = []
         net.on_wire = lambda kind, src, dst, payload: (
             probes_to.append(dst) if payload[5:6] == bytes((KIND_PROBE,)) else None)
-        prober = BirthdayProber(HostTransport(a), a.bind(lambda *x: None, 7000), FUZZ_SESSION,
+        sock = a.bind(lambda *x: None, 7000)
+        prober = BirthdayProber(HostTransport(a), sock, FUZZ_SESSION,
                                 b.ip, PunchConfig(), lambda *r: None, net.rng)
         prober.start()
         net.run_for(50_000)  # probes 0..5 sent
@@ -781,7 +807,7 @@ class TestWireFuzz:
             elif parsed[0] == KIND_PROBE and not expect and port not in swept:
                 expect.append((b.ip, port))
                 sent += 1
-            prober.on_datagram(data, (b.ip, port))
+            prober.on_datagram(data, (b.ip, port), sock)
         assert probes_to[len(swept):] == expect
         assert prober.probes_sent == sent and prober.done == done
 
@@ -794,5 +820,5 @@ class TestWireFuzz:
         opener.start()
         pinholes = list(opener._sockets)
         for data, src, i in seq:
-            opener._on_datagram(data, src, pinholes[i])
+            opener.on_datagram(data, src, pinholes[i])
         net.run_for(10_000)
