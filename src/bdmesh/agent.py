@@ -341,8 +341,10 @@ class NodeAgent:
 
     def _punch_done(self, ls: LinkSession):
         def done(ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
-            if ls.terminal:
-                return  # the relay or the session deadline came first
+            if ls.terminal:  # the relay or the session deadline came first
+                if ok and sock is not self.primary:
+                    sock.close()  # an opener's kept pinhole, which nothing reads
+                return
             if not ok:
                 self._request_relay(ls)
                 return

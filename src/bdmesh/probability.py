@@ -11,12 +11,12 @@ which is the birthday-style complement of drawing A misses in a row
 from a shrinking pool.  All evaluation happens in log space so the
 result stays accurate out to P very close to 0 or 1.
 
-Costs: success_probability is one C-level pass over its A terms
-(map and math.fsum, no Python-level loop); probability_curve is one
-compensated running sum over the curve; min_probes is O(log K), a
-bisection on the log-gamma form of the miss product, which falls back
-to the running sum only when the bisection's answer sits too close to
-the target to be trusted (see min_probes).
+Costs: success_probability, probability_curve and the CLI's table share
+one kernel, _log_miss_at: one C-level math.fsum pass per segment between
+consecutive probe counts, so a curve or a table is one pass over its
+largest count.  min_probes is O(log K), a bisection on the log-gamma form
+of the miss product; only when its answer sits too close to the target
+to be trusted does it walk a compensated running sum (see min_probes).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul, truediv
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvalidParametersError
 
@@ -80,6 +80,28 @@ def _check_kba(k: int, b: int, a: int) -> None:
         raise InvalidParametersError(f"open ports must lie in [0, {k}], got {b}")
     if a < 0:
         raise InvalidParametersError(f"probe count must be non-negative, got {a}")
+    if a > k:
+        raise InvalidParametersError(f"cannot probe {a} distinct ports out of {k}")
+
+
+def _log_miss_at(k: int, b: int, points: Iterable[int]) -> list[float]:
+    """log of the miss product (the sum of log1p(-b/(k-i)) for i < a) at
+    each a of `points`, ascending probe counts up to k: one math.fsum of
+    the running total and a segment's terms (built with map) per segment
+    between points.  The first value is one fsum's exact rounding (a
+    leading 0.0 changes no sum); each later one adds one rounding.  Past
+    k - b probes (more than the closed ports) no sweep misses: -inf."""
+    out = []
+    done, log_miss = 0, 0.0
+    for a in points:
+        if a > k - b:
+            log_miss = -math.inf
+        else:
+            log_miss = math.fsum(chain((log_miss,), map(
+                math.log1p, map(truediv, repeat(-b, a - done), range(k - done, k - a, -1)))))
+            done = a
+        out.append(log_miss)
+    return out
 
 
 def success_probability(k: int, b: int, a: int, delivery_rate: float = 1.0) -> float:
@@ -94,26 +116,20 @@ def success_probability(k: int, b: int, a: int, delivery_rate: float = 1.0) -> f
     exact; below 1.0 it treats per-probe survival as independent, which
     holds when losses are drawn per datagram.
 
-    The log of the miss product is one C-level pass: the a terms
-    log1p(-b/(k-i)) are built with map and summed by math.fsum, which
-    rounds the exact sum once, so the result does not depend on how the
-    terms are produced.
+    The log of the miss product is one C-level pass (_log_miss_at at the
+    one point a; -inf past k - b probes, where a hit is certain): the a
+    terms log1p(-b/(k-i)) are built with map and summed by math.fsum,
+    which rounds the exact sum once, so the result does not depend on
+    how the terms are produced.
     """
     _check_kba(k, b, a)
-    if a > k:
-        raise InvalidParametersError(f"cannot probe {a} distinct ports out of {k}")
     if not (0.0 <= delivery_rate <= 1.0):
         raise InvalidParametersError(
             f"delivery_rate must lie in [0, 1], got {delivery_rate}")
     if a == 0 or b == 0 or delivery_rate == 0.0:
         return 0.0
     if delivery_rate == 1.0:
-        if a > k - b:
-            # Pigeonhole: more probes than closed ports, a hit is certain.
-            return 1.0
-        # log1p(-b / (k - i)) for i = 0 .. a-1
-        log_miss = math.fsum(map(math.log1p, map(truediv, repeat(-b, a), range(k, k - a, -1))))
-        return -math.expm1(log_miss)
+        return -math.expm1(_log_miss_at(k, b, (a,))[0])
     # The hit chance of probe i is delivery_rate * min(1, b / (k - i)); the
     # min is 1 from i = k - b on, where fewer ports remain than are open.
     n = min(a, k - b)
@@ -127,7 +143,8 @@ def _advance_log_miss(k: int, b: int, a: int, a_end: int, log_miss: float,
                       comp: float, floor: float = -math.inf) -> tuple[int, float, float]:
     """Add log1p(-b/(k-i)) for i = a .. a_end-1 to log_miss, stopping after
     the term that takes it to `floor` or below; returns (a, log_miss, comp).
-    Kahan-compensated (comp), since the sum runs long for small b."""
+    Kahan-compensated (comp), since the sum runs long for small b.  Only
+    min_probes walks it: its stop at `floor` is what a C-level pass lacks."""
     while a < a_end:
         y = math.log1p(-b / (k - a)) - comp
         t = log_miss + y
@@ -142,9 +159,9 @@ def _advance_log_miss(k: int, b: int, a: int, a_end: int, log_miss: float,
 def min_probes(k: int, b: int, target: float) -> int:
     """Smallest probe count whose success probability reaches `target`.
 
-    The answer is the first a at which the running sum of log1p(-b/(k-i))
-    (as in probability_curve) reaches log1p(-target).  For k <= 65536
-    it is found in O(log K): a bisection on the log-gamma form
+    The answer is the first a at which the compensated running sum of
+    log1p(-b/(k-i)) (_advance_log_miss) reaches log1p(-target).  For
+    k <= 65536 it is found in O(log K): a bisection on the log-gamma form
     lgamma(k-b+1) - lgamma(k+1) - lgamma(k-b-a+1) + lgamma(k-a+1) of the
     same sum.  The bisection's answer a is returned only when the form
     clears the target by _LGAMMA_SLACK on both sides, at a and at a-1;
@@ -186,26 +203,15 @@ def probability_curve(k: int, b: int, a_max: int, step: int = 1) -> list[tuple[i
     """(probes, probability) pairs for a = 0, step, 2*step, ... up to a_max.
 
     The final point is always a_max itself so the curve never
-    understates the endpoint.  Incremental evaluation keeps the whole
-    sweep O(a_max).
+    understates the endpoint.  One _log_miss_at pass over the points
+    keeps the whole sweep O(a_max).
     """
     _check_kba(k, b, a_max)
-    if a_max > k:
-        raise InvalidParametersError(f"cannot probe {a_max} distinct ports out of {k}")
     if step <= 0:
         raise InvalidParametersError(f"step must be positive, got {step}")
-    out: list[tuple[int, float]] = []
-    done, log_miss, comp = 0, 0.0, 0.0
-    for a in [*range(0, a_max, step), a_max]:
-        if b == 0:
-            p = 0.0
-        elif a > k - b:
-            p = 1.0  # pigeonhole: more probes than closed ports
-        else:
-            done, log_miss, comp = _advance_log_miss(k, b, done, a, log_miss, comp)
-            p = -math.expm1(log_miss) + 0.0  # +0.0 folds -0.0 at a=0
-        out.append((a, p))
-    return out
+    points = [*range(0, a_max, step), a_max]
+    # +0.0 folds the -0.0 of a = 0 and of b = 0
+    return [(a, -math.expm1(m) + 0.0) for a, m in zip(points, _log_miss_at(k, b, points))]
 
 
 def iter_ports(space: PortSpace, count: int, seed: int) -> Iterator[int]:

@@ -658,6 +658,28 @@ class TestClose:
         self.close_and_idle(net, a, host)
         assert ls.role == "opener" and ls.machine.done and ls.failure is None
 
+    def test_an_opener_that_hit_after_its_relay_opened(self):
+        # The relay came first, so the pinhole the opener keeps on its
+        # late hit is nobody's to read: it is closed at once.
+        net, coord_host, _ = make_world(seed=123)
+        a, host = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        assert wait(net, lambda: a.ready, 5.0)
+        intro = dict(TestIntroduceParameters.INTRO, role="opener")
+        a._on_control(intro)
+        net.run_for(1_000_000)
+        (ls,) = a.sessions.values()
+        a._on_control({"type": "relay_opened", "session_id": intro["session_id"]})
+        assert ls.terminal and ls.path == "relayed"
+        pinhole = ls.machine._sockets[0]
+        assert pinhole.port == 30002  # after the primary and the classifier's probe socket
+        for kind in (traversal.KIND_PROBE, traversal.KIND_CONFIRM):
+            pinhole.handler(traversal.pack_probe(kind, ls.session_id, b"n" * 8),
+                            ("10.9.9.9", 9), pinhole)
+        assert ls.machine.done and ls.machine.established_peer == ("10.9.9.9", 9)
+        assert pinhole.closed and 30002 not in host.sockets
+        assert ls.path == "relayed" and ls.sock is None
+        self.close_and_idle(net, a, host)
+
     def test_a_classifier_waiting_for_its_verdict(self):
         net, coord_host, coord = make_world(seed=124)
         for sock in coord.observers:  # observers that never answer

@@ -1,11 +1,18 @@
 """Command-line surface: headers, formatting, exit codes, determinism."""
 
+import hashlib
 import json
+import logging
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bdmesh import realbackend
-from bdmesh.cli import main
+from bdmesh.cli import build_parser, main
 from bdmesh.scenario import bundled_scenario_path
 
 TABLE_DEFAULT = """\
@@ -21,6 +28,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """(exit code, stdout, stderr) of `python -m bdmesh.cli argv` in a new
+    interpreter, with BDMESH_LOG unset."""
+    env = {k: v for k, v in os.environ.items() if k != "BDMESH_LOG"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "bdmesh.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestAnalyzeTable:
@@ -94,6 +111,110 @@ class TestAnalyzeCurve:
                                "--open-ports-list", "")
         assert code == 2
         assert "open-ports" in err
+
+
+# (argv, exit code, digest of stdout and stderr) of analyze calls: the
+# defaults, the CLI calls of perfbench's analyze workload at seed 1,
+# unsorted and repeated durations, B = 0, the pigeonhole, step 1 and
+# invalid input.  Frozen from the output before the table and the curve
+# shared one summing pass; the CSV must stay byte for byte the same.
+ANALYZE_BYTES = [
+    ("analyze table", 0, "3592e8c8ea54a5fc"),
+    ("analyze table --open-ports 938 --rate 50 --durations 5,8,14,16,25,29", 0,
+     "82a12e21fae48374"),
+    ("analyze table --open-ports 780 --rate 100 --durations 4,9,15,17,25,27", 0,
+     "1af289bedabba58e"),
+    ("analyze table --open-ports 551 --rate 200 --durations 5,7,12,20,23,28", 0,
+     "b7f48952594593be"),
+    ("analyze table --open-ports 305 --rate 400 --durations 5,10,13,19,25,26", 0,
+     "d57eef5b6ab9f18a"),
+    ("analyze table --durations 20,5,5,0,10,2.5", 0, "72121c95b010e425"),
+    ("analyze table -B 0 --durations 1,10,100", 0, "952a1b00e4b04b59"),
+    ("analyze table -B 64000 --rate 1000 --durations 0,0.5,1,60", 0, "43a6305b12e22d7c"),
+    ("analyze table -B 64511 --durations 0,1", 0, "cf8841857bfb7b2f"),
+    ("analyze table --rate 400 --durations 30,1,15,160,60", 0, "dcbb8e4eb7af2b30"),
+    ("analyze table -B 1 --rate 1000 --durations 64.511,64.51,1", 0, "610a60a40106eb83"),
+    ("analyze table -B 16 --rate 0.5 --durations 3,2,1", 0, "f3370fef64875675"),
+    ("analyze table -B 4096 --rate 1000 --durations 0.5,1,2,4,8", 0, "40c363a9e0d0f395"),
+    ("analyze table -B 128 --rate 33.3 --durations 1.5,2.25,7,7,3", 0, "aa6d7e2863c6db19"),
+    ("analyze table -B -1 --durations ''", 0, "4062741a7a9e41ac"),
+    ("analyze table --durations 5,x", 2, "43c4229f23ec33e3"),
+    ("analyze table --rate 0", 2, "e620c05e5e2e3d69"),
+    ("analyze table --rate -1", 2, "c32165284dfc1761"),
+    ("analyze table --durations 5,inf", 2, "2bfb3ebd69f28aa3"),
+    ("analyze table --durations 5,-1", 2, "f9e288e8128add76"),
+    ("analyze table -B 70000 --durations 5", 2, "fb35657504437036"),
+    ("analyze table --rate 1000 --durations 1,70,inf", 2, "749db40a8216afd0"),
+    ("analyze curve", 0, "2dd285dc1ae1edaf"),
+    ("analyze curve --open-ports-list 81,409,530 --max-probes 1257 --step 25", 0,
+     "246503b2ff8523b4"),
+    ("analyze curve --open-ports-list 94,282,834 --max-probes 1994 --step 50", 0,
+     "6e9d8be62f6bf85e"),
+    ("analyze curve --open-ports-list 121,239,664 --max-probes 2179 --step 100", 0,
+     "5086aa83f4dc409e"),
+    ("analyze curve --open-ports-list 110,297,875 --max-probes 2904 --step 50", 0,
+     "456c005c9476f2f5"),
+    ("analyze curve --open-ports-list 256 --max-probes 500 --step 1", 0, "1aa0c56689563795"),
+    ("analyze curve --open-ports-list 64000 --max-probes 1000 --step 100", 0, "f86e747a7fe9a12a"),
+    ("analyze curve --open-ports-list 30 --max-probes 64511 --step 4096", 0, "86ce9a0bed9e3c26"),
+    ("analyze curve --open-ports-list 512,128,512 --max-probes 3000 --step 9999", 0,
+     "067ff37ccad3c6c4"),
+    ("analyze curve --open-ports-list 4096,1 --max-probes 0 --step 5", 0, "f75098251751c9ed"),
+    ("analyze curve --open-ports-list 64511 --max-probes 10 --step 3", 0, "02dae673bb549287"),
+    ("analyze curve --open-ports-list 1,4096 --max-probes 20000 --step 333", 0,
+     "cc4126cfd65b6fe3"),
+    ("analyze curve --open-ports-list 0,1 --max-probes 100 --step 7", 2, "26ede68175fcfd9d"),
+    ("analyze curve --open-ports-list ''", 2, "bd0779dd2f47303e"),
+    ("analyze curve --step 0", 2, "a5c3d07bdbc4695b"),
+    ("analyze curve --max-probes 70000", 2, "749db40a8216afd0"),
+    ("analyze curve --open-ports-list 256,x", 2, "0d21c624dcd9e3aa"),
+    ("analyze curve --open-ports-list 256,70000", 2, "fb35657504437036"),
+]
+
+
+class TestAnalyzeBytes:
+    def test_pinned_output(self, capsys, monkeypatch):
+        monkeypatch.delenv("BDMESH_LOG", raising=False)
+        differ = []
+        for line, code, digest in ANALYZE_BYTES:
+            got, out, err = run_cli(capsys, *shlex.split(line))
+            got_digest = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()[:16]
+            if (got, got_digest) != (code, digest):
+                differ.append((line, got, got_digest))
+        assert differ == []
+
+
+class TestParserReuse:
+    """main builds its parser once per process.  Calls that fail leave
+    nothing behind in it: each later call prints and returns what a
+    fresh process does for the same argv."""
+
+    def test_calls_after_failures_match_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.delenv("BDMESH_LOG", raising=False)
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "sideways"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (2, "", err) == run_fresh("analyze", "sideways")
+        for argv in (["analyze", "table", "--rate", "-1"],
+                     ["analyze", "curve", "--open-ports-list", ""]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error: ")
+        for argv in (["analyze", "table"],
+                     ["analyze", "table", "-B", "64", "--rate", "250", "--durations", "9,0,3,9"],
+                     ["analyze", "curve", "--open-ports-list", "64,4096",
+                      "--max-probes", "900", "--step", "200"],
+                     ["analyze", "curve"]):
+            assert run_cli(capsys, *argv) == run_fresh(*argv), argv
+
+    def test_bdmesh_log_is_read_on_every_call(self, capsys, monkeypatch):
+        for raw, level in (("debug", logging.DEBUG), ("trace", 5), ("error", logging.ERROR),
+                           ("shout", logging.WARNING)):
+            monkeypatch.setenv("BDMESH_LOG", raw)
+            code, _, err = run_cli(capsys, "analyze", "table", "--durations", "")
+            assert code == 0 and ("BDMESH_LOG" in err) == (raw == "shout")
+            assert logging.getLogger("bdmesh").level == level
 
 
 class TestSimulateTraversal:

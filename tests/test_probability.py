@@ -338,6 +338,39 @@ class TestProbabilityCurve:
             probability_curve(100, 10, 50, step=0)
 
 
+@st.composite
+def kernel_points(draw):
+    """(k, b, points): ascending distinct probe counts up to k, mostly at
+    most k - b."""
+    k = draw(st.integers(1, 70000))
+    b = draw(st.integers(0, k))
+    points = draw(st.sets(st.integers(0, min(k - b, 8000)), max_size=10))
+    if draw(st.booleans()):
+        points |= draw(st.sets(st.integers(k - b, min(k, k - b + 50)), max_size=3))
+    return k, b, sorted(points)
+
+
+class TestLogMissKernel:
+    @given(case=kernel_points())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_agrees_with_the_point_function(self, case):
+        # One rounding per segment: every point within 1e-12 of
+        # success_probability, and the first the same float, its log
+        # being the defining sum rounded once (-inf past k - b probes).
+        k, b, points = case
+        sums = probability._log_miss_at(k, b, points)
+        for i, (a, log_miss) in enumerate(zip(points, sums)):
+            p, want = -math.expm1(log_miss) + 0.0, success_probability(k, b, a)
+            assert (p == want) if i == 0 else abs(p - want) <= 1e-12, (k, b, a, i)
+            assert (log_miss == -math.inf) == (a > k - b), (k, b, a)
+        if points and points[0] <= k - b:
+            a = points[0]
+            assert sums[0] == math.fsum(math.log1p(-b / (k - i)) for i in range(a)), (k, b, a)
+
+    def test_no_points(self):
+        assert probability._log_miss_at(K_FULL, 256, []) == []
+
+
 class TestSchedulePorts:
     def test_deterministic_per_seed(self):
         space = PortSpace()

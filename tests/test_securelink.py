@@ -4,12 +4,15 @@ replay handling."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmesh.errors import HandshakeError, ProtocolError, ReplayError
 from bdmesh.securelink import (
     FRAME_HEADER_LEN,
     FRAME_TAG_LEN,
     HANDSHAKE_LEN,
+    REPLAY_WINDOW,
     FrameCipher,
     HandshakeInitiator,
     HandshakeResponder,
@@ -204,6 +207,64 @@ class TestFrameCipher:
         # A frame sealed by a cannot be opened by a (different key).
         with pytest.raises(ProtocolError):
             a.open(a.seal(b"loopback"))
+
+
+# Frames to open, each as (step, forged): its counter is the last one plus
+# step (at least 0), a step of up to 3 windows back or ahead or a jump of
+# up to 2^16; forged flips a bit of its tag.  Jumps stay small because the
+# window update costs O(jump).
+FRAME_STEPS = st.lists(st.tuples(
+    st.one_of(st.integers(-3 * REPLAY_WINDOW, 3 * REPLAY_WINDOW),
+              st.integers(3 * REPLAY_WINDOW, 1 << 16)),
+    st.booleans()), max_size=150)
+
+
+class TestReplayWindowModel:
+    """FrameCipher.open against the anti-replay rule of RFC 4303 §3.4.3,
+    kept as the set of counters accepted so far: a frame is rejected as a
+    replay (ReplayError) when its counter is 0, was accepted before or
+    lies REPLAY_WINDOW or more below the highest accepted counter; else
+    a forged tag is rejected (ProtocolError) without moving the window;
+    else it is accepted.  Any order of counters must get the model's
+    verdict."""
+
+    @given(steps=FRAME_STEPS)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_verdict_matches_the_model(self, steps):
+        a, b = cipher_pair()
+        seen, highest, counter = set(), 0, 0
+        for step, forged in steps:
+            counter = max(0, counter + step)
+            a._send_counter = counter - 1  # seal the next frame under this counter
+            frame = a.seal(b"%d" % counter)
+            if forged:
+                frame = frame[:-1] + bytes([frame[-1] ^ 1])
+            if counter == 0 or counter in seen or counter <= highest - REPLAY_WINDOW:
+                want = ReplayError
+            elif forged:
+                want = ProtocolError
+            else:
+                want = None
+                seen.add(counter)
+                highest = max(highest, counter)
+            try:
+                b.open(frame)
+                got = None
+            except (ReplayError, ProtocolError) as e:
+                got = type(e)
+            assert got is want, (counter, forged, highest)
+
+    def test_each_edge_of_the_window(self):
+        a, b = cipher_pair()
+        frames = {}
+        for counter in range(1, 2 * REPLAY_WINDOW + 1):
+            frames[counter] = a.seal(b"x")
+        b.open(frames[2 * REPLAY_WINDOW])
+        b.open(frames[REPLAY_WINDOW + 1])  # the oldest counter inside the window
+        with pytest.raises(ReplayError, match="window"):
+            b.open(frames[REPLAY_WINDOW])  # one below it
+        with pytest.raises(ReplayError, match="replay"):
+            b.open(frames[REPLAY_WINDOW + 1])
 
 
 class TestPlainFraming:

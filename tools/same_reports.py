@@ -1,4 +1,4 @@
-"""Same output from two checkouts: scenario reports and Monte Carlo bytes.
+"""Same output from two checkouts: scenario reports, Monte Carlo and analyze bytes.
 
     python3 tools/same_reports.py --parent ../parent --change .
 
@@ -14,7 +14,11 @@ sides produced:
   built by perfbench/workloads.py (imported read-only) and run at the
   workload's own simulation seeds (again the report digest);
 - the stdout and exit code of `bdmesh simulate traversal --trials 300
-  --seed 7 --workers 1`, and of the same with `--loss 0.1 -B 64`.
+  --seed 7 --workers 1`, and of the same with `--loss 0.1 -B 64`;
+- the exit code, stdout and stderr of ANALYZE_CALLS seeded `bdmesh
+  analyze table` and `analyze curve` argvs, invalid ones included, all
+  run by `bdmesh.cli.main` in one process per side (so one parser
+  serves every call where the checkout builds it once).
 
 Prints one line per kind with its line count and whether the sides
 agree, then every line that differs.  A scenario line also carries a
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -66,6 +71,73 @@ TRAVERSAL_RUNS = (
     ("simulate traversal lossy",
      ["--trials", "300", "--seed", "7", "--workers", "1", "--loss", "0.1", "-B", "64"]),
 )
+
+ANALYZE_CALLS = 200
+ANALYZE_SEED = 26
+
+# Runs the argvs read from stdin through bdmesh.cli.main, one after the
+# other in this process; prints one JSON line [argv, exit code, stdout,
+# stderr] per argv.  argparse's own errors exit by SystemExit.
+ANALYZE_CHILD = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from bdmesh.cli import main
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    print(json.dumps([argv, code, out.getvalue(), err.getvalue()]), flush=True)
+"""
+
+
+def analyze_argvs(seed: int = ANALYZE_SEED, n: int = ANALYZE_CALLS) -> list[list[str]]:
+    """n seeded analyze argvs, about one in six of them invalid: pinhole
+    counts from 0 to the whole space and past it, duplicate and unsorted
+    durations, budgets past the pigeonhole and past the space, step 1,
+    non-numbers, negative, non-finite and non-integer values."""
+    rng = random.Random(seed)
+
+    def pick(good, bad):
+        return rng.choice(bad) if rng.random() < 0.03 else rng.choice(good)()
+
+    def number_list(items, k):
+        return ",".join(pick(items, ["x", "-1", "inf", "nan", ""]) for _ in range(k))
+
+    out = []
+    for i in range(n):
+        if i % 2 == 0:
+            argv = ["analyze", "table"]
+            if rng.random() < 0.9:
+                argv += ["-B", pick([lambda: str(rng.randrange(1, 4097)), lambda: "0",
+                                     lambda: "64000", lambda: "64511"], ["-1", "70000"])]
+            if rng.random() < 0.9:
+                argv += ["--rate", pick([lambda: rng.choice(["50", "100", "400", "1000"]),
+                                         lambda: f"{rng.uniform(0.5, 2000):.3f}"],
+                                        ["0", "-1", "1e308"])]
+            if rng.random() < 0.9:
+                argv += ["--durations", number_list(
+                    [lambda: str(rng.randrange(0, 61)), lambda: f"{rng.uniform(0, 70):.2f}"],
+                    rng.randrange(0, 8))]
+        else:
+            argv = ["analyze", "curve"]
+            if rng.random() < 0.9:
+                argv += ["--open-ports-list", number_list(
+                    [lambda: str(rng.randrange(1, 4097)), lambda: str(rng.randrange(60000, 64512))],
+                    rng.randrange(1, 4))]
+            if rng.random() < 0.9:
+                argv += ["--max-probes", pick([lambda: str(rng.randrange(0, 4001)),
+                                               lambda: str(rng.randrange(0, 64512))],
+                                              ["70000", "-5", "1.5"])]
+            if rng.random() < 0.9:
+                argv += ["--step", pick([lambda: str(rng.randrange(1, 400)), lambda: "1",
+                                         lambda: str(rng.randrange(1000, 70000))],
+                                        ["0", "-3", "x"])]
+        out.append(argv)
+    return out
+
 
 # Runs [name, doc or null for a bundled scenario, seed] items read from
 # stdin; prints one "name seed digest paths field=digest..." line per
@@ -131,6 +203,12 @@ def main(argv=None) -> int:
         for side in sides:
             done = run(side, ["-m", "bdmesh.cli", "simulate", "traversal", *cli_args])
             outputs[kind].append([f"exit {done.returncode}", *done.stdout.splitlines()])
+    outputs["analyze"] = []
+    for side in sides:
+        done = run(side, ["-c", ANALYZE_CHILD], json.dumps(analyze_argvs()))
+        if done.returncode != 0:
+            raise SystemExit(f"{side}: analyze runs exited {done.returncode}:\n{done.stderr}")
+        outputs["analyze"].append(done.stdout.splitlines())
 
     differ = False
     report_fields: dict[str, int] = {}
