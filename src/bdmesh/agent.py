@@ -28,20 +28,24 @@ A session's state is its LinkSession's own fields.  path is None
 until a punch or the relay finds one, then "direct" or "relayed";
 failure is set when the session deadline passes with no path; link is
 set once the link is up, until close.  A session with a path or a
-failure is terminal, and a punch result that arrives after that is
-ignored.
+failure is terminal; its punch machine is closed by then (by its hit,
+the relay opening or the deadline), so no punch result comes later.
 
 close() stops every timer, machine and socket the agent started and
 its control channel; sessions (with role and path) and links stay
 readable.  A session holds no reference back to its agent.
 
-All datagrams of one agent share its primary socket except opener
-pinholes, which get sockets of their own; the agent takes over the one
-pinhole a birthday punch keeps, inside the punch's callback.  Demux
-order on arrival: a probe to its session's machine (by
-traversal.probe_session_id); a sealed frame by its channel id, and
-anything else from a route (socket, source), to that session as a
-handshake message or frame.  Anything unrouted goes to the classifier.
+All datagrams of one agent share its primary socket, except that every
+opener probes from the agent's one pinhole pool, opened by the first
+opener session and grown only for a larger open_ports; endpoint-
+dependent mapping keys a mapping by destination too (RFC 4787 section
+4.1), so the pool tears fresh pinholes toward each easy peer.  The pool
+closes with the agent.  Demux order on arrival: a probe to its
+session's machine (by traversal.probe_session_id); a sealed frame by
+its channel id, and anything else from a route (socket, source), to
+that session as a handshake message or frame.  Anything unrouted goes
+to the classifier, or on a pinhole to the live openers, where data
+from an acked prober confirms a punch and so gains a route.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import HandshakeError, InvalidParametersError, ProtocolError, ReplayError
+from .errors import (HandshakeError, InvalidParametersError, PortsExhaustedError,
+                     ProtocolError, ReplayError)
 from .netsim import Endpoint, HostTransport, Network, format_endpoint, parse_endpoint
 from .rendezvous import DEFAULT_CONTROL_PORT, DEFAULT_OBSERVER_PORTS, ROLES
 from .securelink import (
@@ -147,16 +152,14 @@ class LinkSession:
                            "payload_b64": base64.b64encode(body).decode()})
 
     def close(self) -> None:
-        """Stop the deadline, the M1 retry and the punch machine, close a
-        kept opener pinhole and drop the link, which still holds this
-        session: a send on it meets the closed socket or channel."""
+        """Stop the deadline, the M1 retry and the punch machine and drop
+        the link, which still holds this session: a send on it meets the
+        closed socket or channel."""
         for timer in (self.deadline, self.m1_retry):
             if timer is not None:
                 timer.cancel()
         if self.machine is not None:
             self.machine.close()
-        if self.sock is not None and self.role == "opener":
-            self.sock.close()  # every other role's path is the primary socket
         self.link = None
 
 
@@ -190,6 +193,7 @@ class NodeAgent:
         self.on_event = on_event
 
         self.primary = None
+        self._pinholes: list = []           # opener pinholes, shared by every opener
         self._keepalive_timer = None
         self._classifier = None
         self.nat_class = "unknown"
@@ -231,13 +235,15 @@ class NodeAgent:
 
     def close(self) -> None:
         """Stop the keepalive and the classifier; close every session, the
-        primary socket and the control channel."""
+        pinholes, the primary socket and the control channel."""
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
         if self._classifier is not None:
             self._classifier.close()
         for ls in self.sessions.values():
             ls.close()
+        for pinhole in self._pinholes:
+            pinhole.close()
         if self.primary is not None:
             self.primary.close()
         self.channel.close()
@@ -328,30 +334,34 @@ class NodeAgent:
         if role == "direct":
             ls.machine = DirectPunch(self.transport, self.primary, session_id, peer_ep,
                                      self._punch_done(ls), self.rng)
-        elif role == "opener":
-            ls.machine = BirthdayOpener(self.transport, session_id, peer_ep, cfg,
+        elif role == "opener" and (pinholes := self._open_pinholes(cfg.open_ports)):
+            ls.machine = BirthdayOpener(self.transport, pinholes, session_id, peer_ep, cfg,
                                         self._punch_done(ls), self.rng)
         elif role == "prober":
             ls.machine = BirthdayProber(self.transport, self.primary, session_id,
                                         peer_ep[0], cfg, self._punch_done(ls), self.rng)
-        else:
+        else:  # the relay role, or an opener that got no pinholes
             self._request_relay(ls)
             return
         ls.machine.start()
 
+    def _open_pinholes(self, n: int) -> list:
+        """The first n sockets of the pinhole pool, which grows to n; none
+        when the host's ports or the process's descriptors run out."""
+        try:
+            self._pinholes += self.transport.open_sockets(
+                self._on_datagram, max(0, n - len(self._pinholes)))
+        except (PortsExhaustedError, OSError):
+            return []
+        return self._pinholes[:n]
+
     def _punch_done(self, ls: LinkSession):
         def done(ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
-            if ls.terminal:  # the relay or the session deadline came first
-                if ok and sock is not self.primary:
-                    sock.close()  # an opener's kept pinhole, which nothing reads
-                return
             if not ok:
                 self._request_relay(ls)
                 return
             ls.sock = sock
             ls.peer_ep = peer
-            if sock is not self.primary:
-                sock.handler = self._on_datagram  # take over an opener pinhole
             self._routes[(sock, peer)] = ls
             self._path_found(ls, "direct")
         return done
@@ -363,6 +373,8 @@ class NodeAgent:
         ls = self._session_by_sid_hex(msg.get("session_id"))
         if ls is None or ls.terminal:
             return
+        if ls.machine is not None:
+            ls.machine.close()
         self._path_found(ls, "relayed")
 
     def _on_relay_data(self, msg: dict) -> None:
@@ -386,6 +398,8 @@ class NodeAgent:
     def _session_deadline(self, ls: LinkSession) -> None:
         if not ls.terminal:
             ls.failure = "deadline"
+            if ls.machine is not None:
+                ls.machine.close()
         self._emit("session_failed", peer=ls.peer_id,
                    reason=ls.failure or "handshake-timeout")
 
@@ -472,7 +486,13 @@ class NodeAgent:
                 ls.machine.on_datagram(data, src, sock)
             return
         ls = self._channels.get(data[:CHANNEL_ID_LEN]) or self._routes.get((sock, src))
+        if ls is None and sock is not self.primary:
+            # On a pinhole: maybe data confirming an opener, which routes it.
+            for other in self.sessions.values():
+                if other.role == "opener" and other.machine is not None:
+                    other.machine.on_datagram(data, src, sock)
+            ls = self._routes.get((sock, src))
         if ls is not None:
             self._on_body(ls, data)
-            return
-        self._classifier.on_datagram(data, src, sock)
+        elif sock is self.primary:
+            self._classifier.on_datagram(data, src, sock)

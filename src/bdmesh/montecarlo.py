@@ -105,7 +105,8 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
             done["at_us"] = net.now_us
 
         session_id = net.rng.randbytes(8)
-        opener = BirthdayOpener(transport_o, session_id, prober_ext, cfg,
+        pinholes = transport_o.open_sockets(lambda *d: opener.on_datagram(*d), cfg.open_ports)
+        opener = BirthdayOpener(transport_o, pinholes, session_id, prober_ext, cfg,
                                 lambda ok, sock, peer, why: None, rng=net.rng)
         prober = BirthdayProber(transport_p, prober_sock, session_id,
                                 hard_nat.public_ip, cfg, prober_done, rng=net.rng)

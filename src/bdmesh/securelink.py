@@ -262,7 +262,7 @@ class FrameCipher:
             raise ProtocolError("frame failed authentication") from None
         # Only authenticated frames may move the window.
         if counter > self._highest:
-            shift = counter - self._highest
+            shift = min(counter - self._highest, REPLAY_WINDOW)  # past that, all bits go
             self._window = ((self._window << shift) | 1) & ((1 << REPLAY_WINDOW) - 1)
             self._highest = counter
         else:

@@ -14,12 +14,13 @@ learns the hard side's mapping toward it.
 The interesting case is one side behind a hard NAT (endpoint-dependent
 mapping, exact-endpoint filtering).  Its observed port is useless: a
 fresh mapping on a fresh port appears for every destination.  Instead
-the hard side becomes the "opener": it binds `open_ports` local
-sockets and sends one probe from each toward the easy side's fixed
-endpoint, tearing `open_ports` pinholes at uniformly random external
-ports.  The easy side becomes the "prober": from one fixed socket it
-probes distinct ports of the hard side's public address, drawn without
-replacement, at `probe_rate` per second.  The chance that `a` probes
+the hard side becomes the "opener": it sends one probe from each of
+`open_ports` local sockets (its node's one pinhole pool) toward the
+easy side's fixed endpoint, tearing `open_ports` pinholes at uniformly
+random external ports, fresh ones toward each easy peer.  The easy
+side becomes the "prober": from one fixed socket it probes distinct
+ports of the hard side's public address, drawn without replacement,
+at `probe_rate` per second.  The chance that `a` probes
 find one of `b` pinholes among `k` candidate ports is exactly the
 collision law in the probability module, so the defaults (256 open
 ports, 100 probes/s) give even odds within two seconds and better
@@ -41,13 +42,14 @@ from unswept pinholes; like an ICE triggered check (RFC 8445 section
 7.3.1.4) it answers the first one with an ordinary indexed PROBE
 straight back to that pinhole, so the link comes up in one round trip
 instead of a sweep.  The opener also treats a non-probe datagram on a
-punched socket as an implicit confirm, which covers a lost CONFIRM
-followed by data, but only from an endpoint whose PROBE it acked on
-that socket, so a stray datagram cannot take over a punch.
+pinhole as an implicit confirm, which covers a lost CONFIRM followed
+by data, but only from an endpoint whose PROBE it acked on that
+pinhole, so a stray datagram cannot take over a punch.
 
 Every machine here, NatClassifier too, takes datagrams through one
 on_datagram(data, src, sock), from its own sockets and from the agent's
-shared socket alike.  Only this module reads probe and observe bytes.
+alike; no punch machine opens or closes one.  Only this module reads
+probe and observe bytes.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import InvalidParametersError, PortsExhaustedError
+from .errors import InvalidParametersError
 from .netsim import MAX_IP_TEXT, Endpoint, format_endpoint, parse_endpoint
 from .probability import PortSpace, iter_ports, probe_count
 
@@ -377,43 +379,31 @@ class DirectPunch(_Punch):
 class BirthdayOpener(_Punch):
     """Hard-NAT side: tears many pinholes and waits for a probe to land.
 
-    Each of open_ports sockets sends one probe at the prober's fixed
-    endpoint, allocating a uniformly random external port on the local
-    endpoint-dependent NAT.  The mapping is their purpose; a prober
-    that hears one from a port it has not swept answers it with a
-    triggered check.  Packed once, they go out as one transport
-    send_burst, in start and again every REFRESH_INTERVAL_S so mappings
-    outlive their idle TTL.  When the sockets cannot be opened (the
-    host's ephemeral ports or the process's descriptors run out), the
-    opener finishes at once, not ok, with reason "no-sockets".
+    Each pinhole socket it is given (its owner's, maybe shared) sends
+    one probe at the prober's fixed endpoint, allocating a uniformly
+    random external port on the local endpoint-dependent NAT.  The
+    mapping is their purpose; a prober that hears one from a port it has
+    not swept answers it with a triggered check.  Packed once, they go
+    out as one transport send_burst, in start and again every
+    REFRESH_INTERVAL_S so mappings outlive their idle TTL.
 
     Only a (socket, endpoint) pair whose PROBE the opener acked can
-    establish the link, by CONFIRM or by implicit data; anything else
-    arriving on a pinhole is dropped.  On success every other pinhole
-    is closed and the kept socket passes to the owner of on_done, which
-    may install its own handler there; a datagram that confirmed
-    implicitly is then handed to that handler.  The opener reads only
-    its live pinholes, so once done it ignores even the kept one.  close
-    in flight closes every pinhole.
+    establish the link, by CONFIRM or by implicit data, which its owner
+    then passes on; anything else is dropped, and everything once done.
     """
 
-    def __init__(self, transport, session_id: bytes, prober_endpoint: Endpoint,
-                 cfg: PunchConfig, on_done, rng: random.Random):
+    def __init__(self, transport, pinholes: list, session_id: bytes,
+                 prober_endpoint: Endpoint, cfg: PunchConfig, on_done, rng: random.Random):
         super().__init__(transport, None, session_id, on_done)
         self._cfg = cfg
         self._prober = prober_endpoint
         self._rng = rng
-        self._sockets: list = []
+        self._sockets = pinholes
         self._probes: list[bytes] = []
         self._acked: set[tuple[object, Endpoint]] = set()
 
     def start(self) -> None:
-        n = self._cfg.open_ports
-        try:
-            self._sockets = self._transport.open_sockets(self.on_datagram, n)
-        except (PortsExhaustedError, OSError):
-            self._finish(False, None, None, "no-sockets")
-            return
+        n = len(self._sockets)
         # The same bytes, and the same rng state after, as n draws of 8.
         nonces = self._rng.randbytes(8 * n)
         head = pack_probe(KIND_PROBE, self._session_id, bytes(8))[:-8]
@@ -428,14 +418,13 @@ class BirthdayOpener(_Punch):
             int(REFRESH_INTERVAL_S * 1_000_000), self._send_all)
 
     def on_datagram(self, data: bytes, src: Endpoint, sock) -> None:
-        if sock not in self._sockets:
+        if self.done or sock not in self._sockets:
             return
         parsed = parse_probe(data)
         if parsed is None:
             # Data from an acked prober means its CONFIRMs were lost.
             if (sock, src) in self._acked:
                 self._finish(True, sock, src, "birthday")
-                sock.handler(data, src, sock)
             return
         kind, session_id, nonce = parsed
         if session_id != self._session_id:
@@ -445,16 +434,6 @@ class BirthdayOpener(_Punch):
             self._acked.add((sock, src))
         elif kind == KIND_CONFIRM and (sock, src) in self._acked:
             self._finish(True, sock, src, "birthday")
-
-    def close(self) -> None:
-        for pinhole in self._sockets:
-            pinhole.close()
-        self._sockets = []
-        super().close()
-
-    def _finish(self, ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
-        self._sockets = [pinhole for pinhole in self._sockets if pinhole is not sock]
-        super()._finish(ok, sock, peer, why)
 
 
 class BirthdayProber(_Punch):

@@ -272,6 +272,93 @@ class TestBirthdayLink:
         assert a.links["beta"].path == "direct"
 
 
+class TestPinholePool:
+    """A hard node's openers share one pool of B pinhole sockets."""
+
+    def test_concurrent_openers_share_one_pool(self):
+        net, coord_host, _ = make_world(seed=107)
+        a, host = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        held = []
+        bind_ephemeral = host.bind_ephemeral
+
+        def recording(handler, n):
+            socks = bind_ephemeral(handler, n)
+            held.append(len(host.sockets))
+            return socks
+
+        host.bind_ephemeral = recording
+        peers = [spawn(net, coord_host, name, NatProfile(f"n{name}", filtering=APDF))[0]
+                 for name in ("beta", "gamma", "delta")]
+        assert wait(net, lambda: a.ready and all(p.ready for p in peers), 5.0)
+        for p in peers:
+            p.connect("alpha")
+        net.run_for(200_000)
+        assert [ls.role for ls in a.sessions.values()] == ["opener"] * 3
+        assert not any(ls.terminal for ls in a.sessions.values())  # all three in flight
+        assert wait(net, lambda: all(linked(a, p, "alpha", p.node_id)() for p in peers), 30.0)
+        assert {a.links[p.node_id].path for p in peers} == {"direct"}
+        b = a.sessions[next(iter(a.sessions))].cfg.open_ports
+        assert max(held) <= 2 + b and len(a._pinholes) == b
+        # Every link still carries payload on its own pinhole.
+        for p in peers:
+            got = []
+            a.links[p.node_id].on_payload = got.append
+            p.links["alpha"].send(b"via the pool")
+            net.run_for(500_000)
+            assert got == [b"via the pool"]
+        assert len({ls.sock for ls in a.sessions.values()}) == 3
+
+    def test_a_pool_that_cannot_open_or_grow_relays_the_opener(self):
+        # Out of ephemeral ports: the session asks for the relay at once,
+        # with no machine, and the openers already running keep the pool.
+        net, coord_host, _ = make_world(seed=108)
+        a, host = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        assert wait(net, lambda: a.ready, 5.0)
+        span = host.EPHEMERAL_HI - host.EPHEMERAL_LO + 1
+        host.bind_ephemeral(lambda *x: None, span - 1 - 16)  # 16 ports stay free
+        relay_requests = []
+        net.on_wire = lambda kind, src, dst, payload: (
+            b'"relay_open"' in payload and relay_requests.append(json.loads(payload)))
+        intro = dict(TestIntroduceParameters.INTRO, role="opener")
+        for sid, ports in (("01" * 8, 8), ("02" * 8, 4096), ("03" * 8, 17), ("04" * 8, 16)):
+            rng_state = net.rng.getstate()
+            a._on_control(dict(intro, session_id=sid, peer=f"p{sid}", punch={"open_ports": ports}))
+            assert (net.rng.getstate() == rng_state) == (sid in ("02" * 8, "03" * 8))
+        held = dict(host.sockets)
+        net.run_for(100_000)
+        s1, s2, s3, s4 = (a.sessions[bytes.fromhex(sid)] for sid in ("01" * 8, "02" * 8,
+                                                                    "03" * 8, "04" * 8))
+        assert [r["session_id"] for r in relay_requests] == ["02" * 8, "03" * 8]
+        assert s2.machine is None and s3.machine is None
+        assert not s1.machine.done and not s4.machine.done
+        assert len(a._pinholes) == 16 and s4.machine._sockets == a._pinholes
+        assert host.sockets == held and len(held) == span  # every port taken, none more
+
+    def test_data_from_an_acked_prober_confirms_and_reaches_the_link(self):
+        # Every CONFIRM of the prober is lost.  The prober initiates the
+        # handshake, so its M1 is the first datagram the opener's pinhole
+        # gets from it after the ack: it confirms the punch and is answered
+        # at once, with no M1 retry.
+        net, coord_host, _ = make_world(seed=104)
+        easy, host_e = spawn(net, coord_host, "alpha", NatProfile("na", filtering=APDF))
+        hard, _ = spawn(net, coord_host, "beta", NatProfile.hard("nb"))
+        send = net._send_from
+
+        def lossy(host, src_port, dst, payload):
+            parsed = traversal.parse_probe(payload)
+            if host is host_e and parsed is not None and parsed[0] == traversal.KIND_CONFIRM:
+                return
+            send(host, src_port, dst, payload)
+
+        net._send_from = lossy
+        assert wait(net, lambda: easy.ready and hard.ready, 5.0)
+        easy.connect("beta")
+        assert wait(net, linked(easy, hard, "alpha", "beta"), 30.0)
+        (e,), (h,) = easy.sessions.values(), hard.sessions.values()
+        assert (e.role, h.role) == ("prober", "opener") and h.path == e.path == "direct"
+        assert e.initiator and e.handshake_tries == 1
+
+
 class TestHardPublicLink:
     """A hard side facing a public or cone peer needs no birthday punch:
     both run the direct punch, the hard side's probe from its primary
@@ -582,19 +669,39 @@ class TestSessionState:
         assert [e["probes"] for e in up] == [ls.machine.probes_sent]
 
     def test_late_punch_result_is_ignored(self):
+        # The relay opened first and closed the punch machine: an ack that
+        # would have finished it sends and changes nothing.
         net, coord_host, _ = make_world(seed=119)
-        a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
-        b, _ = spawn(net, coord_host, "beta", NatProfile.hard("nb"))
-        assert wait(net, lambda: a.ready and b.ready, 5.0)
-        a.connect("beta")
-        assert wait(net, linked(a, b, "alpha", "beta"), 10.0)
+        a, _ = spawn(net, coord_host, "alpha")
+        assert wait(net, lambda: a.ready, 5.0)
+        intro = dict(TestIntroduceParameters.INTRO, role="direct")
+        a._on_control(intro)  # probes an endpoint nobody holds
+        net.run_for(500_000)
         (ls,) = a.sessions.values()
+        a._on_control({"type": "relay_opened", "session_id": intro["session_id"]})
+        assert ls.path == "relayed" and ls.machine.done
         before = (ls.path, ls.link, ls.peer_ep)
         wire = sniff(net)
-        a._punch_done(ls)(True, a.primary, ("10.9.9.9", 9), "direct")
-        a._punch_done(ls)(False, None, None, "timeout")
+        nonce = next(iter(ls.machine._sent_nonces))
+        for kind in (traversal.KIND_PROBE_ACK, traversal.KIND_CONFIRM):
+            a._on_datagram(traversal.pack_probe(kind, ls.session_id, nonce), ("10.9.9.9", 9),
+                           a.primary)
         assert (ls.path, ls.link, ls.peer_ep) == before
-        assert before[0] == "relayed" and not a._routes and wire == []  # no relay_open
+        assert not a._routes and wire == []
+
+    def test_the_relay_stops_an_opener(self):
+        # No refresh burst once the relay carries the link: at 15 s the
+        # opener would send its B probes again.
+        net, coord_host, _ = make_world(seed=123)
+        a, _ = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
+        assert wait(net, lambda: a.ready, 5.0)
+        intro = dict(TestIntroduceParameters.INTRO, role="opener")
+        a._on_control(intro)  # pinholes toward an endpoint nobody holds
+        net.run_for(1_000_000)
+        (ls,) = a.sessions.values()
+        a._on_control({"type": "relay_opened", "session_id": intro["session_id"]})
+        net.run_for(20_000_000)
+        assert ls.path == "relayed" and ls.machine.probes_sent == ls.cfg.open_ports
 
     def test_second_introduce_for_a_live_session_is_ignored(self):
         net, coord_host, _ = make_world(seed=122)
@@ -615,15 +722,21 @@ class TestSessionState:
         events = []
         a, _ = spawn(net, coord_host, "alpha", on_event=events.append)
         assert wait(net, lambda: a.ready, 5.0)
-        intro = dict(TestIntroduceParameters.INTRO, punch={"max_seconds": 1.0})
+        intro = dict(TestIntroduceParameters.INTRO, role="opener",
+                     punch={"open_ports": 8, "max_seconds": 1.0})
         a._on_control(intro)  # the coordinator knows no such relay session
         net.run_for(7_000_000)
         (ls,) = a.sessions.values()
         assert (ls.path, ls.failure, ls.terminal) == (None, "deadline", True)
         assert [e["reason"] for e in events if e["event"] == "session_failed"] == ["deadline"]
+        assert ls.machine.done
         a._on_control({"type": "relay_opened", "session_id": intro["session_id"]})
-        a._punch_done(ls)(True, a.primary, ("10.9.9.9", 9), "direct")
-        assert (ls.path, ls.link) == (None, None) and not a.links
+        sent, pinhole = net.stats["sent"], a._pinholes[0]
+        for kind in (traversal.KIND_PROBE, traversal.KIND_CONFIRM):
+            pinhole.handler(traversal.pack_probe(kind, ls.session_id, b"n" * 8),
+                            ("10.9.9.9", 9), pinhole)
+        assert (ls.path, ls.link) == (None, None) and not a.links and not a._routes
+        assert net.stats["sent"] == sent
 
 
 class TestClose:
@@ -659,8 +772,9 @@ class TestClose:
         assert ls.role == "opener" and ls.machine.done and ls.failure is None
 
     def test_an_opener_that_hit_after_its_relay_opened(self):
-        # The relay came first, so the pinhole the opener keeps on its
-        # late hit is nobody's to read: it is closed at once.
+        # The relay came first and closed the opener, so a PROBE and a
+        # CONFIRM on its pinhole get no answer and no path.  The pinhole
+        # is the pool's: it stays open until the agent closes.
         net, coord_host, _ = make_world(seed=123)
         a, host = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
         assert wait(net, lambda: a.ready, 5.0)
@@ -669,16 +783,18 @@ class TestClose:
         net.run_for(1_000_000)
         (ls,) = a.sessions.values()
         a._on_control({"type": "relay_opened", "session_id": intro["session_id"]})
-        assert ls.terminal and ls.path == "relayed"
-        pinhole = ls.machine._sockets[0]
+        assert ls.terminal and ls.path == "relayed" and ls.machine.done
+        pinhole = a._pinholes[0]
         assert pinhole.port == 30002  # after the primary and the classifier's probe socket
+        sent = net.stats["sent"]
         for kind in (traversal.KIND_PROBE, traversal.KIND_CONFIRM):
             pinhole.handler(traversal.pack_probe(kind, ls.session_id, b"n" * 8),
                             ("10.9.9.9", 9), pinhole)
-        assert ls.machine.done and ls.machine.established_peer == ("10.9.9.9", 9)
-        assert pinhole.closed and 30002 not in host.sockets
+        assert net.stats["sent"] == sent and ls.machine.established_peer is None
+        assert host.sockets[30002] is pinhole and len(host.sockets) == 1 + ls.cfg.open_ports
         assert ls.path == "relayed" and ls.sock is None
         self.close_and_idle(net, a, host)
+        assert pinhole.closed
 
     def test_a_classifier_waiting_for_its_verdict(self):
         net, coord_host, coord = make_world(seed=124)

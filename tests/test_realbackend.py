@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from bdmesh.agent import NodeAgent
 from bdmesh.netsim import MAX_CONTROL_LINE, HostTransport, Network
 from bdmesh.realbackend import (
     MAX_WRITE_BACKLOG,
@@ -89,7 +90,7 @@ class TestUdpSocket:
 
 
 class TestOpenerOnLoopback:
-    def test_burst_then_ack_and_confirm_keep_one_pinhole(self):
+    def test_burst_then_ack_and_confirm_close_no_pinhole(self):
         session = b"L" * 8
 
         async def main():
@@ -97,11 +98,13 @@ class TestOpenerOnLoopback:
             got, done = [], []
             listener = AsyncioUdpSocket(loop, lambda data, src, sock: got.append((data, src)))
             me = ("127.0.0.1", listener.local_port)
-            opener = BirthdayOpener(AsyncioTransport(loop), session, me,
+            transport = AsyncioTransport(loop)
+            pinholes = transport.open_sockets(
+                lambda data, src, sock: opener.on_datagram(data, src, sock), 8)
+            opener = BirthdayOpener(transport, pinholes, session, me,
                                     PunchConfig(open_ports=8, max_duration_s=10.0),
                                     lambda *result: done.append(result), random.Random(2))
             opener.start()
-            pinholes = list(opener._sockets)
             try:
                 await until(lambda: len(got) == 8)
                 probes = [parse_probe(data) for data, _ in got]
@@ -119,11 +122,63 @@ class TestOpenerOnLoopback:
                 await until(lambda: done)
                 (ok, sock, peer, why), = done
                 assert (ok, sock.local_port, peer, why) == (True, target[1], me, "birthday")
-                assert [s for s in pinholes if not s._closed] == [sock]
+                assert not any(s._closed for s in pinholes)  # the owner's to close
             finally:
                 listener.close()
                 for s in pinholes:
                     s.close()
+
+        run(main())
+
+
+class ControlRecorder:
+    """A control channel that only records what the agent sends."""
+
+    def __init__(self):
+        self.sent, self.on_line, self.closed = [], None, False
+
+    def send(self, msg: dict) -> None:
+        self.sent.append(msg)
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestPinholePoolOnLoopback:
+    def test_two_openers_share_one_pool_that_closes_with_the_agent(self, monkeypatch):
+        opened = []
+        open_socket = AsyncioTransport.open_socket
+
+        def recording(transport, handler, port=0):
+            sock = open_socket(transport, handler, port)
+            opened.append(sock)
+            return sock
+
+        monkeypatch.setattr(AsyncioTransport, "open_socket", recording)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            got = []
+            listener = AsyncioUdpSocket(loop, lambda data, src, sock: got.append((data, src)))
+            me = {"ip": "127.0.0.1", "port": listener.local_port}
+            agent = NodeAgent("alice", AsyncioTransport(loop), ControlRecorder(),
+                              "127.0.0.1", [])
+            try:
+                for i, peer in enumerate(("bob", "carol")):
+                    agent._on_control({
+                        "type": "introduce", "session_id": f"{i:016x}", "peer": peer,
+                        "peer_endpoint": me, "peer_pubkey_b64": "", "role": "opener",
+                        "punch": {"open_ports": 8}})
+                await until(lambda: len(got) == 16)
+                assert len(opened) == 8  # B sockets, not 2B
+                assert {src[1] for _, src in got} == {s.local_port for s in opened}
+                assert sorted(parse_probe(data)[1] for data, _ in got) == (
+                    [bytes(8)] * 8 + [(1).to_bytes(8, "big")] * 8)
+                assert not any(s._closed for s in opened)
+            finally:
+                agent.close()
+                listener.close()
+            assert all(s._closed for s in opened)
 
         run(main())
 

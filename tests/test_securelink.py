@@ -210,13 +210,14 @@ class TestFrameCipher:
 
 
 # Frames to open, each as (step, forged): its counter is the last one plus
-# step (at least 0), a step of up to 3 windows back or ahead or a jump of
-# up to 2^16; forged flips a bit of its tag.  Jumps stay small because the
-# window update costs O(jump).
+# step, kept in [0, 2^64 - 1], a step of up to 3 windows back or ahead or
+# a jump of up to 2^16 or up to 2^63; forged flips a bit of its tag.
 FRAME_STEPS = st.lists(st.tuples(
     st.one_of(st.integers(-3 * REPLAY_WINDOW, 3 * REPLAY_WINDOW),
-              st.integers(3 * REPLAY_WINDOW, 1 << 16)),
+              st.integers(3 * REPLAY_WINDOW, 1 << 16),
+              st.integers(1 << 16, 1 << 63)),
     st.booleans()), max_size=150)
+MAX_COUNTER = (1 << 64) - 1
 
 
 class TestReplayWindowModel:
@@ -234,7 +235,7 @@ class TestReplayWindowModel:
         a, b = cipher_pair()
         seen, highest, counter = set(), 0, 0
         for step, forged in steps:
-            counter = max(0, counter + step)
+            counter = min(max(0, counter + step), MAX_COUNTER)
             a._send_counter = counter - 1  # seal the next frame under this counter
             frame = a.seal(b"%d" % counter)
             if forged:
@@ -253,6 +254,15 @@ class TestReplayWindowModel:
             except (ReplayError, ProtocolError) as e:
                 got = type(e)
             assert got is want, (counter, forged, highest)
+
+    def test_the_last_counter_opens_at_once(self):
+        # The window shift stops at REPLAY_WINDOW: a jump to the last counter
+        # costs what a jump of one window does, and leaves only itself seen.
+        a, b = cipher_pair()
+        b.open(a.seal(b"first"))
+        a._send_counter = MAX_COUNTER - 1
+        assert b.open(a.seal(b"last")) == b"last"
+        assert (b._highest, b._window) == (MAX_COUNTER, 1)
 
     def test_each_edge_of_the_window(self):
         a, b = cipher_pair()

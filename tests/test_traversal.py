@@ -300,6 +300,15 @@ class TestDirectPunch:
         assert punch.probes_sent == 10  # one per 100 ms over 1 s
 
 
+def make_opener(host, session, prober_ep, cfg, on_done, rng):
+    """A BirthdayOpener on cfg.open_ports fresh sockets of host, which hand
+    it their datagrams, as an agent's pinhole pool does."""
+    pinholes = HostTransport(host).open_sockets(
+        lambda data, src, sock: opener.on_datagram(data, src, sock), cfg.open_ports)
+    opener = BirthdayOpener(HostTransport(host), pinholes, session, prober_ep, cfg, on_done, rng)
+    return opener
+
+
 def birthday_world(seed, space, loss=0.0, ttl_s=30.0,
                    prober_filtering=FilteringMode.ENDPOINT_INDEPENDENT):
     net = Network(seed=seed)
@@ -316,9 +325,9 @@ def run_birthday(net, nat_easy, opener_host, prober_host, cfg, session=b"B" * 8)
     results = {}
     prober_sock = prober_host.bind(lambda *x: None, 7000)
     prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
-    opener = BirthdayOpener(HostTransport(opener_host), session, prober_ep, cfg,
-                            lambda ok, sock, peer, why: results.setdefault("opener", (ok, peer, why)),
-                            net.rng)
+    opener = make_opener(opener_host, session, prober_ep, cfg,
+                         lambda ok, sock, peer, why: results.setdefault("opener", (ok, peer, why)),
+                         net.rng)
     prober = BirthdayProber(HostTransport(prober_host), prober_sock, session,
                             opener_host.nat.public_ip, cfg,
                             lambda ok, sock, peer, why: results.setdefault("prober", (ok, peer, why)),
@@ -345,8 +354,8 @@ class TestBirthdayPunch:
         assert self.SPACE.contains(hit_port)
         # The opener saw the prober's one fixed external endpoint.
         assert results["opener"][1] == stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
-        # One pinhole socket kept, the rest closed.
-        assert len(opener_host.sockets) == 1
+        # The opener closed none of its pinholes: they are their owner's.
+        assert len(opener_host.sockets) == 64
 
     def test_typical_hit_is_fast(self):
         # 256 pinholes in a 2000-port space: even odds need ~5 probes.
@@ -367,9 +376,9 @@ class TestBirthdayPunch:
     def test_opener_nonces_are_b_draws_of_eight(self):
         net, _, nat_easy, opener_host, _ = birthday_world(42, self.SPACE)
         rng, twin = random.Random(9), random.Random(9)
-        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, ("10.210.0.1", 3478),
-                                PunchConfig(open_ports=32, space=self.SPACE),
-                                lambda *r: None, rng)
+        opener = make_opener(opener_host, b"B" * 8, ("10.210.0.1", 3478),
+                             PunchConfig(open_ports=32, space=self.SPACE),
+                             lambda *r: None, rng)
         opener.start()
         assert opener._probes == [pack_probe(KIND_PROBE, b"B" * 8, twin.randbytes(8))
                                   for _ in range(32)]
@@ -384,8 +393,8 @@ class TestBirthdayPunch:
         prober_host.bind(lambda *x: None, 7000)
         cfg = PunchConfig(open_ports=50, probe_rate=1, max_duration_s=3.0,
                           space=self.SPACE)
-        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
-                                lambda *a: results.setdefault("opener", a), net.rng)
+        opener = make_opener(opener_host, b"B" * 8, prober_ep, cfg,
+                             lambda *a: results.setdefault("opener", a), net.rng)
         opener.start()
         net.run_for(2_900_000)
         assert nat_hard.live_mappings(net.now_us) == 50
@@ -413,48 +422,47 @@ class TestBirthdayPunch:
         cfg = PunchConfig(open_ports=20, probe_rate=100, max_duration_s=1.0,
                           space=self.SPACE)
         results = {}
-        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
-                                lambda ok, sock, peer, why: results.setdefault("o", (ok, why)),
-                                net.rng)
+        opener = make_opener(opener_host, b"B" * 8, prober_ep, cfg,
+                             lambda ok, sock, peer, why: results.setdefault("o", (ok, why)),
+                             net.rng)
         opener.start()
         net.run_for(5_000_000)
         assert results["o"] == (False, "timeout")
-        assert opener_host.sockets == {}
+        assert len(opener_host.sockets) == 20 and opener.done
 
     def test_implicit_confirm_by_data(self):
         # A data frame from the prober whose PROBE a pinhole acked
-        # establishes the link even if every CONFIRM was lost, and goes
-        # on to the handler that took the socket over.
+        # establishes the link even if every CONFIRM was lost; passing the
+        # frame on is the owner's part (the agent routes it).
         net, _, nat_easy, opener_host, prober_host = birthday_world(36, self.SPACE)
         prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
         cfg = PunchConfig(open_ports=5, probe_rate=100, max_duration_s=2.0, space=self.SPACE)
-        results, handed = {}, []
-
-        def on_done(ok, sock, peer, why):
-            results.setdefault("o", (ok, peer))
-            sock.handler = lambda data, src, s: handed.append((data, src))
-
-        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
-                                on_done, net.rng)
+        results = {}
+        opener = make_opener(opener_host, b"B" * 8, prober_ep, cfg,
+                             lambda ok, sock, peer, why: results.setdefault("o", (ok, sock, peer)),
+                             net.rng)
         opener.start()
         net.run_for(100_000)
         pinhole = opener._sockets[2]
+        data = b"\x00\x0bhello there"
+        opener.on_datagram(data, prober_ep, pinhole)
+        assert not opener.done  # not acked yet
         opener.on_datagram(pack_probe(KIND_PROBE, b"B" * 8, bytes(8)), prober_ep, pinhole)
-        assert not opener.done
-        opener.on_datagram(b"\x00\x0bhello there", prober_ep, pinhole)
-        assert results["o"] == (True, prober_ep)
-        assert handed == [(b"\x00\x0bhello there", prober_ep)]
-        assert list(opener_host.sockets.values()) == [pinhole]
+        opener.on_datagram(data, prober_ep, opener._sockets[1])
+        assert not opener.done  # acked on another pinhole
+        opener.on_datagram(data, prober_ep, pinhole)
+        assert results["o"] == (True, pinhole, prober_ep)
+        assert len(opener_host.sockets) == 5 and not pinhole.closed
 
     def test_the_opener_reads_only_its_live_pinholes(self):
-        # A PROBE of the session on another socket (the agent's shared
-        # one) goes unanswered, and so does one on the kept pinhole once
-        # the opener is done.
+        # A PROBE of the session on another socket (the agent's primary
+        # one) goes unanswered, and so does one on a pinhole once the
+        # opener is done.
         net, _, nat_easy, opener_host, prober_host = birthday_world(43, self.SPACE)
         prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
         cfg = PunchConfig(open_ports=5, probe_rate=100, max_duration_s=2.0, space=self.SPACE)
-        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
-                                lambda *r: None, net.rng)
+        opener = make_opener(opener_host, b"B" * 8, prober_ep, cfg,
+                             lambda *r: None, net.rng)
         opener.start()
         shared = opener_host.bind(lambda *x: None)
         pinhole = opener._sockets[0]
@@ -488,9 +496,9 @@ class TestBirthdayPunch:
         prober_sock = prober_host.bind(lambda *x: None, 7000)
         prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
         results = {}
-        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
-                                lambda ok, sock, peer, why: results.setdefault("o", (ok, peer, why)),
-                                net.rng)
+        opener = make_opener(opener_host, b"B" * 8, prober_ep, cfg,
+                             lambda ok, sock, peer, why: results.setdefault("o", (ok, peer, why)),
+                             net.rng)
         opener.start()
         net.run_for(100_000)
         assert len(pinholes) == 64
@@ -563,8 +571,8 @@ class TestBirthdayPunch:
         results = {}
         prober_sock = prober_host.bind(lambda *x: None, 7000)
         prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
-        opener = BirthdayOpener(HostTransport(opener_host), b"B" * 8, prober_ep, cfg,
-                                lambda *a: None, net.rng)
+        opener = make_opener(opener_host, b"B" * 8, prober_ep, cfg,
+                             lambda *a: None, net.rng)
         prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"B" * 8,
                                 nat_hard.public_ip, cfg,
                                 lambda ok, *a: results.setdefault("prober", ok),
@@ -615,9 +623,9 @@ class TestTriggeredCheck:
                      else stun(prober_host.nat, prober_host, 7000, ("10.210.0.1", 3478)))
         cfg = PunchConfig(open_ports=256, probe_rate=100, max_duration_s=10.0, space=self.SPACE)
         done = {}
-        opener = BirthdayOpener(HostTransport(opener_host), b"T" * 8, prober_ep, cfg,
-                                lambda ok, sock, peer, why: done.setdefault(
-                                    "opener", (ok, peer, why, net.now_us)), net.rng)
+        opener = make_opener(opener_host, b"T" * 8, prober_ep, cfg,
+                             lambda ok, sock, peer, why: done.setdefault(
+                                 "opener", (ok, peer, why, net.now_us)), net.rng)
         prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"T" * 8,
                                 nat_hard.public_ip, cfg,
                                 lambda ok, sock, peer, why: done.setdefault(
@@ -635,7 +643,7 @@ class TestTriggeredCheck:
         assert done["opener"][:3] == (True, prober_ep, "birthday")
         assert done["opener"][3] - t0 <= 4 * self.LATENCY_US
         assert 1 <= prober.probes_sent <= 2
-        assert len(opener_host.sockets) == 1
+        assert len(opener_host.sockets) == 256  # the opener closes no pinhole
 
     def started_prober(self, budget_s=1.0):
         net, _, _, prober_host = self.world(None)
@@ -690,25 +698,6 @@ class TestTriggeredCheck:
         prober.on_datagram(pack_probe(KIND_PROBE, b"T" * 8, bytes(8)), ("198.18.0.77", 1),
                            prober._sock)
         assert prober.probes_sent == 3 and len(sent) == 3
-
-
-class TestOpenerWithoutSockets:
-    def test_exhausted_ephemeral_ports_finish_the_opener_not_ok(self):
-        net = Network(seed=61)
-        host = net.add_host("opener")
-        span = host.EPHEMERAL_HI - host.EPHEMERAL_LO + 1
-        host.bind_ephemeral(lambda *x: None, span - 10)
-        before = dict(host.sockets)
-        results, rng_state = [], net.rng.getstate()
-        opener = BirthdayOpener(HostTransport(host), b"N" * 8, ("198.18.0.1", 7000),
-                                PunchConfig(open_ports=64, space=PortSpace(10000, 11999)),
-                                lambda *r: results.append(r), net.rng)
-        opener.start()
-        assert results == [(False, None, None, "no-sockets")]
-        assert opener.done and host.sockets == before
-        assert net.rng.getstate() == rng_state
-        net.run_for(30_000_000)  # no timer left behind
-        assert results == [(False, None, None, "no-sockets")]
 
 
 FUZZ_SESSION = b"F" * 8
@@ -815,8 +804,8 @@ class TestWireFuzz:
     @settings(max_examples=300, deadline=None)
     def test_opener(self, seq):
         net, a, b = self.world()
-        opener = BirthdayOpener(HostTransport(a), FUZZ_SESSION, (b.ip, 7000),
-                                PunchConfig(open_ports=4), lambda *r: None, net.rng)
+        opener = make_opener(a, FUZZ_SESSION, (b.ip, 7000),
+                             PunchConfig(open_ports=4), lambda *r: None, net.rng)
         opener.start()
         pinholes = list(opener._sockets)
         for data, src, i in seq:

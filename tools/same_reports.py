@@ -10,6 +10,11 @@ sides produced:
   report, as perfbench's report_digest computes it);
 - LOSSY_DOC, a mixed-NAT mesh whose every uplink loses 10 % of its
   datagrams, at the same seeds (again the report digest);
+- agent-level birthday punches (again the report digest): the
+  12-node, 3-hard mesh of tools/bench_mesh_scale.py with every easy NAT
+  filtering by address and port, at seeds 1, 2 and 3, where each hard
+  host runs several openers at once, and BIRTHDAY_PAIR_DOC, one hard
+  host with two such easy peers, at seeds 1, 2, 3 and 7;
 - the 72 documents of the benchmark's mesh workload at seeds 1 and 2,
   built by perfbench/workloads.py (imported read-only) and run at the
   workload's own simulation seeds (again the report digest);
@@ -40,6 +45,7 @@ import random
 import subprocess
 import sys
 
+from bench_mesh_scale import mesh_doc
 from bench_pairs import ROOT
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -65,6 +71,18 @@ LOSSY_DOC = {
     "scheme": {"G": 0, "P": 1, "theta": 1},
     "experiment": {"trials": 1},
 }
+# One hard host and two easy ones whose NATs filter by address and
+# port: both hard x easy links run the birthday punch.
+BIRTHDAY_PAIR_DOC = {
+    "hosts": [{"id": "e1", "nat": "ne1"}, {"id": "e2", "nat": "ne2"}, {"id": "hh", "nat": "nh"}],
+    "nats": [{"id": "ne1", "filtering": "address_and_port_dependent"},
+             {"id": "ne2", "filtering": "address_and_port_dependent"},
+             {"id": "nh", "mapping": "endpoint_dependent",
+              "filtering": "address_and_port_dependent"}],
+    "scheme": {"G": 0, "P": 1, "theta": 1},
+    "experiment": {"trials": 1},
+}
+BIRTHDAY_MESH_SEEDS = (1, 2, 3)
 MESH_SEEDS = (1, 2)
 TRAVERSAL_RUNS = (
     ("simulate traversal", ["--trials", "300", "--seed", "7", "--workers", "1"]),
@@ -171,6 +189,22 @@ def scenario_lines(checkout: str, items: list) -> list[str]:
     return done.stdout.splitlines()
 
 
+def apdf_mesh_doc(n: int, hard: int, seed: int) -> dict:
+    """mesh_doc with every easy NAT filtering by address and port, so
+    every hard x easy pair runs the birthday punch."""
+    doc = mesh_doc(n, hard, seed)
+    for nat in doc["nats"]:
+        if nat["mapping"] == "endpoint_independent":
+            nat["filtering"] = "address_and_port_dependent"
+    return doc
+
+
+def birthday_items() -> list:
+    return ([[f"apdf-mesh12-seed{seed}", apdf_mesh_doc(12, 3, seed), seed]
+             for seed in BIRTHDAY_MESH_SEEDS]
+            + [["birthday-pair", BIRTHDAY_PAIR_DOC, seed] for seed in BUNDLED_SEEDS])
+
+
 def mesh_items() -> list:
     return [[f"mesh-seed{seed}-op{i}", doc, sim_seed]
             for seed in MESH_SEEDS
@@ -194,6 +228,7 @@ def main(argv=None) -> int:
     kinds = {
         "bundled scenarios": [[name, None, seed] for name in BUNDLED for seed in BUNDLED_SEEDS],
         "lossy document": [["lossy", LOSSY_DOC, seed] for seed in BUNDLED_SEEDS],
+        "birthday documents": birthday_items(),
         "mesh workload documents": mesh_items(),
     }
     outputs = {kind: [scenario_lines(side, items) for side in sides]
