@@ -57,7 +57,7 @@ from typing import Callable, Optional
 
 from .errors import (HandshakeError, InvalidParametersError, PortsExhaustedError,
                      ProtocolError, ReplayError)
-from .netsim import Endpoint, HostTransport, Network, format_endpoint, parse_endpoint
+from .netsim import Endpoint, Network, format_endpoint, parse_endpoint
 from .rendezvous import DEFAULT_CONTROL_PORT, DEFAULT_OBSERVER_PORTS, ROLES
 from .securelink import (
     CHANNEL_ID_LEN,
@@ -167,12 +167,12 @@ class NodeAgent:
     """One overlay node: registration, traversal, links.
 
     transport must offer call_later(delay_us, fn) -> timer,
-    open_socket(handler, port=0) -> socket, open_sockets(handler, n)
-    -> n sockets on ephemeral ports, send_burst(socks, dst, payloads)
+    open_socket(handler) -> socket, open_sockets(handler, n) -> n
+    sockets on ephemeral ports, send_burst(socks, dst, payloads)
     (payloads[i] from socks[i] to dst, in order), .rng and .now_us; a socket
     offers send(dst, payload), close(), local_port and a writable
-    handler; channel must offer send(dict) with writable on_line.  Both
-    the simulator and the asyncio backend satisfy these.
+    handler; channel must offer send(dict) with writable on_line.  A
+    simulated Host and the asyncio backend's transport satisfy these.
     """
 
     def __init__(self, node_id: str, transport, channel, local_ip: str,
@@ -211,11 +211,10 @@ class NodeAgent:
 
     @classmethod
     def sim(cls, net: Network, host, coord_host, node_id: str, **kw) -> "NodeAgent":
-        """Wire an agent to a simulated host and coordinator."""
-        transport = HostTransport(host)
+        """Wire an agent to a simulated host (its transport) and coordinator."""
         channel = net.connect_channel(host, coord_host, DEFAULT_CONTROL_PORT)
         observers = [(coord_host.ip, p) for p in DEFAULT_OBSERVER_PORTS]
-        return cls(node_id, transport, channel, host.ip, observers, **kw)
+        return cls(node_id, host, channel, host.ip, observers, **kw)
 
     def _emit(self, event: str, **info) -> None:
         if self.on_event is not None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InvalidParametersError
-from .netsim import FilteringMode, HostTransport, LinkPolicy, NatProfile, Network
+from .netsim import FilteringMode, LinkPolicy, NatProfile, Network
 from .probability import PortSpace, success_probability
 from .traversal import BirthdayOpener, BirthdayProber, PunchConfig
 
@@ -84,9 +84,7 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
         observed: list = []
         anchor.bind(lambda data, src, sock: observed.append(src), port=3478)
 
-        transport_p = HostTransport(prober_host)
-        transport_o = HostTransport(opener_host)
-        prober_sock = transport_p.open_socket(lambda data, src, sock: None)
+        prober_sock = prober_host.open_socket(lambda data, src, sock: None)
 
         # Reveal the prober's external mapping; retried because the anchor
         # ping rides the same lossy link as everything else.
@@ -105,10 +103,10 @@ def run_punch_trial(seed: int, open_ports: int = 256, rate: float = 100.0,
             done["at_us"] = net.now_us
 
         session_id = net.rng.randbytes(8)
-        pinholes = transport_o.open_sockets(lambda *d: opener.on_datagram(*d), cfg.open_ports)
-        opener = BirthdayOpener(transport_o, pinholes, session_id, prober_ext, cfg,
+        pinholes = opener_host.open_sockets(lambda *d: opener.on_datagram(*d), cfg.open_ports)
+        opener = BirthdayOpener(opener_host, pinholes, session_id, prober_ext, cfg,
                                 lambda ok, sock, peer, why: None, rng=net.rng)
-        prober = BirthdayProber(transport_p, prober_sock, session_id,
+        prober = BirthdayProber(prober_host, prober_sock, session_id,
                                 hard_nat.public_ip, cfg, prober_done, rng=net.rng)
         prober_sock.handler = prober.on_datagram
         t0 = net.now_us

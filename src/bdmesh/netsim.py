@@ -1,9 +1,11 @@
 """Deterministic virtual-time network simulator with NAT models.
 
-Everything runs on one event heap keyed by (time_us, seq): equal-time
-events fire in schedule order, so a run is a pure function of the
-scenario and the seed.  Datagrams due at one tick whose entries would
-be adjacent share one entry, which delivers them in that same order.
+Everything runs on one event heap, owned by the Network and keyed by
+(time_us, seq): equal-time events fire in schedule order, so a run is a
+pure function of the scenario and the seed.  Datagrams due at one tick
+whose entries would be adjacent share one entry, which delivers them
+in that same order.  Each Host is the transport its protocol machines
+run on.
 Datagrams are UDP-like (unreliable, unordered under jitter, 1200-byte
 max payload); control channels are TCP-like (reliable, ordered,
 line-oriented).
@@ -82,11 +84,9 @@ __all__ = [
     "Nat",
     "LinkPolicy",
     "Timer",
-    "VirtualClock",
     "TraceLog",
     "SimSocket",
     "Host",
-    "HostTransport",
     "ChannelEnd",
     "Network",
 ]
@@ -212,17 +212,17 @@ class Nat:
                 self._purge(m)
             if len(self._by_ext) >= k:
                 raise PortsExhaustedError(f"nat {self.profile.nat_id} has no free ports")
+        # Fewer than k live ports: either walk finds a free one.
         if self._random_alloc:
             while True:
                 cand = lo + _below(self._getrandbits, k)
                 if self._is_free(cand, now_us):
                     return cand
-        for _ in range(k):
+        while True:
             cand = self._seq_cursor
             self._seq_cursor = lo + (cand - lo + 1) % k
             if self._is_free(cand, now_us):
                 return cand
-        raise PortsExhaustedError(f"nat {self.profile.nat_id} has no free ports")
 
     def outbound(self, internal: Endpoint, dst: Endpoint, now_us: int) -> int:
         """Translate an outbound packet; create or refresh the mapping."""
@@ -303,50 +303,6 @@ class Timer:
         self.fn = None
 
 
-class VirtualClock:
-    """Event heap ordered by (time_us, schedule seq).
-
-    An event is a callable plus its positional arguments, so hot paths
-    (one event per delivery batch) schedule a bound method without
-    building a closure.
-    """
-
-    __slots__ = ("now_us", "_heap", "_seq")
-
-    def __init__(self) -> None:
-        self.now_us = 0
-        self._heap: list = []
-        self._seq = 0
-
-    def schedule_at(self, t_us: int, fn, *args) -> None:
-        self._seq += 1
-        heappush(self._heap, (t_us, self._seq, fn, args))
-
-    def call_later(self, delay_us: int, fn: Callable[[], None]) -> Timer:
-        timer = Timer(fn)
-        self.schedule_at(self.now_us + delay_us, timer)
-        return timer
-
-    def run_until(self, t_us: int) -> int:
-        """Fire every event due at or before t_us; returns events fired."""
-        heap = self._heap
-        fired = 0
-        while heap and heap[0][0] <= t_us:
-            when, _, fn, args = heappop(heap)
-            self.now_us = when
-            if type(fn) is Timer:
-                timer = fn
-                fn = timer.fn
-                if fn is None:
-                    continue
-                timer.fn = None
-            fn(*args)
-            fired += 1
-        if t_us > self.now_us:
-            self.now_us = t_us
-        return fired
-
-
 class TraceLog:
     """Append-only event trace kept as its stable content hash: SHA-256 over
     one line per entry, json.dumps of {t_us, kind, src, dst, info} with
@@ -404,7 +360,9 @@ class SimSocket:
 
 
 class Host:
-    """One endpoint machine, optionally behind a NAT."""
+    """One endpoint machine, optionally behind a NAT, and the transport
+    its protocol machines run on: virtual-time timers, fresh sockets,
+    bursts and the world's seeded rng."""
 
     EPHEMERAL_LO = 30000
     EPHEMERAL_HI = 60999
@@ -416,21 +374,30 @@ class Host:
         self.net = net
         self.nat = nat
         self.link = link or LinkPolicy()
+        self.rng = net.rng
+        self.call_later = net.call_later
         self.sockets: dict[int, SimSocket] = {}
         self.channel_listeners: dict[int, Callable[["ChannelEnd"], None]] = {}
         self._eph_next = self.EPHEMERAL_LO
         self._stream_next = itertools.count(61000)
 
+    @property
+    def now_us(self) -> int:
+        return self.net.now_us
+
     def bind(self, handler, port: int = 0) -> SimSocket:
         """handler(payload: bytes, src: Endpoint, sock: SimSocket)."""
         if port == 0:
-            return self.bind_ephemeral(handler, 1)[0]
+            return self.open_sockets(handler, 1)[0]
         if port in self.sockets:
             raise InvalidParametersError(f"port {port} already bound on {self.id}")
         sock = self.sockets[port] = SimSocket(self, port, handler)
         return sock
 
-    def bind_ephemeral(self, handler, n: int) -> list[SimSocket]:
+    def open_socket(self, handler) -> SimSocket:
+        return self.bind(handler)
+
+    def open_sockets(self, handler, n: int) -> list[SimSocket]:
         """n sockets on the ports n calls of bind(handler) would take; when
         fewer than n ports are free, none is taken."""
         lo, span = self.EPHEMERAL_LO, self.EPHEMERAL_HI - self.EPHEMERAL_LO + 1
@@ -451,46 +418,18 @@ class Host:
         self._eph_next = cand
         return socks
 
-    def listen_channel(self, port: int, acceptor: Callable[["ChannelEnd"], None]) -> None:
-        self.channel_listeners[port] = acceptor
-
-
-class HostTransport:
-    """Adapter handing protocol machines what they need from one host:
-    virtual-time timers, fresh sockets, and the world's seeded rng."""
-
-    __slots__ = ("host",)
-
-    def __init__(self, host: Host):
-        self.host = host
-
-    @property
-    def rng(self) -> random.Random:
-        return self.host.net.rng
-
-    @property
-    def now_us(self) -> int:
-        return self.host.net.clock.now_us
-
-    def call_later(self, delay_us: int, fn: Callable[[], None]) -> Timer:
-        return self.host.net.clock.call_later(delay_us, fn)
-
-    def open_socket(self, handler, port: int = 0) -> SimSocket:
-        return self.host.bind(handler, port)
-
-    def open_sockets(self, handler, n: int) -> list[SimSocket]:
-        return self.host.bind_ephemeral(handler, n)
-
     def send_burst(self, socks: list[SimSocket], dst: Endpoint, payloads) -> None:
         """socks[i].send(dst, payloads[i]) for each i, in order, as one loop;
         every socket is one of this host's."""
         ports = [sock.port for sock in socks if not sock.closed]
         if len(ports) != len(socks):
             raise SimulationError("send on closed socket")
-        host = self.host
-        send = host.net._send_from
+        send = self.net._send_from
         for src_port, payload in zip(ports, payloads):
-            send(host, src_port, dst, payload)
+            send(self, src_port, dst, payload)
+
+    def listen_channel(self, port: int, acceptor: Callable[["ChannelEnd"], None]) -> None:
+        self.channel_listeners[port] = acceptor
 
 
 class ChannelEnd:
@@ -521,8 +460,8 @@ class ChannelEnd:
         and both callbacks, as SimSocket.close drops its handler."""
         peer = self.peer
         if not self.closed and not peer.closed:
-            clock = self.net.clock
-            clock.schedule_at(clock.now_us + self.host.link.latency_us, peer._peer_closed)
+            net = self.net
+            net.schedule_at(net.now_us + self.host.link.latency_us, peer._peer_closed)
         self.closed = True
         self.peer = self.on_line = self.on_close = None
 
@@ -535,10 +474,15 @@ class ChannelEnd:
 
 
 class Network:
-    """The world: hosts, NATs, the clock, and the wire."""
+    """The world: hosts, NATs, the wire, and the clock with its one event
+    heap, ordered by (time_us, schedule seq).  An event is a callable
+    plus its positional arguments, so hot paths (one event per delivery
+    batch) schedule a bound method without building a closure."""
 
     def __init__(self, seed: int = 0, trace: bool = False):
-        self.clock = VirtualClock()
+        self.now_us = 0
+        self._heap: list = []
+        self._seq = 0
         self.rng = random.Random(seed)
         self._getrandbits = self.rng.getrandbits
         self.hosts: dict[str, Host] = {}
@@ -547,7 +491,7 @@ class Network:
         self.trace: Optional[TraceLog] = TraceLog() if trace else None
         self.on_wire: Optional[Callable[[str, Endpoint, Endpoint, bytes], None]] = None
         self.stats = {"sent": 0, "delivered": 0, "dropped": 0, "dead_letters": 0}
-        # The delivery batch last scheduled, its time and the clock seq of its entry.
+        # The delivery batch last scheduled, its time and the seq of its entry.
         self._batch: list = []
         self._batch_t = self._batch_seq = -1
         self._host_ip = itertools.count(1)
@@ -581,12 +525,12 @@ class Network:
     def _drop(self, src: Endpoint, dst: Endpoint, reason: str) -> None:
         self.stats["dropped"] += 1
         if self.trace is not None:
-            self.trace.add(self.clock.now_us, "drop", src, dst, reason)
+            self.trace.add(self.now_us, "drop", src, dst, reason)
 
     def _send_from(self, host: Host, src_port: int, dst: Endpoint, payload: bytes) -> None:
         """The one send path.  A delivery due at the tick of the entry
-        scheduled just before it (same time, clock._seq unchanged since
-        that push) joins that entry's batch: it would fire right after it."""
+        scheduled just before it (same time, _seq unchanged since that
+        push) joins that entry's batch: it would fire right after it."""
         if len(payload) > MAX_DATAGRAM:
             raise InvalidParametersError(f"datagram of {len(payload)} bytes exceeds {MAX_DATAGRAM}")
         self.stats["sent"] += 1
@@ -594,40 +538,40 @@ class Network:
         if link.udp_blocked:
             self._drop((host.ip, src_port), dst, "udp-blocked")
             return
-        clock = self.clock
+        now = self.now_us
         nat = host.nat
         if nat is None:
             wire_src = (host.ip, src_port)
         else:
             try:
-                ext_port = nat.outbound((host.ip, src_port), dst, clock.now_us)
+                ext_port = nat.outbound((host.ip, src_port), dst, now)
             except PortsExhaustedError:
                 self._drop((host.ip, src_port), dst, "ports-exhausted")
                 return
             wire_src = (nat.public_ip, ext_port)
         if self.trace is not None:
-            self.trace.add(clock.now_us, "send", wire_src, dst, f"len={len(payload)}")
+            self.trace.add(now, "send", wire_src, dst, f"len={len(payload)}")
         if self.on_wire is not None:
             self.on_wire("udp", wire_src, dst, payload)
         if link.loss > 0.0 and self.rng.random() < link.loss:
             self._drop(wire_src, dst, "loss")
             return
-        t = clock.now_us + link.latency_us
+        t = now + link.latency_us
         if link.jitter_us:
             # int(): randrange also took a schema-valid 300.0 as 300.
             t += _below(self._getrandbits, int(link.jitter_us) + 1)
-        if t == self._batch_t and clock._seq == self._batch_seq:
+        if t == self._batch_t and self._seq == self._batch_seq:
             self._batch.append((wire_src, dst, payload))
         else:
             self._batch = [(wire_src, dst, payload)]
-            clock.schedule_at(t, self._deliver, self._batch)
-            self._batch_t, self._batch_seq = t, clock._seq
+            self.schedule_at(t, self._deliver, self._batch)
+            self._batch_t, self._batch_seq = t, self._seq
 
     def _deliver(self, batch: list) -> None:
         """Deliver one heap entry's batch of (src, dst, payload), in order."""
         if batch is self._batch:
             self._batch_seq = -1  # closed: what is sent from here on is a new entry
-        now = self.clock.now_us
+        now = self.now_us
         stats = self.stats
         items = iter(batch)
         try:
@@ -663,7 +607,7 @@ class Network:
                 sock.handler(payload, src, sock)
         except BaseException:
             # A handler raised: the rest of the batch still fires first at this tick.
-            heappush(self.clock._heap, (now, -1, self._deliver, (list(items),)))
+            heappush(self._heap, (now, -1, self._deliver, (list(items),)))
             raise
 
     # -- control channels ----------------------------------------------
@@ -683,20 +627,20 @@ class Network:
         server_end = ChannelEnd(self, server, server_seen, client_seen)
         client_end.peer = server_end
         server_end.peer = client_end
-        self.clock.schedule_at(self.now_us + client.link.latency_us, acceptor, server_end)
+        self.schedule_at(self.now_us + client.link.latency_us, acceptor, server_end)
         return client_end
 
     def _channel_send(self, end: ChannelEnd, line: bytes) -> None:
         peer = end.peer
         if self.trace is not None:
-            self.trace.add(self.clock.now_us, "ctrl", end.local, peer.local, f"len={len(line)}")
+            self.trace.add(self.now_us, "ctrl", end.local, peer.local, f"len={len(line)}")
         if self.on_wire is not None:
             self.on_wire("ctrl", end.local, peer.local, line)
-        t = self.clock.now_us + end.host.link.latency_us
+        t = self.now_us + end.host.link.latency_us
         if t < peer._deliver_floor_us:
             t = peer._deliver_floor_us
         peer._deliver_floor_us = t
-        self.clock.schedule_at(t, self._channel_deliver, peer, line)
+        self.schedule_at(t, self._channel_deliver, peer, line)
 
     def _channel_deliver(self, end: ChannelEnd, line: bytes) -> None:
         if end.closed or end.on_line is None:
@@ -705,15 +649,43 @@ class Network:
 
     # -- running --------------------------------------------------------
 
+    def schedule_at(self, t_us: int, fn, *args) -> None:
+        self._seq += 1
+        heappush(self._heap, (t_us, self._seq, fn, args))
+
+    def call_later(self, delay_us: int, fn: Callable[[], None]) -> Timer:
+        timer = Timer(fn)
+        self._seq += 1
+        heappush(self._heap, (self.now_us + delay_us, self._seq, timer, ()))
+        return timer
+
     def run_until(self, t_us: int) -> int:
-        return self.clock.run_until(t_us)
+        """Fire every event due at or before t_us; returns events fired."""
+        return self._run(t_us)
 
     def run_for(self, dt_us: int) -> int:
-        return self.clock.run_until(self.clock.now_us + dt_us)
+        return self._run(self.now_us + dt_us)
 
-    @property
-    def now_us(self) -> int:
-        return self.clock.now_us
+    def _run(self, t_us: int) -> int:
+        # Both public runs come here rather than one calling the other, so
+        # a wrapper around each (a tracer counting events) sees every
+        # event once.
+        heap = self._heap
+        fired = 0
+        while heap and heap[0][0] <= t_us:
+            when, _, fn, args = heappop(heap)
+            self.now_us = when
+            if type(fn) is Timer:
+                timer = fn
+                fn = timer.fn
+                if fn is None:
+                    continue
+                timer.fn = None
+            fn(*args)
+            fired += 1
+        if t_us > self.now_us:
+            self.now_us = t_us
+        return fired
 
     def close(self) -> None:
         """End the run: drop pending events (cancelling their timers), every
@@ -721,10 +693,10 @@ class Network:
         tables.  `stats` and the trace digest stay readable.  With the
         agents and the coordinator closed first, Host.net was the last
         cycle through the world, so reference counting frees it."""
-        for _, _, fn, _ in self.clock._heap:
+        for _, _, fn, _ in self._heap:
             if type(fn) is Timer:
                 fn.cancel()
-        self.clock._heap.clear()
+        self._heap.clear()
         self._batch = []
         for host in self.hosts.values():
             for sock in list(host.sockets.values()):

@@ -100,7 +100,7 @@ class AsyncioUdpSocket:
 
 
 class AsyncioTransport:
-    """Wall-clock twin of the simulator's host transport.  Its rng is the
+    """Wall-clock twin of the simulator's Host.  Its rng is the
     OS's: a seeded one's state can be rebuilt from plaintext punch
     nonces, predicting the handshake ephemerals drawn after them."""
 
@@ -115,8 +115,8 @@ class AsyncioTransport:
     def call_later(self, delay_us: int, fn: Callable[[], None]) -> asyncio.TimerHandle:
         return self._loop.call_later(delay_us / 1e6, fn)
 
-    def open_socket(self, handler, port: int = 0) -> AsyncioUdpSocket:
-        return AsyncioUdpSocket(self._loop, handler, port)
+    def open_socket(self, handler) -> AsyncioUdpSocket:
+        return AsyncioUdpSocket(self._loop, handler)
 
     def open_sockets(self, handler, n: int) -> list[AsyncioUdpSocket]:
         """n sockets, or none: an OSError (out of descriptors, say) closes

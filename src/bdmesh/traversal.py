@@ -291,8 +291,9 @@ class _Punch:
     """Lifecycle shared by the punch machines.
 
     A machine reports once, through on_done(ok, sock, peer, why):
-    _finish closes it, then calls on_done; close marks it done, cancels
-    its repeating timer and its deadline, and drops on_done.
+    _finish stops it (_Punch.close, so what a subclass's own close
+    cancels outlives the finish), then calls on_done; close marks it
+    done, cancels its repeating timer and its deadline, and drops on_done.
     """
 
     def __init__(self, transport, sock, session_id: bytes, on_done):
@@ -323,7 +324,7 @@ class _Punch:
     def _finish(self, ok: bool, sock, peer: Optional[Endpoint], why: str) -> None:
         on_done = self._on_done
         self.established_peer = peer
-        self.close()
+        _Punch.close(self)
         on_done(ok, sock, peer, why)
 
 
@@ -525,8 +526,6 @@ class BirthdayProber(_Punch):
                 lambda: self._send_confirm(peer, nonce, remaining - 1))
 
     def close(self) -> None:
-        # After the hit, cancel the CONFIRM copies; the hit's own close
-        # (in _finish, not yet done) keeps them.
-        if self.done and self._confirm is not None:
+        if self._confirm is not None:
             self._confirm.cancel()
         super().close()

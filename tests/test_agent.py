@@ -279,14 +279,14 @@ class TestPinholePool:
         net, coord_host, _ = make_world(seed=107)
         a, host = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
         held = []
-        bind_ephemeral = host.bind_ephemeral
+        open_sockets = host.open_sockets
 
         def recording(handler, n):
-            socks = bind_ephemeral(handler, n)
+            socks = open_sockets(handler, n)
             held.append(len(host.sockets))
             return socks
 
-        host.bind_ephemeral = recording
+        host.open_sockets = recording
         peers = [spawn(net, coord_host, name, NatProfile(f"n{name}", filtering=APDF))[0]
                  for name in ("beta", "gamma", "delta")]
         assert wait(net, lambda: a.ready and all(p.ready for p in peers), 5.0)
@@ -315,7 +315,7 @@ class TestPinholePool:
         a, host = spawn(net, coord_host, "alpha", NatProfile.hard("na"))
         assert wait(net, lambda: a.ready, 5.0)
         span = host.EPHEMERAL_HI - host.EPHEMERAL_LO + 1
-        host.bind_ephemeral(lambda *x: None, span - 1 - 16)  # 16 ports stay free
+        host.open_sockets(lambda *x: None, span - 1 - 16)  # 16 ports stay free
         relay_requests = []
         net.on_wire = lambda kind, src, dst, payload: (
             b'"relay_open"' in payload and relay_requests.append(json.loads(payload)))

@@ -3,20 +3,21 @@ control channels, and run-to-run determinism."""
 
 import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmesh.errors import InvalidParametersError, PortsExhaustedError, SimulationError
 from bdmesh.netsim import (
     FilteringMode,
-    HostTransport,
     LinkPolicy,
     MappingMode,
     NatProfile,
     Network,
     PortAlloc,
     TraceLog,
-    VirtualClock,
 )
 from bdmesh.probability import PortSpace
 
@@ -31,38 +32,41 @@ def collector():
 
 
 class TestVirtualClock:
+    """The network's virtual clock: its one event heap."""
+
     def test_orders_by_time_then_sequence(self):
-        clock = VirtualClock()
+        net = Network()
         fired = []
-        clock.schedule_at(50, lambda: fired.append("b"))
-        clock.schedule_at(10, lambda: fired.append("a"))
-        clock.schedule_at(50, lambda: fired.append("c"))
-        assert clock.run_until(100) == 3
+        net.schedule_at(50, lambda: fired.append("b"))
+        net.schedule_at(10, lambda: fired.append("a"))
+        net.schedule_at(50, lambda: fired.append("c"))
+        assert net.run_until(100) == 3
         assert fired == ["a", "b", "c"]
 
     def test_time_advances_to_target_without_events(self):
-        clock = VirtualClock()
-        clock.run_until(500)
-        assert clock.now_us == 500
-        clock.run_until(100)  # never moves backwards
-        assert clock.now_us == 500
+        net = Network()
+        net.run_until(500)
+        assert net.now_us == 500
+        net.run_until(100)  # never moves backwards
+        assert net.now_us == 500
+        assert net.run_for(0) == 0 and net.now_us == 500
 
     def test_events_scheduled_during_run_fire_in_same_run(self):
-        clock = VirtualClock()
+        net = Network()
         fired = []
-        clock.schedule_at(10, lambda: clock.schedule_at(clock.now_us + 5,
-                                                        lambda: fired.append("nested")))
-        clock.run_until(100)
+        net.schedule_at(10, lambda: net.schedule_at(net.now_us + 5,
+                                                    lambda: fired.append("nested")))
+        net.run_until(100)
         assert fired == ["nested"]
-        assert clock.now_us == 100
+        assert net.now_us == 100
 
     def test_cancelled_timer_does_not_fire_or_count(self):
-        clock = VirtualClock()
+        net = Network()
         fired = []
-        timer = clock.call_later(10, lambda: fired.append("x"))
-        clock.call_later(20, lambda: fired.append("y"))
+        timer = net.call_later(10, lambda: fired.append("x"))
+        net.call_later(20, lambda: fired.append("y"))
         timer.cancel()
-        assert clock.run_until(100) == 1
+        assert net.run_until(100) == 1
         assert fired == ["y"]
 
 
@@ -158,6 +162,50 @@ class TestNatMapping:
         ports = [nat.outbound((inside.ip, 7000 + i), ("10.9.9.9", 1), 0) for i in range(4)]
         assert ports == [3000, 3001, 3002, 3003]
 
+    def test_allocation_purges_an_expired_mapping_on_the_port_it_lands_on(self):
+        # Three mappings expire and inbound purges two of them, so the
+        # space is not full: the cursor takes the free fourth port, then
+        # wraps onto the first, whose expired mapping the lookup purges
+        # along with its key.
+        net = Network(seed=4)
+        nat = net.add_nat(NatProfile("n1", port_alloc=PortAlloc.SEQUENTIAL,
+                                     alloc_space=PortSpace(3000, 3003), mapping_ttl_s=1.0))
+        dst, later = ("10.9.9.9", 1), 2_000_000
+        assert [nat.outbound(("10.0.0.1", 7000 + i), dst, 0) for i in range(3)] == [3000, 3001, 3002]
+        assert nat.inbound(dst, 3001, later) == nat.inbound(dst, 3002, later) == (None, "expired")
+        assert nat.outbound(("10.0.0.1", 7100), dst, later) == 3003
+        assert nat.outbound(("10.0.0.1", 7101), dst, later) == 3000
+        assert nat.inbound(dst, 3000, later) == (("10.0.0.1", 7101), "ok")
+        assert nat.outbound(("10.0.0.1", 7000), dst, later) == 3001
+        assert nat.inbound(dst, 3000, later) == (("10.0.0.1", 7101), "ok")
+        assert nat.live_mappings(later) == 3
+
+    def test_outbound_replaces_an_expired_mapping(self):
+        # A send at exactly the TTL finds its mapping expired: a fresh one,
+        # on the next port, replaces it, and the old port is unmapped.
+        net = Network(seed=4)
+        nat = net.add_nat(NatProfile("n1", port_alloc=PortAlloc.SEQUENTIAL,
+                                     alloc_space=PortSpace(3000, 3009), mapping_ttl_s=1.0))
+        internal, peer = ("10.0.0.1", 7000), ("10.9.9.9", 1)
+        assert nat.outbound(internal, peer, 0) == 3000
+        assert nat.outbound(internal, peer, 1_000_000) == 3001
+        assert nat.inbound(peer, 3000, 1_000_000) == (None, "no-mapping")
+        assert nat.inbound(peer, 3001, 1_000_000) == (internal, "ok")
+        assert nat.live_mappings(1_000_000) == 1
+
+    def test_sequential_allocation_that_runs_out_raises_until_a_mapping_expires(self):
+        net = Network(seed=4)
+        nat = net.add_nat(NatProfile("n1", port_alloc=PortAlloc.SEQUENTIAL,
+                                     alloc_space=PortSpace(3000, 3002), mapping_ttl_s=1.0))
+        dst = ("10.9.9.9", 1)
+        for i in range(3):
+            nat.outbound(("10.0.0.1", 7000 + i), dst, 400_000 * i)
+        with pytest.raises(PortsExhaustedError):
+            nat.outbound(("10.0.0.1", 7100), dst, 999_999)
+        assert nat.outbound(("10.0.0.1", 7100), dst, 1_000_000) == 3000
+        with pytest.raises(PortsExhaustedError):
+            nat.outbound(("10.0.0.1", 7101), dst, 1_000_000)
+
     def test_uniform_allocation_spreads_over_space(self):
         # First allocation over many seeds: chi-square against uniform,
         # 15 dof, 99.9th percentile ~ 37.7.
@@ -231,6 +279,19 @@ class TestNatFiltering:
         assert nat.live_mappings(now) == 1
         assert nat.inbound((peer.ip, 5002), new_port, now) == (internal, "ok")
         assert nat.inbound((stranger.ip, 5001), new_port, now) == (None, "filtered")
+
+    def test_purging_the_last_address_dependent_mapping_forgets_its_endpoint(self):
+        net = Network(seed=5)
+        nat = net.add_nat(NatProfile("n1", filtering=FilteringMode.ADDRESS_DEPENDENT,
+                                     mapping_ttl_s=1.0))
+        internal, peer = ("10.0.0.1", 7000), ("10.9.9.9", 5000)
+        port = nat.outbound(internal, peer, 0)
+        assert nat.inbound(peer, port, 2_000_000) == (None, "expired")
+        assert nat._by_internal == {}
+        # The endpoint's next mapping is indexed afresh and admits the peer's IP.
+        port = nat.outbound(internal, peer, 2_000_000)
+        assert nat.inbound((peer[0], 5001), port, 2_000_000) == (internal, "ok")
+        assert nat.inbound(("10.9.9.8", 5000), port, 2_000_000) == (None, "filtered")
 
     # Under endpoint-dependent mapping each destination gets a mapping of
     # its own, whose key names its one remote: no mode keeps a set there.
@@ -370,7 +431,7 @@ class TestBurstsAndBatches:
         # replies with no latency from inside the batch, and one reply
         # schedules a zero-delay timer of its own.
         net = Network(seed=3)
-        transport = HostTransport(net.add_host("sender", nat=net.add_nat(NatProfile.hard("hard"))))
+        sender = net.add_host("sender", nat=net.add_nat(NatProfile.hard("hard")))
         echo = net.add_host("echo", link=LinkPolicy(latency_us=0))
         order = []
 
@@ -378,14 +439,14 @@ class TestBurstsAndBatches:
             order.append((net.now_us, payload))
             sock.send(src, payload.upper())
             if payload == b"a1":
-                net.clock.call_later(0, lambda: order.append((net.now_us, b"x")))
+                net.call_later(0, lambda: order.append((net.now_us, b"x")))
 
         echo.bind(reply, port=7000)
-        socks = transport.open_sockets(lambda p, s, k: order.append((net.now_us, p)), 6)
+        socks = sender.open_sockets(lambda p, s, k: order.append((net.now_us, p)), 6)
         dst = (echo.ip, 7000)
-        transport.send_burst(socks[:3], dst, [b"a0", b"a1", b"a2"])
-        net.clock.call_later(1000, lambda: order.append((net.now_us, b"timer")))
-        transport.send_burst(socks[3:], dst, [b"b0", b"b1", b"b2"])
+        sender.send_burst(socks[:3], dst, [b"a0", b"a1", b"a2"])
+        net.call_later(1000, lambda: order.append((net.now_us, b"timer")))
+        sender.send_burst(socks[3:], dst, [b"b0", b"b1", b"b2"])
         assert net.run_for(5000) == 5  # heap entries, not datagrams
         assert order == [(1000, p) for p in (b"a0", b"a1", b"a2", b"timer", b"b0", b"b1",
                                              b"b2", b"A0", b"A1", b"x", b"A2", b"B0", b"B1",
@@ -396,15 +457,15 @@ class TestBurstsAndBatches:
         net = Network(seed=11, trace=True)
         lossy = LinkPolicy(loss=0.3, latency_us=1000, jitter_us=jitter_us)
         nat = net.add_nat(NatProfile.hard("hard"))
-        transport = HostTransport(net.add_host("sender", nat=nat, link=lossy))
+        sender = net.add_host("sender", nat=nat, link=lossy)
         echo = net.add_host("echo", link=lossy)
         got = []
         echo.bind(lambda payload, src, sock: sock.send(src, payload + b"!"), port=7000)
-        socks = transport.open_sockets(lambda p, s, sock: got.append((net.now_us, sock.port, p)), 24)
+        socks = sender.open_sockets(lambda p, s, sock: got.append((net.now_us, sock.port, p)), 24)
         payloads = [b"p%02d" % i for i in range(24)]
         for _ in range(3):
             if burst:
-                transport.send_burst(socks, (echo.ip, 7000), payloads)
+                sender.send_burst(socks, (echo.ip, 7000), payloads)
             else:
                 for sock, payload in zip(socks, payloads):
                     sock.send((echo.ip, 7000), payload)
@@ -429,14 +490,12 @@ class TestBurstsAndBatches:
         def handler(payload, src, sock):
             order.append(payload)
             if payload == b"d0":
-                net.clock.call_later(0, lambda: order.append(b"inner"))
+                net.call_later(0, lambda: order.append(b"inner"))
                 raise RuntimeError("boom")
 
         b.bind(handler, 5000)
-        transport = HostTransport(a)
-        transport.send_burst(transport.open_sockets(lambda *x: None, 3), (b.ip, 5000),
-                             [b"d0", b"d1", b"d2"])
-        net.clock.call_later(1000, lambda: order.append(b"timer"))
+        a.send_burst(a.open_sockets(lambda *x: None, 3), (b.ip, 5000), [b"d0", b"d1", b"d2"])
+        net.call_later(1000, lambda: order.append(b"timer"))
         with pytest.raises(RuntimeError):
             net.run_for(5000)
         assert net.now_us == 1000
@@ -461,7 +520,7 @@ class TestBurstsAndBatches:
         net = Network(seed=1)
         host = net.add_host("h")
         host.bind(lambda *x: None, 30001)
-        ports = [s.port for s in HostTransport(host).open_sockets(lambda *x: None, 3)]
+        ports = [s.port for s in host.open_sockets(lambda *x: None, 3)]
         assert ports == [30000, 30002, 30003]
         assert host.bind(lambda *x: None).port == 30004
 
@@ -469,9 +528,9 @@ class TestBurstsAndBatches:
         net = Network(seed=1)
         host = net.add_host("h")
         span = host.EPHEMERAL_HI - host.EPHEMERAL_LO + 1
-        HostTransport(host).open_sockets(lambda *x: None, span - 1)
+        host.open_sockets(lambda *x: None, span - 1)
         with pytest.raises(PortsExhaustedError):
-            HostTransport(host).open_sockets(lambda *x: None, 2)
+            host.open_sockets(lambda *x: None, 2)
         # A call that cannot take all n ports takes none of them.
         assert len(host.sockets) == span - 1
         assert host.bind(lambda *x: None).port == host.EPHEMERAL_HI
@@ -482,12 +541,88 @@ class TestBurstsAndBatches:
 
     def test_burst_on_a_closed_socket_rejected(self):
         net = Network(seed=14)
-        transport = HostTransport(net.add_host("a"))
-        socks = transport.open_sockets(lambda *x: None, 2)
+        sender = net.add_host("a")
+        socks = sender.open_sockets(lambda *x: None, 2)
         socks[1].close()
         with pytest.raises(SimulationError):
-            transport.send_burst(socks, ("10.1.2.3", 1), [b"x", b"y"])
+            sender.send_burst(socks, ("10.1.2.3", 1), [b"x", b"y"])
         assert net.stats["sent"] == 0
+
+
+# One action of the delivery-order model: ("send", src, dst, n) sends n
+# datagrams from host src to host dst, ("timer", delay_us) sets a timer.
+ORDER_ACTION = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)),
+    st.tuples(st.just("timer"), st.sampled_from((0, 500, 1000, 1500))))
+
+
+class Boom(Exception):
+    pass
+
+
+class TestDeliveryOrderModel:
+    """Deliveries and timers against a plain list model.  Every send and
+    every call_later is one entry (due time, schedule index), the index
+    counting them in the order they are made, from the test or from the
+    handlers and timers that fire.  The model draws each jittered host's
+    delay from its own copy of the seeded rng, as the network draws it
+    (no loss, no NAT: nothing else draws).  The network must fire every
+    entry at its due time and in sorted order of that pair, however the
+    deliveries are batched; a handler that raises stops the run at its
+    tick, and the rest of its batch still fires first there."""
+
+    @given(links=st.lists(st.tuples(st.sampled_from((0, 500, 1000)),
+                                    st.sampled_from((0, 0, 2))), min_size=4, max_size=4),
+           start=st.lists(ORDER_ACTION, min_size=1, max_size=6),
+           reactions=st.lists(st.lists(ORDER_ACTION, max_size=2), max_size=30),
+           raising=st.sets(st.integers(0, 40), max_size=4),
+           seed=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_fires_in_due_time_then_schedule_order(self, links, start, reactions, raising, seed):
+        net = Network(seed=seed)
+        model_rng = random.Random(seed)
+        hosts = [net.add_host(f"h{i}", link=LinkPolicy(latency_us=lat, jitter_us=jit))
+                 for i, (lat, jit) in enumerate(links)]
+        entries, fired, timers = [], [], []   # (due_us, index); (now_us, index); index
+
+        def act(action):
+            if len(entries) >= 60:
+                return
+            if action[0] == "timer":
+                index = len(entries)
+                entries.append((net.now_us + action[1], index))
+                timers.append(index)
+                net.call_later(action[1], lambda: on_event(index))
+                return
+            _, src, dst, n = action
+            latency, jitter = links[src]
+            for _ in range(n):
+                index = len(entries)
+                due = net.now_us + latency + (model_rng.randrange(jitter + 1) if jitter else 0)
+                entries.append((due, index))
+                sockets[src].send((hosts[dst].ip, 5000), index.to_bytes(4, "big"))
+
+        def on_event(index):
+            fired.append((net.now_us, index))
+            for action in (reactions[index] if index < len(reactions) else ()):
+                act(action)
+            if index in raising:
+                raise Boom(index)
+
+        sockets = [h.bind(lambda payload, src, sock: on_event(int.from_bytes(payload, "big")),
+                          5000) for h in hosts]
+        for action in start:
+            act(action)
+        while True:
+            try:
+                net.run_until(100_000)
+                break
+            except Boom as e:
+                # The run stops at the tick of the raising event.
+                assert fired[-1] == (net.now_us, e.args[0])
+        assert fired == sorted(entries)
+        sent = len(entries) - len(timers)
+        assert net.stats == {"sent": sent, "delivered": sent, "dropped": 0, "dead_letters": 0}
 
 
 class TestControlChannels:

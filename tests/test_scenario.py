@@ -358,7 +358,7 @@ class TestWorldLifetime:
         class Recorded(netsim.Network):
             def __init__(self, *args, **kw):
                 super().__init__(*args, **kw)
-                worlds.append((weakref.ref(self), self.clock, self.nats, self.hosts))
+                worlds.append((weakref.ref(self), self._heap, self.nats, self.hosts))
 
         monkeypatch.setattr(scenario, "Network", Recorded)
         gc.collect()
@@ -367,7 +367,7 @@ class TestWorldLifetime:
             before = pending_world_objects()
             report = run_scenario(source())
             left = [o for o in pending_world_objects() if not any(o is b for b in before)]
-            ((net_ref, clock, nats, hosts),) = worlds
+            ((net_ref, heap, nats, hosts),) = worlds
             net_alive = net_ref() is not None
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
@@ -380,7 +380,7 @@ class TestWorldLifetime:
         golden = TestDeterminism.GOLDEN_TRACE_HASHES.get(name)
         assert golden is None or report["trace_hash"] == golden
         assert report_digest(report) == digest
-        assert clock._heap == [] and nats == {} and hosts == {}
+        assert heap == [] and nats == {} and hosts == {}
         assert left == []
         assert not net_alive
         assert cyclic == []
@@ -415,7 +415,7 @@ class TestOpenerOutOfPorts:
                 host = super().add_host(host_id, nat=nat, link=link)
                 if host_id == hard:
                     span = host.EPHEMERAL_HI - host.EPHEMERAL_LO + 1
-                    host.bind_ephemeral(lambda *x: None, span - 4096)
+                    host.open_sockets(lambda *x: None, span - 4096)
                 return host
 
         monkeypatch.setattr(scenario, "Network", Crowded)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bdmesh import traversal
 from bdmesh.errors import InvalidParametersError
-from bdmesh.netsim import (FilteringMode, Host, HostTransport, LinkPolicy, MappingMode,
+from bdmesh.netsim import (FilteringMode, Host, LinkPolicy, MappingMode,
                            NatProfile, Network)
 from bdmesh.probability import PortSpace, schedule_ports
 from bdmesh.traversal import (
@@ -115,9 +115,8 @@ def classify(net, host, observers):
     socket of its own.  The probe socket the classifier opens is closed
     by then."""
     result = []
-    transport = HostTransport(host)
     sock = host.bind(lambda *a: None)
-    cl = NatClassifier(transport, sock, (host.ip, sock.port), observers,
+    cl = NatClassifier(host, sock, (host.ip, sock.port), observers,
                        lambda verdict, observed: result.append((verdict, observed, net.now_us)),
                        rng=net.rng)
     sock.handler = cl.on_datagram
@@ -206,7 +205,7 @@ class TestNatClassifier:
         host = net.add_host("h")
         sock = host.bind(lambda *a: None)
         result = []
-        cl = NatClassifier(HostTransport(host), sock, (host.ip, sock.port), observers,
+        cl = NatClassifier(host, sock, (host.ip, sock.port), observers,
                            lambda verdict, observed: result.append((verdict, observed)),
                            rng=net.rng)
         cl.start()  # the replies below are fed by hand; the network never runs
@@ -243,13 +242,12 @@ def stun(nat, host, port, target):
 class TestDirectPunch:
     def run_pair(self, net, host_a, host_b, ep_a, ep_b):
         results = {}
-        transport_a, transport_b = HostTransport(host_a), HostTransport(host_b)
         sock_a = host_a.sockets[7000]
         sock_b = host_b.sockets[7000]
-        punch_a = DirectPunch(transport_a, sock_a, b"S" * 8, ep_b,
+        punch_a = DirectPunch(host_a, sock_a, b"S" * 8, ep_b,
                               lambda ok, sock, peer, why: results.setdefault("a", (ok, peer, why)),
                               net.rng)
-        punch_b = DirectPunch(transport_b, sock_b, b"S" * 8, ep_a,
+        punch_b = DirectPunch(host_b, sock_b, b"S" * 8, ep_a,
                               lambda ok, sock, peer, why: results.setdefault("b", (ok, peer, why)),
                               net.rng)
         sock_a.handler = punch_a.on_datagram
@@ -289,9 +287,8 @@ class TestDirectPunch:
         net = Network(seed=24)
         a = net.add_host("a")
         a.bind(lambda *x: None, 7000)
-        transport = HostTransport(a)
         results = []
-        punch = DirectPunch(transport, a.sockets[7000], b"S" * 8, ("10.77.0.9", 7000),
+        punch = DirectPunch(a, a.sockets[7000], b"S" * 8, ("10.77.0.9", 7000),
                             lambda ok, sock, peer, why: results.append((ok, why)), net.rng)
         a.sockets[7000].handler = punch.on_datagram
         punch.start()
@@ -303,9 +300,9 @@ class TestDirectPunch:
 def make_opener(host, session, prober_ep, cfg, on_done, rng):
     """A BirthdayOpener on cfg.open_ports fresh sockets of host, which hand
     it their datagrams, as an agent's pinhole pool does."""
-    pinholes = HostTransport(host).open_sockets(
+    pinholes = host.open_sockets(
         lambda data, src, sock: opener.on_datagram(data, src, sock), cfg.open_ports)
-    opener = BirthdayOpener(HostTransport(host), pinholes, session, prober_ep, cfg, on_done, rng)
+    opener = BirthdayOpener(host, pinholes, session, prober_ep, cfg, on_done, rng)
     return opener
 
 
@@ -328,7 +325,7 @@ def run_birthday(net, nat_easy, opener_host, prober_host, cfg, session=b"B" * 8)
     opener = make_opener(opener_host, session, prober_ep, cfg,
                          lambda ok, sock, peer, why: results.setdefault("opener", (ok, peer, why)),
                          net.rng)
-    prober = BirthdayProber(HostTransport(prober_host), prober_sock, session,
+    prober = BirthdayProber(prober_host, prober_sock, session,
                             opener_host.nat.public_ip, cfg,
                             lambda ok, sock, peer, why: results.setdefault("prober", (ok, peer, why)),
                             net.rng, schedule_seed=net.rng.getrandbits(32))
@@ -406,7 +403,7 @@ class TestBirthdayPunch:
                           space=self.SPACE)
         results = {}
         prober_sock = prober_host.bind(lambda *x: None, 7000)
-        prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"B" * 8,
+        prober = BirthdayProber(prober_host, prober_sock, b"B" * 8,
                                 "198.18.0.77", cfg,
                                 lambda ok, sock, peer, why: results.setdefault("prober", (ok, why)),
                                 net.rng)
@@ -508,7 +505,7 @@ class TestBirthdayPunch:
             stray.send(pinhole, pack_probe(KIND_CONFIRM, b"B" * 8, bytes(8)))
         net.run_for(100_000)
         assert not opener.done and results == {}
-        prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"B" * 8,
+        prober = BirthdayProber(prober_host, prober_sock, b"B" * 8,
                                 nat_hard.public_ip, cfg,
                                 lambda ok, sock, peer, why: results.setdefault("p", ok), net.rng)
         prober_sock.handler = prober.on_datagram
@@ -521,7 +518,7 @@ class TestBirthdayPunch:
         cfg = PunchConfig(open_ports=5, probe_rate=100, max_duration_s=1.0, space=self.SPACE)
         results = {}
         prober_sock = prober_host.bind(lambda *x: None, 7000)
-        prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"B" * 8,
+        prober = BirthdayProber(prober_host, prober_sock, b"B" * 8,
                                 "198.18.0.77", cfg,
                                 lambda ok, *a: results.setdefault("p", ok), net.rng)
         prober.on_datagram(pack_probe(KIND_PROBE, b"B" * 8, b"\x00" * 8), ("10.9.9.9", 1),
@@ -553,7 +550,7 @@ class TestBirthdayPunch:
                           space=self.SPACE)
         ports = self.probed_ports(net, prober_host, "198.18.0.77")
         prober_sock = prober_host.bind(lambda *x: None, 7000)
-        prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"B" * 8,
+        prober = BirthdayProber(prober_host, prober_sock, b"B" * 8,
                                 "198.18.0.77", cfg, lambda *a: None, net.rng,
                                 schedule_seed=4242)
         prober.start()
@@ -573,7 +570,7 @@ class TestBirthdayPunch:
         prober_ep = stun(nat_easy, prober_host, 7000, ("10.210.0.1", 3478))
         opener = make_opener(opener_host, b"B" * 8, prober_ep, cfg,
                              lambda *a: None, net.rng)
-        prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"B" * 8,
+        prober = BirthdayProber(prober_host, prober_sock, b"B" * 8,
                                 nat_hard.public_ip, cfg,
                                 lambda ok, *a: results.setdefault("prober", ok),
                                 net.rng, schedule_seed=4343)
@@ -626,7 +623,7 @@ class TestTriggeredCheck:
         opener = make_opener(opener_host, b"T" * 8, prober_ep, cfg,
                              lambda ok, sock, peer, why: done.setdefault(
                                  "opener", (ok, peer, why, net.now_us)), net.rng)
-        prober = BirthdayProber(HostTransport(prober_host), prober_sock, b"T" * 8,
+        prober = BirthdayProber(prober_host, prober_sock, b"T" * 8,
                                 nat_hard.public_ip, cfg,
                                 lambda ok, sock, peer, why: done.setdefault(
                                     "prober", (ok, peer, why, net.now_us)), net.rng)
@@ -651,7 +648,7 @@ class TestTriggeredCheck:
         net.on_wire = lambda kind, src, dst, payload: sent.append((dst, parse_probe(payload)))
         cfg = PunchConfig(open_ports=8, probe_rate=100, max_duration_s=budget_s,
                           space=self.SPACE)
-        prober = BirthdayProber(HostTransport(prober_host), prober_host.bind(lambda *x: None, 7000),
+        prober = BirthdayProber(prober_host, prober_host.bind(lambda *x: None, 7000),
                                 b"T" * 8, "198.18.0.77", cfg, lambda *r: None, net.rng,
                                 schedule_seed=4545)
         prober.start()
@@ -739,7 +736,7 @@ class TestWireFuzz:
     def test_direct_punch(self, seq):
         net, a, b = self.world()
         sock = a.bind(lambda *x: None, 7000)
-        punch = DirectPunch(HostTransport(a), sock, FUZZ_SESSION, (b.ip, 7000),
+        punch = DirectPunch(a, sock, FUZZ_SESSION, (b.ip, 7000),
                             lambda *r: None, net.rng)
         punch.start()
         for data, src in seq:
@@ -752,7 +749,7 @@ class TestWireFuzz:
         net, a, b = self.world()
         results = []
         sock = a.bind(lambda *x: None, 7000)
-        prober = BirthdayProber(HostTransport(a), sock, FUZZ_SESSION,
+        prober = BirthdayProber(a, sock, FUZZ_SESSION,
                                 b.ip, PunchConfig(), lambda ok, *r: results.append(ok), net.rng)
         prober.start()
         net.run_for(50_000)  # probes 0..5 sent
@@ -780,7 +777,7 @@ class TestWireFuzz:
         net.on_wire = lambda kind, src, dst, payload: (
             probes_to.append(dst) if payload[5:6] == bytes((KIND_PROBE,)) else None)
         sock = a.bind(lambda *x: None, 7000)
-        prober = BirthdayProber(HostTransport(a), sock, FUZZ_SESSION,
+        prober = BirthdayProber(a, sock, FUZZ_SESSION,
                                 b.ip, PunchConfig(), lambda *r: None, net.rng)
         prober.start()
         net.run_for(50_000)  # probes 0..5 sent
