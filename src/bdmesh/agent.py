@@ -187,7 +187,6 @@ class NodeAgent:
         self.rng: random.Random = transport.rng
         self.identity = identity or Identity.generate(self.rng)
         self.default_encrypted = default_encrypted
-        self.link_encryption: dict[str, bool] = {}
         self.relay_only_peers: set[str] = set()
         self.observers = observers
         self.on_event = on_event
@@ -199,7 +198,6 @@ class NodeAgent:
         self.nat_class = "unknown"
         self.observed: Optional[Endpoint] = None
         self.ready = False
-        self.fatal_error: Optional[str] = None
         self.links: dict[str, OverlayLink] = {}
         self.sessions: dict[bytes, LinkSession] = {}
         self._session_by_peer: dict[str, LinkSession] = {}
@@ -289,10 +287,7 @@ class NodeAgent:
         elif kind == "relay_data":
             self._on_relay_data(msg)
         elif kind == "error":
-            code = msg.get("error")
-            if code == "identity-conflict":
-                self.fatal_error = code
-            self._emit("coordinator_error", error=code, detail=msg.get("detail"))
+            self._emit("coordinator_error", error=msg.get("error"), detail=msg.get("detail"))
         # pong and anything else: nothing to do
 
     # -- traversal ------------------------------------------------------
@@ -323,7 +318,7 @@ class NodeAgent:
         ls = LinkSession(
             channel=self.channel, session_id=session_id, peer_id=peer_id, role=role,
             peer_ep=peer_ep, peer_pubkey=peer_pubkey,
-            encrypted=self.link_encryption.get(peer_id, self.default_encrypted), cfg=cfg,
+            encrypted=self.default_encrypted, cfg=cfg,
         )
         ls.initiator = self.node_id < peer_id
         self.sessions[session_id] = ls

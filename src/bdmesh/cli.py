@@ -17,6 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import (
+    EXIT_INTERRUPTED,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_SIM_FAILURE,
@@ -280,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_SIM_FAILURE
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
-        return 130
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ EXIT_UNSUPPORTED_SCHEME = 4
 EXIT_BIND_FAILURE = 5
 EXIT_COORD_UNREACHABLE = 6
 EXIT_IDENTITY_CONFLICT = 7
+EXIT_INTERRUPTED = 130
 
 
 class BdmeshError(Exception):

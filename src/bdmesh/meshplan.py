@@ -331,8 +331,10 @@ def realize_plan(net, agents: dict, plan: MeshPlan,
     ``agents`` maps node id to a started NodeAgent.  All links are
     attempted concurrently: the lexicographically smaller id asks for
     the introduction.  Links planned as relayed skip punching on both
-    ends.  Returns per-link outcomes plus an overlay connectivity
-    verdict; links that never came up are reported, not raised.
+    ends.  A plan encrypts all its links or none (the scheme's theta),
+    so each end takes that as its default.  Returns per-link outcomes
+    plus an overlay connectivity verdict; links that never came up are
+    reported, not raised.
     """
     missing = [n.node_id for n in plan.nodes if n.node_id not in agents]
     if missing:
@@ -370,8 +372,7 @@ def realize_plan(net, agents: dict, plan: MeshPlan,
             agent.on_event = hook(agent, prev)
         for link in plan.links:
             ea, eb = agents[link.a], agents[link.b]
-            ea.link_encryption[link.b] = link.encrypted
-            eb.link_encryption[link.a] = link.encrypted
+            ea.default_encrypted = eb.default_encrypted = link.encrypted
             if link.path == "relayed":
                 ea.relay_only_peers.add(link.b)
                 eb.relay_only_peers.add(link.a)

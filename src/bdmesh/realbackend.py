@@ -268,9 +268,11 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 class NodeClient:
     """One real-network node: control channel, agent, echo service.
 
-    Every inbound payload chunk starting with b"ping:" is answered on
-    the same link with b"pong:" plus the original body, giving --once
-    runs something observable to wait for.
+    Every wait is one _until.  link_all asks for a --connect peer only
+    while the agent holds no session with it, so each link costs one
+    introduction.  Each link_up of a --connect peer sends one b"ping:"
+    chunk, and every link answers one with b"pong:" plus the same body,
+    giving --once runs something observable to wait for.
     """
 
     def __init__(self, coord: str, node_id: str,
@@ -287,7 +289,6 @@ class NodeClient:
         self.channel: Optional[TcpLineChannel] = None
         self.exit_code: Optional[int] = None
         self._echoed: set[str] = set()
-        self._pinged: set[str] = set()
         self._wake = asyncio.Event()
 
     async def start(self) -> int:
@@ -321,73 +322,60 @@ class NodeClient:
         return EXIT_OK
 
     def _on_channel_closed(self) -> None:
-        if self.exit_code is None and self.agent is not None \
-                and self.agent.fatal_error != "identity-conflict":
+        if self.exit_code is None:
             self.exit_code = EXIT_COORD_UNREACHABLE
         self._wake.set()
 
     def _on_event(self, event: dict) -> None:
         log.debug("node %s event %s", self.node_id, event)
-        if event["event"] == "coordinator_error" and \
-                event.get("error") == "identity-conflict":
+        if event["event"] == "coordinator_error" and event.get("error") == "identity-conflict":
             self.exit_code = EXIT_IDENTITY_CONFLICT
-        if event["event"] == "link_up":
+        elif event["event"] == "link_up":
             link = self.agent.links[event["peer"]]
-            link.on_payload = lambda data, p=event["peer"]: self._on_payload(p, data)
-            if event["peer"] in self.connect_peers:
-                self._send_ping(event["peer"])
+            link.on_payload = lambda data: self._on_payload(link, data)
+            if link.peer_id in self.connect_peers:
+                link.send(b"ping:" + self.node_id.encode())
         self._wake.set()
 
-    def _send_ping(self, peer: str) -> None:
-        if peer in self._pinged:
-            return
-        self._pinged.add(peer)
-        self.agent.links[peer].send(b"ping:" + self.node_id.encode())
-
-    def _on_payload(self, peer: str, data: bytes) -> None:
+    def _on_payload(self, link, data: bytes) -> None:
         if data.startswith(b"ping:"):
-            self.agent.links[peer].send(b"pong:" + data[5:])
+            link.send(b"pong:" + data[5:])
         elif data.startswith(b"pong:"):
-            self._echoed.add(peer)
+            self._echoed.add(link.peer_id)
             self._wake.set()
 
+    async def _until(self, done: Callable[[], bool], timeout_s: Optional[float]) -> bool:
+        """Wait until done() holds, an exit code is set or timeout_s passes
+        (None: no limit), woken by agent events and the channel's close.
+        True if done() holds and no exit code is set."""
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        while not done() and self.exit_code is None:
+            self._wake.clear()
+            try:
+                await asyncio.wait_for(self._wake.wait(),
+                                       None if deadline is None else deadline - time.monotonic())
+            except asyncio.TimeoutError:
+                break
+        return self.exit_code is None and done()
+
     async def wait_ready(self, timeout_s: float = 15.0) -> bool:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.exit_code is not None:
-                return False
-            if self.agent is not None and self.agent.ready:
-                return True
-            await self._wait(max(0.05, deadline - time.monotonic()))
-        return self.agent is not None and self.agent.ready
+        return await self._until(lambda: self.agent is not None and self.agent.ready, timeout_s)
 
     async def link_all(self, timeout_s: float = 60.0) -> bool:
-        """Request and wait for an echoed link to every --connect peer."""
+        """Wait for an echoed link to every --connect peer, asking every
+        INTRODUCE_RETRY_S, at most INTRODUCE_ATTEMPTS times, for each peer
+        the agent holds no session with."""
         deadline = time.monotonic() + timeout_s
-        pending = [p for p in self.connect_peers]
-        attempts = 0
-        while time.monotonic() < deadline and self.exit_code is None:
-            still = [p for p in pending if p not in self.agent.links]
-            if still and attempts < INTRODUCE_ATTEMPTS:
-                attempts += 1
-                for p in still:
-                    self.agent.connect(p)
-            if all(p in self._echoed for p in self.connect_peers):
-                return True
-            await self._wait(INTRODUCE_RETRY_S)
-        return all(p in self._echoed for p in self.connect_peers)
-
-    async def run_forever(self) -> None:
-        while self.exit_code is None:
-            await self._wait(3600.0)
-
-    async def _wait(self, timeout_s: float) -> None:
-        """Sleep until an event wakes the client or timeout_s passes."""
-        self._wake.clear()
-        try:
-            await asyncio.wait_for(self._wake.wait(), timeout_s)
-        except asyncio.TimeoutError:
-            pass
+        echoed = lambda: self._echoed.issuperset(self.connect_peers)
+        for _ in range(INTRODUCE_ATTEMPTS):
+            held = {ls.peer_id for ls in self.agent.sessions.values()}
+            unheld = [p for p in self.connect_peers if p not in held]
+            if not unheld or self.exit_code is not None or time.monotonic() >= deadline:
+                break
+            for peer in unheld:
+                self.agent.connect(peer)
+            await self._until(echoed, min(INTRODUCE_RETRY_S, deadline - time.monotonic()))
+        return await self._until(echoed, deadline - time.monotonic())
 
     async def close(self) -> None:
         if self.agent is not None:
@@ -436,8 +424,7 @@ async def _node_main(coord: str, node_id: str, key_path: Optional[str],
         if code != EXIT_OK:
             return code
         if not await client.wait_ready():
-            return client.exit_code if client.exit_code is not None \
-                else EXIT_COORD_UNREACHABLE
+            return client.exit_code or EXIT_COORD_UNREACHABLE
         if client.connect_peers:
             linked = await client.link_all()
             if client.exit_code is not None:
@@ -448,10 +435,10 @@ async def _node_main(coord: str, node_id: str, key_path: Optional[str],
                     return EXIT_OK
                 print(f"{node_id}: links did not come up", file=sys.stderr)
                 return EXIT_SIM_FAILURE
-        if once and not client.connect_peers:
+        elif once:
             return EXIT_OK
-        await client.run_forever()
-        return client.exit_code if client.exit_code is not None else EXIT_OK
+        await client._until(lambda: False, None)  # serve until an exit code is set
+        return client.exit_code
     finally:
         await client.close()
 

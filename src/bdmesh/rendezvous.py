@@ -55,14 +55,13 @@ peer-gone.
 from __future__ import annotations
 
 import base64
-import json
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .netsim import MAX_DATAGRAM, Endpoint, Host, Network, format_endpoint, parse_endpoint
-from .traversal import DEFAULT_PUNCH, pack_observed
+from .traversal import DEFAULT_PUNCH, pack_observed, parse_observe
 
 NAT_CLASSES = ("public", "cone", "easy", "hard", "udp_blocked", "unknown")
 ROLES = ("direct", "opener", "prober", "relay")
@@ -183,17 +182,10 @@ class Coordinator:
         to it, from the other observer socket for a change_port request;
         anything but a well-formed observe request at least as long as
         its reply is dropped."""
-        try:
-            obj = json.loads(payload)
-        except (ValueError, RecursionError):
+        request = parse_observe(payload)
+        if request is None:
             return
-        if not isinstance(obj, dict) or obj.get("type") != "observe":
-            return
-        token = obj.get("token")
-        change_port = obj.get("change_port", False)
-        if (type(token) is not int or not 0 <= token < 1 << 63
-                or type(change_port) is not bool):
-            return
+        token, change_port = request
         reply = pack_observed(token, src)
         if len(reply) > len(payload):
             return

@@ -43,7 +43,6 @@ from .meshplan import (
 )
 from .montecarlo import trial_seed
 from .netsim import (
-    DEFAULT_MAPPING_TTL_S,
     FilteringMode,
     LinkPolicy,
     MappingMode,
@@ -61,6 +60,9 @@ _PING_PREFIX = b"BDMESH-PING|"
 _PONG_PREFIX = b"BDMESH-PONG|"
 SETTLE_S = 15.0  # virtual time verification waits for every digest and pong
 VERIFY_RETRY_S = 1.0  # virtual time before an unanswered payload or ping is resent
+# NatProfile fields a NAT entry may set; the rest keep the profile's defaults.
+_NAT_FIELDS = {"mapping": MappingMode, "filtering": FilteringMode, "port_alloc": PortAlloc,
+               "mapping_ttl_s": lambda seconds: seconds}
 
 __all__ = [
     "SCENARIO_SCHEMA", "COORD_HOST_ID", "PAYLOAD_MARKER", "ScenarioWorld",
@@ -184,13 +186,8 @@ def build_world(doc: dict, seed: Optional[int] = None) -> ScenarioWorld:
 
     nats = {}
     for nd in doc.get("nats", []):
-        prof = NatProfile(
-            nat_id=nd["id"],
-            mapping=MappingMode(nd.get("mapping", "endpoint_independent")),
-            filtering=FilteringMode(nd.get("filtering", "endpoint_independent")),
-            port_alloc=PortAlloc(nd.get("port_alloc", "uniform_random")),
-            mapping_ttl_s=nd.get("mapping_ttl_s", DEFAULT_MAPPING_TTL_S),
-        )
+        prof = NatProfile(nd["id"], **{key: kind(nd[key]) for key, kind in _NAT_FIELDS.items()
+                                       if key in nd})
         nats[nd["id"]] = net.add_nat(prof)
 
     link_by_host = {ld["host"]: ld for ld in doc.get("links", [])}

@@ -86,9 +86,9 @@ REFRESH_INTERVAL_S = 15.0  # opener re-sends its probes: half the common 30 s ma
 
 __all__ = [
     "PROBE_MAGIC", "PROBE_LEN", "KIND_PROBE", "KIND_PROBE_ACK", "KIND_CONFIRM",
-    "pack_probe", "parse_probe", "probe_session_id", "pack_observed", "OBSERVE_LEN",
-    "PunchConfig", "DEFAULT_PUNCH", "NatClassifier", "DirectPunch", "BirthdayOpener",
-    "BirthdayProber",
+    "pack_probe", "parse_probe", "probe_session_id", "parse_observe", "pack_observed",
+    "OBSERVE_LEN", "PunchConfig", "DEFAULT_PUNCH", "NatClassifier", "DirectPunch",
+    "BirthdayOpener", "BirthdayProber",
 ]
 
 
@@ -109,6 +109,21 @@ def parse_probe(data: bytes) -> Optional[tuple[int, bytes, bytes]]:
 def probe_session_id(data: bytes) -> Optional[bytes]:
     """The session id field of anything shaped like a probe, else None."""
     return data[6:14] if len(data) == PROBE_LEN and data.startswith(PROBE_MAGIC) else None
+
+
+def parse_observe(data: bytes) -> Optional[tuple[int, bool]]:
+    """(token, change_port) of an observer's request, or None for anything
+    but an observe with a token in [0, 2**63) and a boolean change_port."""
+    try:
+        obj = json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(obj, dict) or obj.get("type") != "observe":
+        return None
+    token, change_port = obj.get("token"), obj.get("change_port", False)
+    if type(token) is not int or not 0 <= token < 1 << 63 or type(change_port) is not bool:
+        return None
+    return token, change_port
 
 
 def pack_observed(token: int, endpoint: Endpoint) -> bytes:

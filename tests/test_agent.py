@@ -536,18 +536,22 @@ class TestRelayLink:
 class TestAgentEdges:
     def test_identity_conflict_is_fatal(self):
         net, coord_host, _ = make_world(seed=110)
+        events = []
         a1, _ = spawn(net, coord_host, "alpha")
-        a2, _ = spawn(net, coord_host, "alpha", host_name="h-imposter")  # same id, fresh key
+        a2, _ = spawn(net, coord_host, "alpha", host_name="h-imposter",  # same id, fresh key
+                      on_event=events.append)
         wait(net, lambda: a1.ready, 5.0)
         net.run_for(3_000_000)
-        assert a2.fatal_error == "identity-conflict"
+        assert {e["error"] for e in events if e["event"] == "coordinator_error"} == {
+            "identity-conflict"}
+        assert not a2.ready
 
     def test_link_encryption_override(self):
         net, coord_host, _ = make_world(seed=111)
+        # Set after construction, as realize_plan sets a plan's theta.
         a, _ = spawn(net, coord_host, "alpha", default_encrypted=True)
         b, _ = spawn(net, coord_host, "beta", default_encrypted=True)
-        a.link_encryption["beta"] = False
-        b.link_encryption["alpha"] = False
+        a.default_encrypted = b.default_encrypted = False
         assert wait(net, lambda: a.ready and b.ready, 5.0)
         a.connect("beta")
         assert wait(net, linked(a, b, "alpha", "beta"), 10.0)

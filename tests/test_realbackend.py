@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from bdmesh import traversal
 from bdmesh.agent import NodeAgent
 from bdmesh.netsim import MAX_CONTROL_LINE, Network
 from bdmesh.realbackend import (
@@ -29,7 +30,8 @@ from bdmesh.realbackend import (
 from bdmesh.rendezvous import Coordinator
 from bdmesh.securelink import Identity
 from bdmesh.traversal import (KIND_CONFIRM, KIND_PROBE, KIND_PROBE_ACK, OBSERVE_LEN,
-                              BirthdayOpener, PunchConfig, pack_probe, parse_probe)
+                              BirthdayOpener, PunchConfig, pack_probe, parse_probe,
+                              probe_session_id)
 
 
 def free_ports(n: int) -> list[int]:
@@ -621,6 +623,42 @@ class TestLoopbackMesh:
                 assert await a.wait_ready(10.0) and await b.wait_ready(10.0)
                 assert await a.link_all(timeout_s=20.0)
                 assert a.agent.links["n2"].encrypted is False
+            finally:
+                await a.close()
+                await b.close()
+                await server.close()
+
+        run(scenario())
+
+    def test_a_link_that_falls_back_to_the_relay_costs_one_introduction(self, monkeypatch):
+        # Every probe is dropped, so the direct punch times out after 1 s
+        # and falls back to the relay while link_all waits.
+        monkeypatch.setattr(traversal, "DIRECT_TIMEOUT_S", 1.0)
+        send = AsyncioUdpSocket.send
+
+        def send_no_probes(sock, dst, payload):
+            if probe_session_id(payload) is None:
+                send(sock, dst, payload)
+
+        monkeypatch.setattr(AsyncioUdpSocket, "send", send_no_probes)
+
+        async def scenario():
+            port, o1, o2 = free_ports(3)
+            server = CoordinatorServer("127.0.0.1", port, (o1, o2))
+            await server.start()
+            a = NodeClient(f"127.0.0.1:{port}", "alice", connect=["bob"],
+                           observer_ports=(o1, o2))
+            b = NodeClient(f"127.0.0.1:{port}", "bob", observer_ports=(o1, o2))
+            try:
+                assert await a.start() == 0 and await b.start() == 0
+                assert await a.wait_ready(10.0) and await b.wait_ready(10.0)
+                assert await a.link_all(timeout_s=20.0)
+                link = a.agent.links["bob"]
+                assert link.path == "relayed"
+                await asyncio.sleep(2.0)
+                assert server.core.introductions == 1
+                assert len(a.agent.sessions) == len(b.agent.sessions) == 1
+                assert a.agent.links["bob"] is link
             finally:
                 await a.close()
                 await b.close()
