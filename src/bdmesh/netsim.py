@@ -38,6 +38,7 @@ import enum
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -120,8 +121,12 @@ class NatProfile:
     alloc_space: PortSpace = field(default_factory=PortSpace)
 
     def __post_init__(self) -> None:
-        if self.mapping_ttl_s <= 0:
-            raise InvalidParametersError("mapping TTL must be positive")
+        # NaN fails every comparison, and a TTL whose microseconds are
+        # inf cannot become the integer Nat keeps (an int compares with
+        # inf exactly, however large).
+        if not (0 < self.mapping_ttl_s and self.mapping_ttl_s * 1_000_000 < math.inf):
+            raise InvalidParametersError(
+                f"mapping TTL must be positive and finite, got {self.mapping_ttl_s}")
 
     @classmethod
     def easy(cls, nat_id: str, **kw) -> "NatProfile":

@@ -279,8 +279,6 @@ def frame_plain(payload: bytes) -> bytes:
 
 def split_plain(data: bytes) -> bytes:
     """Parse one plaintext datagram frame; the length must match exactly."""
-    if len(data) < 2:
-        raise ProtocolError("plaintext frame too short")
     n = int.from_bytes(data[:2], "big")
     if len(data) != 2 + n:
         raise ProtocolError(f"plaintext frame length mismatch: header {n}, body {len(data) - 2}")

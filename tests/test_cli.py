@@ -290,6 +290,18 @@ class TestScenarioCommand:
         assert code == 2
         assert "$.scheme" in err
 
+    @pytest.mark.parametrize("ttl", ["1e303", "Infinity", "NaN"])
+    def test_mapping_ttl_without_finite_microseconds_exit_2(self, capsys, tmp_path, ttl):
+        # Python's json reads Infinity and NaN, and the schema lets them through.
+        path = tmp_path / "ttl.json"
+        path.write_text('{"hosts": [{"id": "a", "nat": "n"}, {"id": "b"}], '
+                        f'"nats": [{{"id": "n", "mapping_ttl_s": {ttl}}}], '
+                        '"scheme": {"G": 0, "P": 1, "theta": 1}}')
+        code, _, err = run_cli(capsys, "scenario", str(path))
+        assert code == 2
+        assert "error: mapping TTL must be positive and finite" in err
+        assert "Traceback" not in err
+
     def test_unsupported_scheme_exit_4(self, capsys, tmp_path):
         doc = {"hosts": [{"id": "a", "kind": "point"},
                          {"id": "b", "kind": "point"}],

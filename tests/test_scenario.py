@@ -395,7 +395,7 @@ class TestOpenerOutOfPorts:
         tools = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
         sys.path.insert(0, tools)
         try:
-            from bench_mesh_scale import mesh_doc
+            from bench_pairs import mesh_doc
         finally:
             sys.path.remove(tools)
         doc = mesh_doc(10, 1, 1)

@@ -103,6 +103,8 @@ class TestHandshake:
         resp = lambda: HandshakeResponder(idb, ida.public_bytes, rng=rng)
         with pytest.raises(HandshakeError, match="bytes"):
             resp().consume_message1(m1 + b"x")
+        with pytest.raises(HandshakeError, match="magic"):
+            resp().consume_message1(b"BDHP" + m1[4:])
         bad_version = m1[:4] + b"\x07" + m1[5:]
         with pytest.raises(HandshakeError, match="version"):
             resp().consume_message1(bad_version)
@@ -114,11 +116,44 @@ class TestHandshake:
             resp().consume_message1(bad_suite)
 
     def test_reply_before_init_rejected(self):
-        rng = random.Random(7)
+        # A well-formed M2 for this very ephemeral key: only the missing
+        # M1 is wrong with it.
+        ida, idb = Identity.generate(random.Random(7)), Identity.generate(random.Random(8))
+        sent = HandshakeInitiator(ida, idb.public_bytes, rng=random.Random(9))
+        m2 = HandshakeResponder(idb, ida.public_bytes, rng=random.Random(10)).consume_message1(
+            sent.message1())
+        unsent = HandshakeInitiator(ida, idb.public_bytes, rng=random.Random(9))
+        with pytest.raises(HandshakeError, match="message1"):
+            unsent.consume_message2(m2)
+
+    def replied(self, responder_identity=None):
+        """An initiator that sent M1, and the M2 its peer (or, with
+        responder_identity, someone else holding the M1) answered."""
+        rng = random.Random(11)
         ida, idb = Identity.generate(rng), Identity.generate(rng)
         init = HandshakeInitiator(ida, idb.public_bytes, rng=rng)
-        with pytest.raises(HandshakeError):
-            init.consume_message2(b"\x00" * HANDSHAKE_LEN)
+        resp = HandshakeResponder(responder_identity or idb, ida.public_bytes, rng=rng)
+        return init, idb, bytearray(resp.consume_message1(init.message1()))
+
+    def test_reply_with_tampered_signature_rejected(self):
+        init, _, m2 = self.replied()
+        m2[-1] ^= 0x01
+        with pytest.raises(HandshakeError, match="signature"):
+            init.consume_message2(bytes(m2))
+
+    def test_reply_with_swapped_ephemeral_rejected(self):
+        init, _, m2 = self.replied()
+        m2[40] ^= 0xFF  # inside eph_pub
+        with pytest.raises(HandshakeError, match="signature"):
+            init.consume_message2(bytes(m2))
+
+    def test_reply_signed_by_a_third_identity_rejected(self):
+        # A third identity answers the M1 with its own keys, under the
+        # id_pub the initiator expects.
+        init, idb, m2 = self.replied(responder_identity=Identity.generate(random.Random(12)))
+        m2[7:39] = idb.public_bytes  # id_pub
+        with pytest.raises(HandshakeError, match="signature"):
+            init.consume_message2(bytes(m2))
 
     def test_identity_from_seed_is_stable(self):
         seed = bytes(range(32))
@@ -289,8 +324,9 @@ class TestPlainFraming:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
             split_plain(b"\x00\x05hi")
-        with pytest.raises(ProtocolError):
-            split_plain(b"\x00")
+        for short in (b"\x00", b""):
+            with pytest.raises(ProtocolError):
+                split_plain(short)
 
     def test_oversize_rejected(self):
         with pytest.raises(ProtocolError):

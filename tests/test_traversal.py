@@ -642,7 +642,7 @@ class TestTriggeredCheck:
         assert 1 <= prober.probes_sent <= 2
         assert len(opener_host.sockets) == 256  # the opener closes no pinhole
 
-    def started_prober(self, budget_s=1.0):
+    def started_prober(self, budget_s=1.0, run_us=25_000):
         net, _, _, prober_host = self.world(None)
         sent = []
         net.on_wire = lambda kind, src, dst, payload: sent.append((dst, parse_probe(payload)))
@@ -652,7 +652,7 @@ class TestTriggeredCheck:
                                 b"T" * 8, "198.18.0.77", cfg, lambda *r: None, net.rng,
                                 schedule_seed=4545)
         prober.start()
-        net.run_for(25_000)  # three sweep probes, at 0, 10 and 20 ms
+        net.run_for(run_us)  # by default three sweep probes, at 0, 10 and 20 ms
         return net, prober, sent
 
     def test_only_a_probe_of_the_session_from_an_unswept_opener_port_is_answered(self):
@@ -694,6 +694,19 @@ class TestTriggeredCheck:
         assert prober.probes_sent == prober._budget == 3
         prober.on_datagram(pack_probe(KIND_PROBE, b"T" * 8, bytes(8)), ("198.18.0.77", 1),
                            prober._sock)
+        assert prober.probes_sent == 3 and len(sent) == 3
+
+    def test_a_triggered_check_that_takes_the_last_index_ends_the_sweep(self):
+        # Budget 3: two sweep probes, then the triggered check takes
+        # index 2 while the third sweep tick is still pending.
+        net, prober, sent = self.started_prober(budget_s=0.03, run_us=15_000)
+        assert len(sent) == prober.probes_sent == 2
+        swept = {dst[1] for dst, _ in sent}
+        unswept = next(p for p in range(10000, 12000) if p not in swept)
+        prober.on_datagram(pack_probe(KIND_PROBE, b"T" * 8, bytes(8)), ("198.18.0.77", unswept),
+                           prober._sock)
+        assert sent[2][1][2] == (2).to_bytes(8, "big")
+        net.run_for(50_000)
         assert prober.probes_sent == 3 and len(sent) == 3
 
 

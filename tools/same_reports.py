@@ -11,8 +11,8 @@ sides produced:
 - LOSSY_DOC, a mixed-NAT mesh whose every uplink loses 10 % of its
   datagrams, at the same seeds (again the report digest);
 - agent-level birthday punches (again the report digest): the
-  12-node, 3-hard mesh of tools/bench_mesh_scale.py with every easy NAT
-  filtering by address and port, at seeds 1, 2 and 3, where each hard
+  12-node, 3-hard APDF mesh of tools/bench_pairs.py (every easy NAT
+  filtering by address and port) at seeds 1, 2 and 3, where each hard
   host runs several openers at once, and BIRTHDAY_PAIR_DOC, one hard
   host with two such easy peers, at seeds 1, 2, 3 and 7;
 - the 72 documents of the benchmark's mesh workload at seeds 1 and 2,
@@ -42,11 +42,9 @@ import argparse
 import json
 import os
 import random
-import subprocess
 import sys
 
-from bench_mesh_scale import mesh_doc
-from bench_pairs import ROOT
+from bench_pairs import ROOT, mesh_doc, run_in
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -176,31 +174,15 @@ for name, doc, seed in json.load(sys.stdin):
 """
 
 
-def run(checkout: str, args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
-    return subprocess.run([sys.executable, *args], cwd=checkout, env=env, input=stdin,
-                          capture_output=True, text=True, check=False)
-
-
 def scenario_lines(checkout: str, items: list) -> list[str]:
-    done = run(checkout, ["-c", CHILD], json.dumps(items))
+    done = run_in(checkout, ["-c", CHILD], json.dumps(items))
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: scenario runs exited {done.returncode}:\n{done.stderr}")
     return done.stdout.splitlines()
 
 
-def apdf_mesh_doc(n: int, hard: int, seed: int) -> dict:
-    """mesh_doc with every easy NAT filtering by address and port, so
-    every hard x easy pair runs the birthday punch."""
-    doc = mesh_doc(n, hard, seed)
-    for nat in doc["nats"]:
-        if nat["mapping"] == "endpoint_independent":
-            nat["filtering"] = "address_and_port_dependent"
-    return doc
-
-
 def birthday_items() -> list:
-    return ([[f"apdf-mesh12-seed{seed}", apdf_mesh_doc(12, 3, seed), seed]
+    return ([[f"apdf-mesh12-seed{seed}", mesh_doc(12, 3, seed, apdf=True), seed]
              for seed in BIRTHDAY_MESH_SEEDS]
             + [["birthday-pair", BIRTHDAY_PAIR_DOC, seed] for seed in BUNDLED_SEEDS])
 
@@ -236,11 +218,11 @@ def main(argv=None) -> int:
     for kind, cli_args in TRAVERSAL_RUNS:
         outputs[kind] = []
         for side in sides:
-            done = run(side, ["-m", "bdmesh.cli", "simulate", "traversal", *cli_args])
+            done = run_in(side, ["-m", "bdmesh.cli", "simulate", "traversal", *cli_args])
             outputs[kind].append([f"exit {done.returncode}", *done.stdout.splitlines()])
     outputs["analyze"] = []
     for side in sides:
-        done = run(side, ["-c", ANALYZE_CHILD], json.dumps(analyze_argvs()))
+        done = run_in(side, ["-c", ANALYZE_CHILD], json.dumps(analyze_argvs()))
         if done.returncode != 0:
             raise SystemExit(f"{side}: analyze runs exited {done.returncode}:\n{done.stderr}")
         outputs["analyze"].append(done.stdout.splitlines())
